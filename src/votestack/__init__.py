@@ -27,11 +27,9 @@ from .fusion import (
     FusionOutcome,
     PredictionMatrix,
     VarianceReport,
-    VoteTally,
     WeightVector,
     apply_filtered,
     build_level1_features,
-    filtered_fuse,
     fit_filtered,
     fit_meta,
     majority_vote,
@@ -75,8 +73,8 @@ __all__ = [
     "ConfigError", "ContractError", "DataError", "DegenerateWeightsError",
     "InsufficientDataError", "TrainingDivergenceError", "VoteStackError",
     "REJECTED", "FilteredFusion", "FusionOutcome", "PredictionMatrix",
-    "VarianceReport", "VoteTally", "WeightVector", "apply_filtered",
-    "build_level1_features", "filtered_fuse", "fit_filtered", "fit_meta",
+    "VarianceReport", "WeightVector", "apply_filtered",
+    "build_level1_features", "fit_filtered", "fit_meta",
     "majority_vote", "meta_fuse", "model_average", "outcome_accuracy",
     "plurality_vote", "variance_report", "weights_from_accuracy",
     "weights_from_inverse_variance",

@@ -9,7 +9,7 @@ purpose: no histograms, no column subsampling, no sparsity handling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,14 +46,7 @@ class BoostConfig:
             raise ConfigError("min_child_weight must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "max_depth": self.max_depth,
-            "learning_rate": self.learning_rate,
-            "l2_lambda": self.l2_lambda,
-            "min_child_weight": self.min_child_weight,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoostConfig":

@@ -10,7 +10,7 @@ toward the lowest class index everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,6 @@ class PredictionMatrix:
     """n_learners x n_samples x n_classes tensor of class probabilities."""
 
     probs: np.ndarray
-    learner_ids: tuple[int, ...] | None = None
-    sample_ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
         probs = np.ascontiguousarray(self.probs, dtype=np.float64)
@@ -52,21 +50,14 @@ class PredictionMatrix:
             )
         if probs.shape[2] < 2:
             raise ContractError("prediction matrix needs at least 2 classes")
-        if probs.min() < 0.0 or probs.max() > 1.0 + 1e-9:
-            raise ContractError("probabilities must lie in [0, 1]")
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not (probs.min() >= 0.0 and probs.max() <= 1.0 + 1e-9):
+            raise ContractError("probabilities must be finite and lie in [0, 1]")
         sums = probs.sum(axis=2)
         if np.abs(sums - 1.0).max() > 1e-9:
             raise ContractError("every probability row must sum to 1 within 1e-9")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        if self.learner_ids is not None:
-            object.__setattr__(self, "learner_ids", tuple(self.learner_ids))
-            if len(self.learner_ids) != probs.shape[0]:
-                raise ContractError("learner_ids length must match learner count")
-        if self.sample_ids is not None:
-            object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
-            if len(self.sample_ids) != probs.shape[1]:
-                raise ContractError("sample_ids length must match sample count")
 
     @property
     def n_learners(self) -> int:
@@ -86,21 +77,6 @@ class PredictionMatrix:
 
 
 @dataclass(frozen=True)
-class VoteTally:
-    """Per-sample label counts; rows sum to n_learners."""
-
-    counts: np.ndarray
-    n_learners: int
-
-    def top_counts(self) -> np.ndarray:
-        return self.counts.max(axis=1)
-
-    def top_labels(self) -> np.ndarray:
-        """Most frequent label per sample, lowest index on ties."""
-        return np.argmax(self.counts, axis=1)
-
-
-@dataclass(frozen=True)
 class WeightVector:
     """Non-negative learner weights normalized to sum 1."""
 
@@ -113,8 +89,8 @@ class WeightVector:
             values = values.copy()
         if values.ndim != 1:
             raise ContractError("weights must be a vector")
-        if np.any(values < 0):
-            raise ContractError("weights must be non-negative")
+        if not (np.all(np.isfinite(values)) and np.all(values >= 0)):
+            raise ContractError("weights must be finite and non-negative")
         if abs(values.sum() - 1.0) > 1e-12:
             raise ContractError("weights must sum to 1 within 1e-12")
         values.setflags(write=False)
@@ -172,13 +148,14 @@ class VarianceReport:
     n_learners: int
 
 
-def tally(pm: PredictionMatrix) -> VoteTally:
+def tally(pm: PredictionMatrix) -> np.ndarray:
+    """Per-sample label counts, shape (n_samples, n_classes); rows sum to n."""
     votes = pm.votes()
     counts = np.zeros((pm.n_samples, pm.n_classes), dtype=np.int64)
     rows = np.arange(pm.n_samples)
     for j in range(pm.n_learners):
         counts[rows, votes[j]] += 1
-    return VoteTally(counts=counts, n_learners=pm.n_learners)
+    return counts
 
 
 def model_average(pm: PredictionMatrix,
@@ -186,7 +163,7 @@ def model_average(pm: PredictionMatrix,
     """Argmax of the (weighted) sum of predicted probabilities per sample."""
     if weights is None:
         weights = WeightVector.uniform(pm.n_learners)
-    w = weights.values if isinstance(weights, WeightVector) else np.asarray(weights)
+    w = weights.values
     if w.shape != (pm.n_learners,):
         raise ContractError(
             f"expected {pm.n_learners} weights, got shape {w.shape}"
@@ -198,8 +175,8 @@ def model_average(pm: PredictionMatrix,
 def weights_from_accuracy(accuracies) -> WeightVector:
     """Weights proportional to per-learner accuracies."""
     acc = np.asarray(accuracies, dtype=np.float64)
-    if np.any(acc < 0) or np.any(acc > 1):
-        raise ContractError("accuracies must lie in [0, 1]")
+    if not np.all((acc >= 0) & (acc <= 1)):
+        raise ContractError("accuracies must be finite and lie in [0, 1]")
     total = acc.sum()
     if total <= 0:
         raise DegenerateWeightsError("all learner accuracies are zero")
@@ -215,14 +192,14 @@ def weights_from_inverse_variance(variances) -> WeightVector:
 
 def plurality_vote(pm: PredictionMatrix) -> FusionOutcome:
     """Most frequent argmax label per sample; lowest class index on ties."""
-    return FusionOutcome(decisions=tally(pm).top_labels())
+    return FusionOutcome(decisions=np.argmax(tally(pm), axis=1))
 
 
 def majority_vote(pm: PredictionMatrix) -> FusionOutcome:
     """Label with more than half the votes, else the sample is Rejected."""
-    t = tally(pm)
-    top = t.top_labels()
-    decisions = np.where(t.top_counts() * 2 > pm.n_learners, top, REJECTED)
+    counts = tally(pm)
+    top = np.argmax(counts, axis=1)
+    decisions = np.where(counts.max(axis=1) * 2 > pm.n_learners, top, REJECTED)
     return FusionOutcome(decisions=decisions)
 
 
@@ -260,7 +237,8 @@ def meta_fuse(model: boosting.BoostedModel, pm_test: PredictionMatrix,
     return FusionOutcome(decisions=decisions, routes=(ROUTE_META,) * pm_test.n_samples)
 
 
-def _effective_threshold(threshold: int | None, n_learners: int) -> int:
+def effective_threshold(threshold: int | None, n_learners: int) -> int:
+    """The vote-filter threshold; None means the default n-1, floored at 1."""
     if threshold is None:
         return max(1, n_learners - 1)
     if not (1 <= threshold <= n_learners):
@@ -295,8 +273,8 @@ def fit_filtered(pm_train: PredictionMatrix, train_labels,
     labels = np.asarray(train_labels, dtype=np.int64)
     if labels.shape != (pm_train.n_samples,):
         raise ContractError("train labels must match the prediction matrix samples")
-    thr = _effective_threshold(threshold, pm_train.n_learners)
-    difficult = tally(pm_train).top_counts() < thr
+    thr = effective_threshold(threshold, pm_train.n_learners)
+    difficult = tally(pm_train).max(axis=1) < thr
     n_difficult = int(difficult.sum())
     if n_difficult == 0:
         return FilteredFusion(
@@ -322,9 +300,9 @@ def fit_filtered(pm_train: PredictionMatrix, train_labels,
 
 def apply_filtered(fitted: FilteredFusion, pm_test: PredictionMatrix) -> FusionOutcome:
     """Route test samples: confident votes directly, the rest to the meta-learner."""
-    t = tally(pm_test)
-    confident = t.top_counts() >= fitted.threshold
-    decisions = t.top_labels().copy()
+    counts = tally(pm_test)
+    confident = counts.max(axis=1) >= fitted.threshold
+    decisions = np.argmax(counts, axis=1)
     routes: list[str] = [ROUTE_CONFIDENT] * pm_test.n_samples
     residual = np.flatnonzero(~confident)
     if residual.size:
@@ -339,18 +317,6 @@ def apply_filtered(fitted: FilteredFusion, pm_test: PredictionMatrix) -> FusionO
     return FusionOutcome(
         decisions=decisions, routes=tuple(routes), warnings=fitted.warnings
     )
-
-
-def filtered_fuse(pm_train: PredictionMatrix, train_labels,
-                  pm_test: PredictionMatrix,
-                  threshold: int | None = None,
-                  config: boosting.BoostConfig | None = None,
-                  mode: str = LEVEL1_PROBA) -> FusionOutcome:
-    """Vote-filtered stacking end to end (fit on train, apply to test)."""
-    if config is None:
-        config = boosting.BoostConfig()
-    fitted = fit_filtered(pm_train, train_labels, config, threshold, mode)
-    return apply_filtered(fitted, pm_test)
 
 
 def variance_report(outputs) -> VarianceReport:

@@ -11,12 +11,11 @@ master seed and the learner index, so thread scheduling cannot change them.
 from __future__ import annotations
 
 import configparser
-import copy
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,18 +53,62 @@ ALL_STRATEGIES = (
 
 WEIGHT_MODES = ("accuracy", "inverse_variance")
 
-_CONFIG_SECTIONS = {
-    "dataset": ("path", "train_path", "test_path", "label_column",
-                "delimiter", "has_header"),
-    "split": ("train_fraction", "stratified"),
-    "ensemble": ("n_learners", "threshold", "strategies", "weight_mode",
-                 "level1_mode"),
-    "mlp": ("hidden_sizes", "epochs", "batch_size", "learning_rate",
-            "momentum"),
-    "boost": ("rounds", "max_depth", "learning_rate", "l2_lambda",
-              "min_child_weight"),
-    "run": ("seed", "output_dir", "workers"),
+def _as_bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+def _as_tribool(raw: str) -> bool | None:
+    return None if raw.lower() == "auto" else _as_bool(raw)
+
+
+def _as_label_column(raw: str) -> int | str:
+    try:
+        return int(raw)
+    except ValueError:
+        return raw
+
+
+def _as_int_tuple(raw: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in raw.replace(",", " ").split())
+
+
+def _as_str_tuple(raw: str) -> tuple[str, ...]:
+    return tuple(raw.replace(",", " ").split())
+
+
+# The config file schema: section -> key -> parser of the raw INI string.
+# A key names the ExperimentConfig field it sets, except [dataset] path
+# (field dataset_path); [boost] keys name BoostConfig fields. Defaults live
+# only on the dataclass fields.
+_CONFIG_SCHEMA = {
+    "dataset": {"path": str, "train_path": str, "test_path": str,
+                "label_column": _as_label_column, "delimiter": str,
+                "has_header": _as_tribool},
+    "split": {"train_fraction": float, "stratified": _as_bool},
+    "ensemble": {"n_learners": int, "threshold": int,
+                 "strategies": _as_str_tuple, "weight_mode": str,
+                 "level1_mode": str},
+    "mlp": {"hidden_sizes": _as_int_tuple, "epochs": int, "batch_size": int,
+            "learning_rate": float, "momentum": float},
+    "boost": {"rounds": int, "max_depth": int, "learning_rate": float,
+              "l2_lambda": float, "min_child_weight": float},
+    "run": {"seed": int, "output_dir": str, "workers": int},
 }
+_FIELD_OF_KEY = {"path": "dataset_path"}
+
+
+def _plain(value):
+    """Deep copy in JSON shape: tuples become lists."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
 @contextmanager
@@ -96,7 +139,7 @@ class ExperimentConfig:
     strategies: tuple[str, ...] = ALL_STRATEGIES
     weight_mode: str = "accuracy"
     level1_mode: str = fusion.LEVEL1_PROBA
-    hidden_sizes: tuple[int, ...] = mlp.DEFAULT_HIDDEN_SIZES
+    hidden_sizes: tuple[int, ...] = (1200, 800)
     epochs: int = 25
     batch_size: int = 32
     learning_rate: float = 0.01
@@ -152,7 +195,7 @@ class ExperimentConfig:
 
     @property
     def effective_threshold(self) -> int:
-        return self.threshold if self.threshold is not None else max(1, self.n_learners - 1)
+        return fusion.effective_threshold(self.threshold, self.n_learners)
 
     def learner_seed(self, learner_id: int) -> int:
         return derive_seed(self.seed, "learner", learner_id)
@@ -168,75 +211,19 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": {
-                "path": self.dataset_path,
-                "train_path": self.train_path,
-                "test_path": self.test_path,
-                "label_column": self.label_column,
-                "delimiter": self.delimiter,
-                "has_header": self.has_header,
-            },
-            "split": {
-                "train_fraction": self.train_fraction,
-                "stratified": self.stratified,
-            },
-            "ensemble": {
-                "n_learners": self.n_learners,
-                "threshold": self.threshold,
-                "strategies": list(self.strategies),
-                "weight_mode": self.weight_mode,
-                "level1_mode": self.level1_mode,
-            },
-            "mlp": {
-                "hidden_sizes": list(self.hidden_sizes),
-                "epochs": self.epochs,
-                "batch_size": self.batch_size,
-                "learning_rate": self.learning_rate,
-                "momentum": self.momentum,
-            },
-            "boost": self.boost.to_dict(),
-            "run": {
-                "seed": self.seed,
-                "output_dir": self.output_dir,
-                "workers": self.workers,
-            },
-        }
+        out = {section: {key: _plain(getattr(self, _FIELD_OF_KEY.get(key, key)))
+                         for key in keys}
+               for section, keys in _CONFIG_SCHEMA.items() if section != "boost"}
+        out["boost"] = self.boost.to_dict()
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        ds = d.get("dataset", {})
-        sp = d.get("split", {})
-        en = d.get("ensemble", {})
-        ml = d.get("mlp", {})
-        bo = d.get("boost", {})
-        rn = d.get("run", {})
-        kwargs: dict = {}
-        if "path" in ds:
-            kwargs["dataset_path"] = ds["path"]
-        for k_src, k_dst in (("train_path", "train_path"), ("test_path", "test_path"),
-                             ("label_column", "label_column"),
-                             ("delimiter", "delimiter"), ("has_header", "has_header")):
-            if k_src in ds:
-                kwargs[k_dst] = ds[k_src]
-        for k in ("train_fraction", "stratified"):
-            if k in sp:
-                kwargs[k] = sp[k]
-        for k in ("n_learners", "threshold", "weight_mode", "level1_mode"):
-            if k in en:
-                kwargs[k] = en[k]
-        if "strategies" in en:
-            kwargs["strategies"] = tuple(en["strategies"])
-        for k in ("epochs", "batch_size", "learning_rate", "momentum"):
-            if k in ml:
-                kwargs[k] = ml[k]
-        if "hidden_sizes" in ml:
-            kwargs["hidden_sizes"] = tuple(ml["hidden_sizes"])
-        if bo:
-            kwargs["boost"] = BoostConfig.from_dict(bo)
-        for k in ("seed", "output_dir", "workers"):
-            if k in rn:
-                kwargs[k] = rn[k]
+        kwargs = {_FIELD_OF_KEY.get(key, key): value
+                  for section, keys in _CONFIG_SCHEMA.items() if section != "boost"
+                  for key, value in d.get(section, {}).items() if key in keys}
+        if d.get("boost"):
+            kwargs["boost"] = BoostConfig.from_dict(d["boost"])
         return cls(**kwargs)
 
     @classmethod
@@ -255,89 +242,31 @@ class ExperimentConfig:
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
+        d: dict = {}
         for section in parser.sections():
-            if section not in _CONFIG_SECTIONS:
+            if section not in _CONFIG_SCHEMA:
                 raise ConfigError(f"{path}: unknown config section [{section}]")
-            for key in parser[section]:
-                if key not in _CONFIG_SECTIONS[section]:
+            parsers = _CONFIG_SCHEMA[section]
+            d[section] = {}
+            for key, raw in parser[section].items():
+                if key not in parsers:
                     raise ConfigError(
                         f"{path}: unknown key {key!r} in section [{section}]"
                     )
-
-        def get(section, key, conv, default):
-            if parser.has_option(section, key):
-                raw = parser.get(section, key).strip()
+                raw = raw.strip()
                 try:
-                    return conv(raw)
+                    d[section][key] = parsers[key](raw)
                 except (ValueError, TypeError) as exc:
                     raise ConfigError(
                         f"{path}: [{section}] {key}: cannot parse {raw!r}"
                     ) from exc
-            return default
-
-        def as_bool(raw: str) -> bool:
-            lowered = raw.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-
-        def as_tribool(raw: str) -> bool | None:
-            return None if raw.lower() == "auto" else as_bool(raw)
-
-        def as_label_column(raw: str):
-            try:
-                return int(raw)
-            except ValueError:
-                return raw
-
-        def as_int_tuple(raw: str) -> tuple[int, ...]:
-            return tuple(int(p) for p in raw.replace(",", " ").split())
-
-        def as_str_tuple(raw: str) -> tuple[str, ...]:
-            return tuple(p for p in raw.replace(",", " ").split())
-
-        dataset_path = get("dataset", "path", str, None)
-        train_path = get("dataset", "train_path", str, None)
-        test_path = get("dataset", "test_path", str, None)
-        if dataset_path is None and train_path is None:
+        config = cls.from_dict(d)
+        if config.dataset_path is None and config.train_path is None:
             raise ConfigError(
                 f"{path}: missing dataset location: set [dataset] path, or "
                 "[dataset] train_path and test_path"
             )
-
-        boost = BoostConfig(
-            rounds=get("boost", "rounds", int, 50),
-            max_depth=get("boost", "max_depth", int, 3),
-            learning_rate=get("boost", "learning_rate", float, 0.3),
-            l2_lambda=get("boost", "l2_lambda", float, 1.0),
-            min_child_weight=get("boost", "min_child_weight", float, 1.0),
-        )
-        return cls(
-            dataset_path=dataset_path,
-            train_path=train_path,
-            test_path=test_path,
-            label_column=get("dataset", "label_column", as_label_column, -1),
-            delimiter=get("dataset", "delimiter", str, ","),
-            has_header=get("dataset", "has_header", as_tribool, None),
-            train_fraction=get("split", "train_fraction", float, 0.8),
-            stratified=get("split", "stratified", as_bool, True),
-            n_learners=get("ensemble", "n_learners", int, 7),
-            threshold=get("ensemble", "threshold", int, None),
-            strategies=get("ensemble", "strategies", as_str_tuple, ALL_STRATEGIES),
-            weight_mode=get("ensemble", "weight_mode", str, "accuracy"),
-            level1_mode=get("ensemble", "level1_mode", str, fusion.LEVEL1_PROBA),
-            hidden_sizes=get("mlp", "hidden_sizes", as_int_tuple, mlp.DEFAULT_HIDDEN_SIZES),
-            epochs=get("mlp", "epochs", int, 25),
-            batch_size=get("mlp", "batch_size", int, 32),
-            learning_rate=get("mlp", "learning_rate", float, 0.01),
-            momentum=get("mlp", "momentum", float, 0.9),
-            boost=boost,
-            seed=get("run", "seed", int, 0),
-            output_dir=get("run", "output_dir", str, None),
-            workers=get("run", "workers", int, 1),
-        )
+        return config
 
 
 @dataclass(frozen=True)
@@ -367,52 +296,21 @@ class RunReport:
     timings: dict[str, float]
     plan_manifest: dict | None
 
+    def __post_init__(self):
+        for name in ("learner_seeds", "per_learner_accuracies", "warnings"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "decisions",
+                           {k: tuple(v) for k, v in self.decisions.items()})
+        object.__setattr__(self, "routes",
+                           {k: (tuple(v) if v is not None else None)
+                            for k, v in self.routes.items()})
+
     def to_dict(self) -> dict:
-        return {
-            "dataset_label": self.dataset_label,
-            "seed": self.seed,
-            "n_learners": self.n_learners,
-            "threshold": self.threshold,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "learner_seeds": list(self.learner_seeds),
-            "per_learner_accuracies": list(self.per_learner_accuracies),
-            "mean_accuracy": self.mean_accuracy,
-            "strategy_accuracies": dict(self.strategy_accuracies),
-            "rejected_count": self.rejected_count,
-            "route_counts": dict(self.route_counts),
-            "warnings": list(self.warnings),
-            "decisions": {k: list(v) for k, v in self.decisions.items()},
-            "routes": {k: (list(v) if v is not None else None)
-                       for k, v in self.routes.items()},
-            "config": copy.deepcopy(self.config),
-            "timings": dict(self.timings),
-            "plan_manifest": copy.deepcopy(self.plan_manifest),
-        }
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
-        return cls(
-            dataset_label=d["dataset_label"],
-            seed=d["seed"],
-            n_learners=d["n_learners"],
-            threshold=d["threshold"],
-            n_train=d["n_train"],
-            n_test=d["n_test"],
-            learner_seeds=tuple(d["learner_seeds"]),
-            per_learner_accuracies=tuple(d["per_learner_accuracies"]),
-            mean_accuracy=d["mean_accuracy"],
-            strategy_accuracies=dict(d["strategy_accuracies"]),
-            rejected_count=d["rejected_count"],
-            route_counts=dict(d["route_counts"]),
-            warnings=tuple(d["warnings"]),
-            decisions={k: tuple(v) for k, v in d["decisions"].items()},
-            routes={k: (tuple(v) if v is not None else None)
-                    for k, v in d["routes"].items()},
-            config=copy.deepcopy(d["config"]),
-            timings=dict(d["timings"]),
-            plan_manifest=copy.deepcopy(d["plan_manifest"]),
-        )
+        return cls(**{f.name: _plain(d[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)

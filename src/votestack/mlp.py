@@ -9,7 +9,7 @@ meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +20,7 @@ from .seeding import child_rng
 from .serialize import read_model_file, write_model_file
 
 MLP_MAGIC = b"VSTKMLP\x00"
-MLP_FORMAT_VERSION = 1
-
-DEFAULT_HIDDEN_SIZES = (1200, 800)
+MLP_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -37,8 +35,6 @@ class MlpConfig:
     batch_size: int = 32
     learning_rate: float = 0.01
     momentum: float = 0.9
-    hidden_activation: str = "relu"
-    init: str = "he_uniform"
     seed: int = 0
 
     def __post_init__(self):
@@ -55,10 +51,6 @@ class MlpConfig:
             raise ConfigError("learning_rate must be positive")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigError("momentum must lie in [0, 1)")
-        if self.hidden_activation != "relu":
-            raise ConfigError(f"unsupported hidden activation {self.hidden_activation!r}")
-        if self.init != "he_uniform":
-            raise ConfigError(f"unsupported init scheme {self.init!r}")
 
     @property
     def n_inputs(self) -> int:
@@ -69,16 +61,7 @@ class MlpConfig:
         return self.layer_sizes[-1]
 
     def to_dict(self) -> dict:
-        return {
-            "layer_sizes": list(self.layer_sizes),
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "hidden_activation": self.hidden_activation,
-            "init": self.init,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "layer_sizes": list(self.layer_sizes)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpConfig":
@@ -147,16 +130,6 @@ def _forward_cached(model: MlpModel, X: np.ndarray):
             a = np.maximum(z, 0.0)
             acts.append(a)
     return pre, acts, softmax(pre[-1])
-
-
-def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
-    """Per-class probabilities for a single feature vector."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1:
-        raise ContractError("forward expects a single 1-D feature vector")
-    _check_input_dim(model, x)
-    _, _, probs = _forward_cached(model, x[None, :])
-    return probs[0]
 
 
 def predict_proba(model: MlpModel, data) -> np.ndarray:
@@ -288,12 +261,3 @@ def load(path: str | Path) -> MlpModel:
         biases=biases,
         loss_trace=[float(v) for v in header.get("loss_trace", [])],
     )
-
-
-def default_layer_sizes(n_features: int, n_classes: int,
-                        hidden: tuple[int, ...] = DEFAULT_HIDDEN_SIZES) -> tuple[int, ...]:
-    return (n_features, *hidden, n_classes)
-
-
-def with_seed(config: MlpConfig, seed: int) -> MlpConfig:
-    return replace(config, seed=seed)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,9 +59,14 @@ class TestSelfcheck:
         assert cli.main(["selfcheck", "--seed", "12345"]) == 0
 
     def test_module_entry_point(self, tmp_path):
+        # The child runs outside the checkout, so give it the absolute src path.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "votestack.cli", "selfcheck"],
-            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+            capture_output=True, text=True, cwd=tmp_path, timeout=120, env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.count("ok:") == 3

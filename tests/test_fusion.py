@@ -17,7 +17,6 @@ from votestack import (
     WeightVector,
     apply_filtered,
     build_level1_features,
-    filtered_fuse,
     fit_filtered,
     fit_meta,
     majority_vote,
@@ -70,17 +69,12 @@ class TestPredictionMatrix:
         probs[0, 0] = [-0.1, 1.1]
         with pytest.raises(ContractError, match=r"\[0, 1\]"):
             PredictionMatrix(probs)
+        with pytest.raises(ContractError, match="finite"):
+            PredictionMatrix(np.full((2, 3, 2), np.nan))
 
     def test_rejects_rows_not_summing_to_one(self):
         with pytest.raises(ContractError, match="sum to 1"):
             PredictionMatrix(np.full((1, 1, 2), 0.4))
-
-    def test_rejects_mismatched_ids(self, rng):
-        probs = rng.dirichlet(np.ones(2), size=(2, 3))
-        with pytest.raises(ContractError, match="learner_ids"):
-            PredictionMatrix(probs, learner_ids=(0,))
-        with pytest.raises(ContractError, match="sample_ids"):
-            PredictionMatrix(probs, sample_ids=(0, 1))
 
     def test_tensor_is_frozen_copy(self, rng):
         raw = rng.dirichlet(np.ones(3), size=(2, 4))
@@ -141,6 +135,8 @@ class TestWeights:
     def test_out_of_range_accuracy_rejected(self):
         with pytest.raises(ContractError):
             weights_from_accuracy([0.5, 1.2])
+        with pytest.raises(ContractError, match="finite"):
+            weights_from_accuracy([np.nan, 0.5])
 
     def test_uniform_weights(self):
         np.testing.assert_array_equal(WeightVector.uniform(4).values, 0.25)
@@ -150,6 +146,10 @@ class TestWeights:
             WeightVector(np.array([-0.5, 1.5]), "test")
         with pytest.raises(ContractError, match="sum to 1"):
             WeightVector(np.array([0.5, 0.6]), "test")
+        with pytest.raises(ContractError, match="finite"):
+            WeightVector(np.array([np.nan, np.nan]), "test")
+        with pytest.raises(ContractError, match="finite"):
+            weights_from_inverse_variance([np.nan, 1.0])
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            n=st.integers(min_value=2, max_value=9))
@@ -202,7 +202,7 @@ class TestVoting:
     def test_tally_counts_match_counter(self, rng):
         pm = random_pm(rng, 5, 12, 3)
         votes = pm.votes()
-        counts = tally(pm).counts
+        counts = tally(pm)
         for i in range(12):
             ref = Counter(votes[:, i].tolist())
             for c in range(3):
@@ -219,7 +219,7 @@ class TestVoting:
         pm = one_hot_pm(votes, c)
         expected = reference_plurality(votes, c)
         np.testing.assert_array_equal(plurality_vote(pm).decisions, expected)
-        counts = tally(pm).top_counts()
+        counts = tally(pm).max(axis=1)
         expected_majority = np.where(counts * 2 > n, expected, REJECTED)
         np.testing.assert_array_equal(majority_vote(pm).decisions, expected_majority)
 
@@ -313,7 +313,7 @@ class TestFilteredFusion:
         votes_test[:, 1] = 0
         votes_test[:4, 2] = 0  # 4-3 split stays below threshold 6
         pm_test = one_hot_pm(votes_test, 2)
-        outcome = filtered_fuse(pm_train, labels_train, pm_test, config=FAST_BOOST)
+        outcome = apply_filtered(fit_filtered(pm_train, labels_train, FAST_BOOST), pm_test)
         assert outcome.routes[0] == ROUTE_CONFIDENT
         assert outcome.routes[1] == ROUTE_CONFIDENT
         assert outcome.routes[2] == ROUTE_META
@@ -324,8 +324,8 @@ class TestFilteredFusion:
         pm_train = random_pm(rng, 7, 40, 3)
         labels = rng.integers(0, 3, size=40)
         pm_test = random_pm(rng, 7, 25, 3)
-        outcome = filtered_fuse(pm_train, labels, pm_test, threshold=1,
-                                config=FAST_BOOST)
+        outcome = apply_filtered(
+            fit_filtered(pm_train, labels, FAST_BOOST, threshold=1), pm_test)
         np.testing.assert_array_equal(
             outcome.decisions, plurality_vote(pm_test).decisions
         )
@@ -370,7 +370,7 @@ class TestFilteredFusion:
         pm_train = random_pm(rng, 7, 60, 3)
         labels = rng.integers(0, 3, size=60)
         pm_test = random_pm(rng, 7, 30, 3)
-        outcome = filtered_fuse(pm_train, labels, pm_test, config=FAST_BOOST)
+        outcome = apply_filtered(fit_filtered(pm_train, labels, FAST_BOOST), pm_test)
         assert len(outcome.routes) == 30
         assert sum(outcome.route_counts().values()) == 30
         assert outcome.rejected_count == 0
@@ -380,7 +380,7 @@ class TestFilteredFusion:
         labels = rng.integers(0, 3, size=50)
         for thr in (2, 4, 6, 7):
             fitted = fit_filtered(pm_train, labels, FAST_BOOST, threshold=thr)
-            expected = int(np.sum(tally(pm_train).top_counts() < thr))
+            expected = int(np.sum(tally(pm_train).max(axis=1) < thr))
             assert fitted.n_difficult == expected
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -39,6 +40,18 @@ DESK_CONFIG = ExperimentConfig(
     boost=BoostConfig(rounds=8, max_depth=3),
     seed=3,
 )
+
+
+GOLDEN_DIGESTS = {
+    "report":
+        "2409c0603a4e50d897f60761cbecc54ac19b8016b2c3c7ee35211d848424c420",
+    "accuracy_table":
+        "ccaf18d11043d59492d15a9361319e4c57e5ef5d616e4b63090c4cb8162c55d7",
+    "decisions":
+        "abce6f15f344999b8f964861c4e8ec19e0ac2be6522492f806634e5fd4f9a7af",
+    "manifest":
+        "a761fa4f786c510e1733dfa8bf1305c05efb943d0515dc78369a734d15a68dee",
+}
 
 
 def replicate_split(config, dataset):
@@ -490,6 +503,21 @@ class TestEmit:
         assert manifest["plan"] == report.plan_manifest
         assert manifest["config"] == report.config
         assert manifest["tool"] == "votestack"
+
+    def test_golden_artifact_digests(self, tmp_path):
+        """Pin the exact bytes of every run artifact for one fixed config.
+
+        The run keeps output_dir unset and its timings are zeroed, because
+        both would otherwise enter the bytes. The digests are tied to the
+        numpy/OpenBLAS build they were recorded with (numpy 2.4.6, OpenBLAS
+        0.3.31, x86-64): another BLAS may round differently and change them.
+        """
+        report = run_experiment(DESK_CONFIG, dataset=DESK_DATA)
+        report = replace(report, timings={k: 0.0 for k in report.timings})
+        paths = emit_report(report, tmp_path)
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for name, path in paths.items()}
+        assert digests == GOLDEN_DIGESTS
 
     def test_unused_strategy_columns_left_empty(self, tmp_path):
         config = replace(DESK_CONFIG, epochs=1, n_learners=2,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ class TestInit:
     def test_different_seeds_differ(self):
         base = MlpConfig(layer_sizes=(6, 5, 4), seed=1)
         a = mlp.init(base).parameter_vector()
-        b = mlp.init(mlp.with_seed(base, 2)).parameter_vector()
+        b = mlp.init(replace(base, seed=2)).parameter_vector()
         assert not np.array_equal(a, b)
 
     def test_weight_variance_matches_fan_in_scaling(self):
@@ -85,13 +86,13 @@ class TestInit:
 class TestForward:
     def test_zero_weights_give_uniform_three_way(self):
         model = zero_model((5, 4, 3))
-        probs = mlp.forward(model, np.ones(5))
+        probs = mlp.predict_proba(model, np.ones((1, 5)))[0]
         np.testing.assert_allclose(probs, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
     def test_extreme_logits_do_not_overflow(self):
         model = pass_through_model([1.0, 0.0], [0.0, 0.0])
         with np.errstate(over="raise"):
-            probs = mlp.forward(model, np.array([1000.0]))
+            probs = mlp.predict_proba(model, np.array([[1000.0]]))[0]
         assert np.all(np.isfinite(probs))
         np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-300)
         np.testing.assert_allclose(probs.sum(), 1.0)
@@ -116,7 +117,7 @@ class TestForward:
     def test_input_width_mismatch_rejected(self):
         model = zero_model((4, 3, 2))
         with pytest.raises(ContractError, match="inputs"):
-            mlp.forward(model, np.ones(5))
+            mlp.predict_proba(model, np.ones((1, 5)))
 
 
 class TestPredictLabel:
@@ -258,6 +259,15 @@ class TestSaveLoad:
         with pytest.raises(DataError):
             mlp.load(path)
 
+    def test_previous_format_version_rejected(self, tmp_path):
+        model = mlp.init(MlpConfig(layer_sizes=(2, 3, 2)))
+        path = mlp.save(model, tmp_path / "m.mlp")
+        raw = bytearray(path.read_bytes())
+        raw[8:10] = (mlp.MLP_FORMAT_VERSION - 1).to_bytes(2, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="format version 1 unsupported"):
+            mlp.load(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         model = mlp.init(MlpConfig(layer_sizes=(2, 3, 2)))
         path = mlp.save(model, tmp_path / "m.mlp")
@@ -267,10 +277,6 @@ class TestSaveLoad:
 
 
 class TestHelpers:
-    def test_default_layer_sizes_wrap_hidden_stack(self):
-        assert mlp.default_layer_sizes(57, 2) == (57, 1200, 800, 2)
-        assert mlp.default_layer_sizes(4, 3, hidden=(8,)) == (4, 8, 3)
-
     def test_parameter_vector_length(self):
         model = mlp.init(MlpConfig(layer_sizes=(4, 3, 2)))
         assert model.parameter_vector().size == (4 * 3 + 3 * 2) + (3 + 2)
