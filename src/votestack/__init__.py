@@ -4,14 +4,7 @@ fused by averaging, voting, stacking, or vote-filtered stacking."""
 from .__about__ import __version__
 from . import boosting, mlp
 from .boosting import BoostConfig, BoostedModel
-from .diversify import (
-    LearnerTrainingSet,
-    ResamplePlan,
-    build_plan,
-    materialize,
-    out_of_bag,
-    segment_sizes,
-)
+from .diversify import ResamplePlan, build_plan, materialize, out_of_bag
 from .errors import (
     ConfigError,
     ContractError,
@@ -68,8 +61,7 @@ from .tabular import (
 __all__ = [
     "__version__",
     "BoostConfig", "BoostedModel", "boosting", "mlp",
-    "LearnerTrainingSet", "ResamplePlan", "build_plan", "materialize",
-    "out_of_bag", "segment_sizes",
+    "ResamplePlan", "build_plan", "materialize", "out_of_bag",
     "ConfigError", "ContractError", "DataError", "DegenerateWeightsError",
     "InsufficientDataError", "TrainingDivergenceError", "VoteStackError",
     "REJECTED", "FilteredFusion", "FusionOutcome", "PredictionMatrix",

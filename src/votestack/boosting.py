@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
 from .numerics import cross_entropy, softmax
-from .serialize import read_model_file, write_model_file
+from .serialize import parsing_header, read_model_file, write_model_file
 
 GBT_MAGIC = b"VSTKGBT\x00"
-GBT_FORMAT_VERSION = 1
+GBT_FORMAT_VERSION = 2
 
 _NO_FEATURE = -1
 
@@ -31,7 +31,6 @@ class BoostConfig:
     learning_rate: float = 0.3
     l2_lambda: float = 1.0
     min_child_weight: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -74,19 +73,6 @@ class RegressionTree:
             node[rows] = np.where(go_left, self.left[at], self.right[at])
             active = self.feature[node] != _NO_FEATURE
         return self.leaf_value[node]
-
-    def depth(self) -> int:
-        """Longest root-to-leaf edge count, by traversal."""
-        best = 0
-        stack = [(0, 0)]
-        while stack:
-            idx, d = stack.pop()
-            if self.feature[idx] == _NO_FEATURE:
-                best = max(best, d)
-            else:
-                stack.append((self.left[idx], d + 1))
-                stack.append((self.right[idx], d + 1))
-        return best
 
     def to_matrix(self) -> np.ndarray:
         return np.column_stack([
@@ -295,9 +281,12 @@ def save(model: BoostedModel, path: str | Path) -> Path:
 
 def load(path: str | Path) -> BoostedModel:
     header, arrays = read_model_file(path, GBT_MAGIC, GBT_FORMAT_VERSION)
-    config = BoostConfig.from_dict(header["config"])
-    n_classes = int(header["n_classes"])
-    rounds = int(header["rounds"])
+    with parsing_header(path):
+        config = BoostConfig.from_dict(header["config"])
+        n_features = int(header["n_features"])
+        n_classes = int(header["n_classes"])
+        rounds = int(header["rounds"])
+        loss_trace = [float(v) for v in header.get("loss_trace", [])]
     if len(arrays) != rounds * n_classes:
         raise DataError(f"{path}: tree count does not match the stored round/class grid")
     trees = [
@@ -306,8 +295,8 @@ def load(path: str | Path) -> BoostedModel:
     ]
     return BoostedModel(
         config=config,
-        n_features=int(header["n_features"]),
+        n_features=n_features,
         n_classes=n_classes,
         trees=trees,
-        loss_trace=[float(v) for v in header.get("loss_trace", [])],
+        loss_trace=loss_trace,
     )

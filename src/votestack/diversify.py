@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError
+from .numerics import frozen_copy
 from .seeding import child_rng
 
 PLAN_FORMAT_VERSION = 1
@@ -29,10 +30,7 @@ class ResamplePlan:
     segment_bounds: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        perm = np.ascontiguousarray(self.permutation, dtype=np.int64)
-        if perm is self.permutation:
-            perm = perm.copy()
-        perm.setflags(write=False)
+        perm = frozen_copy(self.permutation, np.int64)
         object.__setattr__(self, "permutation", perm)
         object.__setattr__(self, "segment_bounds", tuple(map(tuple, self.segment_bounds)))
         if len(self.segment_bounds) != self.n_learners:
@@ -60,36 +58,6 @@ class ResamplePlan:
             "segment_bounds": [list(b) for b in self.segment_bounds],
         }
 
-    @classmethod
-    def from_manifest(cls, manifest: dict) -> "ResamplePlan":
-        if manifest.get("format_version") != PLAN_FORMAT_VERSION:
-            raise DataError(
-                f"unsupported plan format version {manifest.get('format_version')!r}"
-            )
-        plan = build_plan(
-            int(manifest["train_size"]),
-            int(manifest["n_learners"]),
-            int(manifest["seed"]),
-        )
-        stored = tuple(tuple(b) for b in manifest["segment_bounds"])
-        if stored != plan.segment_bounds:
-            raise DataError("plan manifest segment bounds do not match its seed")
-        return plan
-
-
-@dataclass(frozen=True)
-class LearnerTrainingSet:
-    """Indices one learner trains on: kept rows plus bootstrap replenishment."""
-
-    learner_id: int
-    kept_indices: np.ndarray
-    replenished_indices: np.ndarray
-
-    @property
-    def indices(self) -> np.ndarray:
-        """Full training index multiset, kept first then replenished."""
-        return np.concatenate([self.kept_indices, self.replenished_indices])
-
 
 def build_plan(train_size: int, n_learners: int, seed: int) -> ResamplePlan:
     """Shuffle the training indices and cut them into n near-equal segments."""
@@ -115,10 +83,6 @@ def build_plan(train_size: int, n_learners: int, seed: int) -> ResamplePlan:
     )
 
 
-def segment_sizes(plan: ResamplePlan) -> list[int]:
-    return [hi - lo for lo, hi in plan.segment_bounds]
-
-
 def _check_learner_id(plan: ResamplePlan, learner_id: int) -> None:
     if not (0 <= learner_id < plan.n_learners):
         raise ContractError(
@@ -126,23 +90,20 @@ def _check_learner_id(plan: ResamplePlan, learner_id: int) -> None:
         )
 
 
-def materialize(plan: ResamplePlan, learner_id: int) -> LearnerTrainingSet:
-    """Training set for one learner: deleted segment excluded, size preserved.
+def materialize(plan: ResamplePlan, learner_id: int) -> np.ndarray:
+    """Training indices for one learner: deleted segment excluded, size preserved.
 
-    Replenishment draws uniformly with replacement from the kept indices
-    using a sub-seed derived from (plan.seed, learner_id), so results do not
-    depend on the order learners are materialized in.
+    The kept indices come first, in ascending order, followed by the
+    replenishment: draws made uniformly with replacement from the kept
+    indices using a sub-seed derived from (plan.seed, learner_id), so results
+    do not depend on the order learners are materialized in.
     """
     _check_learner_id(plan, learner_id)
     lo, hi = plan.segment_bounds[learner_id]
     kept = np.sort(np.concatenate([plan.permutation[:lo], plan.permutation[hi:]]))
     rng = child_rng(plan.seed, "replenish", learner_id)
     draws = rng.integers(0, kept.size, size=hi - lo)
-    return LearnerTrainingSet(
-        learner_id=learner_id,
-        kept_indices=kept,
-        replenished_indices=kept[draws],
-    )
+    return np.concatenate([kept, kept[draws]])
 
 
 def out_of_bag(plan: ResamplePlan, learner_id: int) -> np.ndarray:

@@ -21,12 +21,16 @@ from .errors import (
     DegenerateWeightsError,
     InsufficientDataError,
 )
+from .numerics import frozen_copy
 
 REJECTED = -1
 
 ROUTE_CONFIDENT = "confident-vote"
 ROUTE_META = "meta-learner"
 ROUTE_FALLBACK = "fallback"
+# FusionOutcome.routes holds int8 codes: code k is the route named ROUTES[k].
+ROUTES = (ROUTE_CONFIDENT, ROUTE_META, ROUTE_FALLBACK)
+_CONFIDENT, _META, _FALLBACK = range(len(ROUTES))
 
 VARIANCE_FLOOR = 1e-12
 
@@ -41,9 +45,7 @@ class PredictionMatrix:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.ascontiguousarray(self.probs, dtype=np.float64)
-        if probs is self.probs:
-            probs = probs.copy()
+        probs = frozen_copy(self.probs, np.float64)
         if probs.ndim != 3:
             raise ContractError(
                 f"prediction matrix must be 3-D (learners, samples, classes), got {probs.shape}"
@@ -56,7 +58,6 @@ class PredictionMatrix:
         sums = probs.sum(axis=2)
         if np.abs(sums - 1.0).max() > 1e-9:
             raise ContractError("every probability row must sum to 1 within 1e-9")
-        probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
     @property
@@ -84,16 +85,13 @@ class WeightVector:
     provenance: str
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values is self.values:
-            values = values.copy()
+        values = frozen_copy(self.values, np.float64)
         if values.ndim != 1:
             raise ContractError("weights must be a vector")
         if not (np.all(np.isfinite(values)) and np.all(values >= 0)):
             raise ContractError("weights must be finite and non-negative")
         if abs(values.sum() - 1.0) > 1e-12:
             raise ContractError("weights must sum to 1 within 1e-12")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -103,22 +101,24 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class FusionOutcome:
-    """Per-sample fused decisions; REJECTED (-1) only from strict majority."""
+    """Per-sample fused decisions (REJECTED (-1) only from strict majority);
+    the stacking strategies add one route code per sample, indexing ROUTES."""
 
     decisions: np.ndarray
-    routes: tuple[str | None, ...] | None = None
+    routes: np.ndarray | None = None
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        decisions = np.ascontiguousarray(self.decisions, dtype=np.int64)
-        if decisions is self.decisions:
-            decisions = decisions.copy()
-        decisions.setflags(write=False)
+        decisions = frozen_copy(self.decisions, np.int64)
         object.__setattr__(self, "decisions", decisions)
         if self.routes is not None:
-            object.__setattr__(self, "routes", tuple(self.routes))
-            if len(self.routes) != decisions.shape[0]:
-                raise ContractError("route tags must match decision count")
+            codes = np.asarray(self.routes)
+            if codes.shape != decisions.shape:
+                raise ContractError("route codes must match decision count")
+            if codes.size and not (np.issubdtype(codes.dtype, np.integer)
+                                   and codes.min() >= 0 and codes.max() < len(ROUTES)):
+                raise ContractError(f"route codes must be integers in [0, {len(ROUTES)})")
+            object.__setattr__(self, "routes", frozen_copy(codes, np.int8))
         object.__setattr__(self, "warnings", tuple(self.warnings))
 
     @property
@@ -130,12 +130,9 @@ class FusionOutcome:
         return int(np.sum(self.decisions == REJECTED))
 
     def route_counts(self) -> dict[str, int]:
-        out = {ROUTE_CONFIDENT: 0, ROUTE_META: 0, ROUTE_FALLBACK: 0}
-        if self.routes is not None:
-            for r in self.routes:
-                if r is not None:
-                    out[r] += 1
-        return out
+        """Samples per route name; all zero when no routes are set."""
+        codes = self.routes if self.routes is not None else np.zeros(0, np.int8)
+        return dict(zip(ROUTES, np.bincount(codes, minlength=len(ROUTES)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -234,7 +231,7 @@ def fit_meta(pm_train: PredictionMatrix, train_labels,
 def meta_fuse(model: boosting.BoostedModel, pm_test: PredictionMatrix,
               mode: str = LEVEL1_PROBA) -> FusionOutcome:
     decisions = boosting.predict_label(model, build_level1_features(pm_test, mode))
-    return FusionOutcome(decisions=decisions, routes=(ROUTE_META,) * pm_test.n_samples)
+    return FusionOutcome(decisions=decisions, routes=np.full(pm_test.n_samples, _META))
 
 
 def effective_threshold(threshold: int | None, n_learners: int) -> int:
@@ -303,19 +300,14 @@ def apply_filtered(fitted: FilteredFusion, pm_test: PredictionMatrix) -> FusionO
     counts = tally(pm_test)
     confident = counts.max(axis=1) >= fitted.threshold
     decisions = np.argmax(counts, axis=1)
-    routes: list[str] = [ROUTE_CONFIDENT] * pm_test.n_samples
-    residual = np.flatnonzero(~confident)
-    if residual.size:
-        if fitted.meta_model is not None:
-            feats = build_level1_features(pm_test, fitted.level1_mode)[residual]
-            decisions[residual] = boosting.predict_label(fitted.meta_model, feats)
-            for i in residual:
-                routes[i] = ROUTE_META
-        else:
-            for i in residual:
-                routes[i] = ROUTE_FALLBACK
+    residual = ~confident
+    if fitted.meta_model is not None and residual.any():
+        feats = build_level1_features(pm_test, fitted.level1_mode)[residual]
+        decisions[residual] = boosting.predict_label(fitted.meta_model, feats)
+    residual_route = _FALLBACK if fitted.meta_model is None else _META
     return FusionOutcome(
-        decisions=decisions, routes=tuple(routes), warnings=fitted.warnings
+        decisions=decisions, routes=np.where(confident, _CONFIDENT, residual_route),
+        warnings=fitted.warnings,
     )
 
 

@@ -26,6 +26,7 @@ from .diversify import build_plan, materialize, out_of_bag
 from .errors import ConfigError, DataError, VoteStackError
 from .fusion import PredictionMatrix
 from .seeding import derive_seed
+from .serialize import atomic_write
 from .tabular import (
     Dataset,
     SplitSpec,
@@ -152,11 +153,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_learners < 1:
             raise ConfigError("[ensemble] n_learners must be at least 1")
-        if self.threshold is not None and not (1 <= self.threshold <= self.n_learners):
-            raise ConfigError(
-                f"[ensemble] threshold must lie in [1, {self.n_learners}], "
-                f"got {self.threshold}"
-            )
+        fusion.effective_threshold(self.threshold, self.n_learners)  # range check
         seen = []
         for s in self.strategies:
             if s not in ALL_STRATEGIES:
@@ -291,7 +288,7 @@ class RunReport:
     route_counts: dict[str, int]
     warnings: tuple[str, ...]
     decisions: dict[str, tuple[int, ...]]
-    routes: dict[str, tuple[str | None, ...] | None]
+    routes: dict[str, tuple[str, ...] | None]
     config: dict
     timings: dict[str, float]
     plan_manifest: dict | None
@@ -355,13 +352,7 @@ class SweepReport:
 def _load_data(config: ExperimentConfig,
                dataset: Dataset | None) -> tuple[Dataset, Dataset, str]:
     """Resolve (train, test, label) from an in-memory dataset or config paths."""
-    if dataset is not None:
-        label = "in-memory"
-        spec = SplitSpec(config.train_fraction, config.stratified,
-                         seed=derive_seed(config.seed, "split"))
-        train, test = split(dataset, spec)
-        return train, test, label
-    if config.train_path is not None:
+    if dataset is None and config.train_path is not None:
         train = load_csv(config.train_path, config.label_column,
                          config.delimiter, config.has_header)
         test = load_csv(config.test_path, config.label_column,
@@ -373,17 +364,21 @@ def _load_data(config: ExperimentConfig,
                 f"has {test.n_features}"
             )
         return train, test, Path(config.train_path).stem
-    if config.dataset_path is None:
+    if dataset is not None:
+        label = "in-memory"
+    elif config.dataset_path is not None:
+        dataset = load_csv(config.dataset_path, config.label_column,
+                           config.delimiter, config.has_header)
+        label = Path(config.dataset_path).stem
+    else:
         raise ConfigError(
             "missing dataset location: set [dataset] path, or "
             "[dataset] train_path and test_path"
         )
-    full = load_csv(config.dataset_path, config.label_column,
-                    config.delimiter, config.has_header)
     spec = SplitSpec(config.train_fraction, config.stratified,
                      seed=derive_seed(config.seed, "split"))
-    train, test = split(full, spec)
-    return train, test, Path(config.dataset_path).stem
+    train, test = split(dataset, spec)
+    return train, test, label
 
 
 def _train_learners(config: ExperimentConfig, train: Dataset,
@@ -395,7 +390,7 @@ def _train_learners(config: ExperimentConfig, train: Dataset,
         if plan is None:
             idx = np.arange(train.n_samples)
         else:
-            idx = materialize(plan, j).indices
+            idx = materialize(plan, j)
         cfg = config.mlp_config(train.n_features, n_classes, config.learner_seed(j))
         with _stage(f"training learner {j}"):
             return mlp.train(mlp.init(cfg), train.features[idx], train.labels[idx])
@@ -457,13 +452,8 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None,
 
     out = Path(config.output_dir) if config.output_dir else None
     if out is not None:
-        models_dir = out / "models"
-        try:
-            models_dir.mkdir(parents=True, exist_ok=True)
-            for j, model in enumerate(models):
-                mlp.save(model, models_dir / f"learner_{j}.mlp")
-        except OSError as exc:
-            raise ConfigError(f"cannot write model files to {models_dir}: {exc}") from exc
+        for j, model in enumerate(models):
+            mlp.save(model, out / "models" / f"learner_{j}.mlp")
 
     with _stage("predicting"):
         pm_train = PredictionMatrix(
@@ -479,7 +469,7 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None,
 
     strategy_accuracies: dict[str, float] = {}
     decisions: dict[str, tuple[int, ...]] = {}
-    routes: dict[str, tuple[str | None, ...] | None] = {}
+    routes: dict[str, tuple[str, ...] | None] = {}
     warnings: list[str] = []
     rejected_count = 0
     route_counts: dict[str, int] = {}
@@ -487,7 +477,9 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None,
     def record(name: str, outcome: fusion.FusionOutcome) -> None:
         strategy_accuracies[name] = fusion.outcome_accuracy(outcome, test.labels)
         decisions[name] = tuple(int(v) for v in outcome.decisions)
-        routes[name] = outcome.routes
+        # The one place route codes become the names artifacts carry.
+        routes[name] = (None if outcome.routes is None
+                        else tuple(fusion.ROUTES[c] for c in outcome.routes.tolist()))
         warnings.extend(outcome.warnings)
 
     with _stage("fusing"):
@@ -579,11 +571,8 @@ def sweep(config: ExperimentConfig, max_size: int = 8,
 
 
 def _write_text(path: Path, text: str) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _json_dumps(payload: dict) -> str:
@@ -618,12 +607,9 @@ def emit_report(report: RunReport, directory: str | Path) -> dict[str, Path]:
     _write_text(paths["accuracy_table"], table)
 
     lines = ["strategy,sample_id,decision,route"]
-    for name in report.decisions:
-        strategy_routes = report.routes.get(name)
-        for i, decision in enumerate(report.decisions[name]):
-            route = ""
-            if strategy_routes is not None and strategy_routes[i] is not None:
-                route = strategy_routes[i]
+    for name, strategy_decisions in report.decisions.items():
+        strategy_routes = report.routes.get(name) or ("",) * len(strategy_decisions)
+        for i, (decision, route) in enumerate(zip(strategy_decisions, strategy_routes)):
             lines.append(f"{name},{i},{decision},{route}")
     _write_text(paths["decisions"], "\n".join(lines) + "\n")
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, DataError, TrainingDivergenceError
 from .numerics import LOG_CLAMP, cross_entropy, softmax
 from .seeding import child_rng
-from .serialize import read_model_file, write_model_file
+from .serialize import parsing_header, read_model_file, write_model_file
 
 MLP_MAGIC = b"VSTKMLP\x00"
 MLP_FORMAT_VERSION = 2
@@ -81,16 +81,6 @@ class MlpModel:
     biases: list[np.ndarray]
     loss_trace: list[float] = field(default_factory=list)
 
-    @property
-    def final_loss(self) -> float | None:
-        return self.loss_trace[-1] if self.loss_trace else None
-
-    def parameter_vector(self) -> np.ndarray:
-        """All parameters flattened, for comparisons and diagnostics."""
-        return np.concatenate(
-            [w.ravel() for w in self.weights] + [b.ravel() for b in self.biases]
-        )
-
 
 def init(config: MlpConfig) -> MlpModel:
     """Fresh model: He-uniform weights (variance 2/fan_in), zero biases."""
@@ -140,11 +130,6 @@ def predict_proba(model: MlpModel, data) -> np.ndarray:
     _check_input_dim(model, X)
     _, _, probs = _forward_cached(model, X)
     return probs
-
-
-def predict_label(model: MlpModel, data) -> np.ndarray:
-    """Per-row argmax labels; ties break toward the lowest class index."""
-    return np.argmax(predict_proba(model, data), axis=1)
 
 
 def loss(model: MlpModel, features, labels) -> float:
@@ -246,7 +231,9 @@ def save(model: MlpModel, path: str | Path) -> Path:
 
 def load(path: str | Path) -> MlpModel:
     header, arrays = read_model_file(path, MLP_MAGIC, MLP_FORMAT_VERSION)
-    config = MlpConfig.from_dict(header["config"])
+    with parsing_header(path):
+        config = MlpConfig.from_dict(header["config"])
+        loss_trace = [float(v) for v in header.get("loss_trace", [])]
     n_layers = len(config.layer_sizes) - 1
     if len(arrays) != 2 * n_layers:
         raise DataError(f"{path}: parameter count does not match the stored config")
@@ -259,5 +246,5 @@ def load(path: str | Path) -> MlpModel:
         config=config,
         weights=weights,
         biases=biases,
-        loss_trace=[float(v) for v in header.get("loss_trace", [])],
+        loss_trace=loss_trace,
     )

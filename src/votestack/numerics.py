@@ -1,10 +1,20 @@
-"""Shared numerical kernels: stable softmax and clamped cross-entropy."""
+"""Shared numerical helpers: frozen array copies, stable softmax and clamped
+cross-entropy."""
 
 from __future__ import annotations
 
 import numpy as np
 
 LOG_CLAMP = 1e-12
+
+
+def frozen_copy(arr, dtype) -> np.ndarray:
+    """Read-only contiguous copy; never flips flags on a caller-owned array."""
+    out = np.ascontiguousarray(arr, dtype=dtype)
+    if out is arr:
+        out = out.copy()
+    out.setflags(write=False)
+    return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

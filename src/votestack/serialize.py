@@ -6,19 +6,43 @@ Layout (all integers little-endian):
 
 Both model families (feed-forward nets and boosted trees) share this
 container so round-trips are bit-exact and failures are diagnosable.
+Every artifact, model files and run reports alike, is written through
+`atomic_write`, so a killed process never leaves a half-written file.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 MAGIC_LEN = 8
+
+
+@contextmanager
+def atomic_write(path: Path):
+    """Binary handle on a hidden temporary file beside `path` (never ending
+    in the target's extension), moved over `path` by os.replace when the block
+    completes and removed on any error; OSError becomes ConfigError."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with suppress(OSError):
+            tmp.unlink()
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def write_model_file(path: str | Path, magic: bytes, version: int,
@@ -26,9 +50,8 @@ def write_model_file(path: str | Path, magic: bytes, version: int,
     if len(magic) != MAGIC_LEN:
         raise ValueError("magic tag must be exactly 8 bytes")
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(magic)
         fh.write(struct.pack("<H", version))
         fh.write(struct.pack("<I", len(header_bytes)))
@@ -44,7 +67,9 @@ def write_model_file(path: str | Path, magic: bytes, version: int,
 
 
 def _read_exact(fh, n: int, path: Path) -> bytes:
-    data = fh.read(n)
+    # A corrupt length must not read (or allocate) past the end of the file.
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    data = fh.read(n) if n <= remaining else b""
     if len(data) != n:
         raise DataError(f"{path}: truncated model file")
     return data
@@ -69,6 +94,8 @@ def read_model_file(path: str | Path, magic: bytes,
             header = json.loads(_read_exact(fh, header_len, path).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: corrupt model header ({exc})") from None
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: model header is not a JSON object")
         (count,) = struct.unpack("<I", _read_exact(fh, 4, path))
         arrays = []
         for _ in range(count):
@@ -76,9 +103,19 @@ def read_model_file(path: str | Path, magic: bytes,
             shape = struct.unpack(
                 "<" + "Q" * ndim, _read_exact(fh, 8 * ndim, path)
             )
-            n_items = int(np.prod(shape)) if ndim else 1
-            raw = _read_exact(fh, 8 * n_items, path)
+            raw = _read_exact(fh, 8 * math.prod(shape), path)
             arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after model payload")
     return header, arrays
+
+
+@contextmanager
+def parsing_header(path: str | Path):
+    """Report a missing, mistyped or invalid header field as DataError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
+        raise DataError(
+            f"{path}: bad model header ({type(exc).__name__}: {exc})"
+        ) from None

@@ -15,17 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
+from .numerics import frozen_copy
 
 STD_FLOOR = 1e-12
-
-
-def _frozen_copy(arr, dtype) -> np.ndarray:
-    """Read-only contiguous copy; never flips flags on a caller-owned array."""
-    out = np.ascontiguousarray(arr, dtype=dtype)
-    if out is arr:
-        out = out.copy()
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -62,8 +54,8 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        feats = _frozen_copy(self.features, np.float64)
-        labels = _frozen_copy(self.labels, np.int64)
+        feats = frozen_copy(self.features, np.float64)
+        labels = frozen_copy(self.labels, np.int64)
         if feats.ndim != 2 or feats.shape[1] != self.schema.n_features:
             raise ContractError(
                 f"features must be S x {self.schema.n_features}, got shape {feats.shape}"
@@ -114,8 +106,8 @@ class NormalizerState:
     std: np.ndarray
 
     def __post_init__(self):
-        mean = _frozen_copy(self.mean, np.float64)
-        std = _frozen_copy(self.std, np.float64)
+        mean = frozen_copy(self.mean, np.float64)
+        std = frozen_copy(self.std, np.float64)
         if np.any(std <= 0):
             raise ContractError("standard deviations must be strictly positive")
         object.__setattr__(self, "mean", mean)

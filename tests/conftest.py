@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from votestack import Dataset, DatasetSchema, PredictionMatrix
+from votestack.serialize import read_model_file, write_model_file
 
 
 def make_dataset(features, labels, n_classes=None):
@@ -41,3 +44,38 @@ def rng():
 def random_pm(rng, n, s, c):
     """Valid random prediction matrix with Dirichlet rows."""
     return PredictionMatrix(rng.dirichlet(np.ones(c), size=(n, s)))
+
+
+MALFORMED_MODEL_CASES = (
+    "header without config",
+    "JSON list header",
+    "unknown config key",
+    "invalid config value",
+    "dims 2**31 x 2**31",
+    "dims 2**40 x 2**30",
+)
+
+
+def write_malformed_model(path, magic, version, case, bad_config):
+    """Rewrite the valid model file at `path` as the malformed `case`.
+
+    `bad_config` holds config fields with values the model family rejects.
+    The dims cases declare one array of that shape and end before its data.
+    """
+    header, arrays = read_model_file(path, magic, version)
+    if case == "header without config":
+        del header["config"]
+    elif case == "JSON list header":
+        header = [header]
+    elif case == "unknown config key":
+        header["config"]["bogus"] = 1
+    elif case == "invalid config value":
+        header["config"].update(bad_config)
+    else:
+        dims = {"dims 2**31 x 2**31": (2**31, 2**31),
+                "dims 2**40 x 2**30": (2**40, 2**30)}[case]
+        write_model_file(path, magic, version, header, [])
+        # Replace the trailing array count of 0 with one 2-D array header.
+        path.write_bytes(path.read_bytes()[:-4] + struct.pack("<IBQQ", 1, 2, *dims))
+        return
+    write_model_file(path, magic, version, header, arrays)

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ def test_04_confident_samples_never_reach_meta_learner(capsys):
         votes = pm_test.votes()
         for i in range(10):
             top = np.bincount(votes[:, i], minlength=c).max()
-            if top >= 6 and outcome.routes[i] == "meta-learner":
+            if top >= 6 and fusion.ROUTES[outcome.routes[i]] == fusion.ROUTE_META:
                 violations += 1
 
         relaxed = fusion.fit_filtered(pm_train, labels, boost, threshold=1)
@@ -276,12 +277,17 @@ rounds = 6
 [run]
 seed = 7
 """, encoding="utf-8")
+    # The child must import this checkout's package wherever it is run from.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
     tables = []
     for workers, out in (("1", tmp_path / "serial"), ("4", tmp_path / "parallel")):
         proc = subprocess.run(
             [sys.executable, "-m", "votestack.cli", "run",
              "--config", str(config), "--out", str(out), "--workers", workers],
-            capture_output=True, text=True, timeout=300,
+            capture_output=True, text=True, timeout=300, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         tables.append((out / "accuracy_table.csv").read_bytes())
@@ -291,6 +297,10 @@ seed = 7
     identical_decisions = ((tmp_path / "serial" / "decisions.csv").read_bytes()
                            == (tmp_path / "parallel" / "decisions.csv").read_bytes())
     assert identical_decisions
+    serial, parallel = ({p.name: p.read_bytes() for p in (out / "models").iterdir()}
+                        for out in (tmp_path / "serial", tmp_path / "parallel"))
+    assert {f"learner_{j}.mlp" for j in range(5)} <= set(serial)
+    assert serial == parallel
 
 
 def test_10_accuracy_grows_with_ensemble_size(capsys, bench_sweeps):

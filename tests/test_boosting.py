@@ -1,9 +1,19 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from votestack import BoostConfig, BoostedModel, ConfigError, boosting, gaussian_blobs
+from votestack import (
+    BoostConfig,
+    BoostedModel,
+    ConfigError,
+    DataError,
+    boosting,
+    gaussian_blobs,
+)
+
+from conftest import MALFORMED_MODEL_CASES, write_malformed_model
 
 
 def walk(tree, x):
@@ -12,6 +22,13 @@ def walk(tree, x):
     while tree.feature[i] != -1:
         i = tree.left[i] if x[tree.feature[i]] < tree.threshold[i] else tree.right[i]
     return tree.leaf_value[i]
+
+
+def depth(tree, node=0):
+    """Longest root-to-leaf edge count, by traversal."""
+    if tree.feature[node] == -1:
+        return 0
+    return 1 + max(depth(tree, tree.left[node]), depth(tree, tree.right[node]))
 
 
 TWO_POINT_CONFIG = BoostConfig(
@@ -118,7 +135,7 @@ class TestFit:
         model = boosting.fit(data.features, data.labels, BoostConfig(rounds=8, max_depth=3))
         for round_trees in model.trees:
             for tree in round_trees:
-                assert tree.depth() <= 3
+                assert depth(tree) <= 3
 
     def test_deterministic(self):
         data = gaussian_blobs(100, 3, 2, seed=31)
@@ -197,8 +214,6 @@ class TestSaveLoad:
         )
 
     def test_corrupt_magic_rejected(self, tmp_path):
-        from votestack import DataError
-
         X = np.array([[0.0], [1.0]])
         model = boosting.fit(X, np.array([0, 1]), TWO_POINT_CONFIG)
         path = boosting.save(model, tmp_path / "m.gbt")
@@ -206,4 +221,22 @@ class TestSaveLoad:
         raw[1] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError):
+            boosting.load(path)
+
+    def test_previous_format_version_rejected(self, tmp_path):
+        model = boosting.fit(np.array([[0.0], [1.0]]), np.array([0, 1]), TWO_POINT_CONFIG)
+        path = boosting.save(model, tmp_path / "m.gbt")
+        raw = bytearray(path.read_bytes())
+        raw[8:10] = (boosting.GBT_FORMAT_VERSION - 1).to_bytes(2, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="format version 1 unsupported"):
+            boosting.load(path)
+
+    @pytest.mark.parametrize("case", MALFORMED_MODEL_CASES)
+    def test_malformed_file_is_data_error_naming_path(self, tmp_path, case):
+        model = boosting.fit(np.array([[0.0], [1.0]]), np.array([0, 1]), TWO_POINT_CONFIG)
+        path = boosting.save(model, tmp_path / "m.gbt")
+        write_malformed_model(path, boosting.GBT_MAGIC, boosting.GBT_FORMAT_VERSION, case,
+                              bad_config={"rounds": 0})
+        with pytest.raises(DataError, match=re.escape(str(path))):
             boosting.load(path)

@@ -159,6 +159,22 @@ class TestRun:
         assert rc == 3
         assert "non-finite loss" in capsys.readouterr().err
 
+    def test_model_path_taken_by_directory(self, tmp_path, data_csv, capsys):
+        config = write_config(tmp_path, data_csv)
+        text = config.read_text(encoding="utf-8").replace(
+            "strategies = plurality, filtered",
+            "strategies = plurality, meta, filtered")
+        config.write_text(text, encoding="utf-8")
+        models = tmp_path / "out" / "models"
+        (models / "meta.gbt").mkdir(parents=True)
+        rc = cli.main(["run", "--config", str(config)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "cannot write" in err and "meta.gbt" in err
+        assert (models / "meta.gbt").is_dir()
+        assert not [p.name for p in models.iterdir() if p.name.startswith(".")]
+
     def test_missing_output_dir(self, tmp_path, data_csv, capsys):
         config = tmp_path / "exp.ini"
         config.write_text(f"[dataset]\npath = {data_csv}\n", encoding="utf-8")

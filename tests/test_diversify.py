@@ -3,15 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votestack import (
-    ConfigError,
-    DataError,
-    ResamplePlan,
-    build_plan,
-    materialize,
-    out_of_bag,
-    segment_sizes,
-)
+from votestack import ConfigError, build_plan, materialize, out_of_bag
+
+
+def segment_sizes(plan):
+    return [hi - lo for lo, hi in plan.segment_bounds]
+
+
+def kept_and_replenished(plan, learner_id):
+    """Split materialize's indices into the kept rows and the bootstrap draws."""
+    idx = materialize(plan, learner_id)
+    n_kept = plan.train_size - segment_sizes(plan)[learner_id]
+    return idx[:n_kept], idx[n_kept:]
 
 
 class TestSegmentLayout:
@@ -62,36 +65,37 @@ class TestMaterialize:
     def test_size_preserved_and_deleted_segment_absent(self):
         plan = build_plan(14, 7, seed=3)
         for j in range(7):
-            ts = materialize(plan, j)
+            idx = materialize(plan, j)
+            kept, replenished = kept_and_replenished(plan, j)
             deleted = set(out_of_bag(plan, j).tolist())
-            assert ts.indices.size == 14
-            assert ts.kept_indices.size == 12
-            assert ts.replenished_indices.size == 2
-            assert deleted.isdisjoint(ts.indices.tolist())
-            assert set(ts.replenished_indices.tolist()) <= set(ts.kept_indices.tolist())
+            assert idx.size == 14
+            assert kept.size == 12
+            assert replenished.size == 2
+            assert deleted.isdisjoint(idx.tolist())
+            assert set(replenished.tolist()) <= set(kept.tolist())
 
     def test_kept_plus_deleted_partition(self):
         plan = build_plan(31, 5, seed=8)
         for j in range(5):
-            kept = materialize(plan, j).kept_indices
+            kept, _ = kept_and_replenished(plan, j)
             deleted = out_of_bag(plan, j)
             union = np.sort(np.concatenate([kept, deleted]))
             np.testing.assert_array_equal(union, np.arange(31))
 
     def test_deterministic_and_order_independent(self):
         plan = build_plan(20, 4, seed=12)
-        forward = [materialize(plan, j).indices for j in range(4)]
-        backward = [materialize(plan, j).indices for j in reversed(range(4))]
+        forward = [materialize(plan, j) for j in range(4)]
+        backward = [materialize(plan, j) for j in reversed(range(4))]
         for j in range(4):
             np.testing.assert_array_equal(forward[j], backward[3 - j])
         again = build_plan(20, 4, seed=12)
         for j in range(4):
-            np.testing.assert_array_equal(forward[j], materialize(again, j).indices)
+            np.testing.assert_array_equal(forward[j], materialize(again, j))
 
     def test_different_learners_get_different_sets(self):
         plan = build_plan(40, 4, seed=1)
-        a = materialize(plan, 0).indices
-        b = materialize(plan, 1).indices
+        a = materialize(plan, 0)
+        b = materialize(plan, 1)
         assert not np.array_equal(np.sort(a), np.sort(b))
 
     def test_learner_id_out_of_range(self):
@@ -107,8 +111,8 @@ class TestMaterialize:
         counts = np.zeros(8, dtype=np.int64)
         for seed in range(n_seeds):
             plan = build_plan(12, 3, seed=seed)
-            ts = materialize(plan, 0)
-            positions = np.searchsorted(ts.kept_indices, ts.replenished_indices)
+            kept, replenished = kept_and_replenished(plan, 0)
+            positions = np.searchsorted(kept, replenished)
             counts += np.bincount(positions, minlength=8)
         total = counts.sum()
         assert total == 4 * n_seeds
@@ -130,7 +134,10 @@ class TestOutOfBag:
 class TestManifest:
     def test_round_trip(self):
         plan = build_plan(57, 6, seed=99)
-        restored = ResamplePlan.from_manifest(plan.to_manifest())
+        manifest = plan.to_manifest()
+        restored = build_plan(manifest["train_size"], manifest["n_learners"],
+                              manifest["seed"])
+        assert manifest["segment_bounds"] == [list(b) for b in plan.segment_bounds]
         np.testing.assert_array_equal(restored.permutation, plan.permutation)
         assert restored.segment_bounds == plan.segment_bounds
         assert restored.seed == plan.seed
@@ -140,16 +147,3 @@ class TestManifest:
 
         manifest = build_plan(14, 7, seed=2).to_manifest()
         assert json.loads(json.dumps(manifest)) == manifest
-
-    def test_tampered_bounds_detected(self):
-        manifest = build_plan(30, 3, seed=4).to_manifest()
-        manifest["segment_bounds"][0] = [0, 11]
-        manifest["segment_bounds"][1] = [11, 20]
-        with pytest.raises(DataError, match="segment bounds"):
-            ResamplePlan.from_manifest(manifest)
-
-    def test_unknown_format_version_rejected(self):
-        manifest = build_plan(30, 3, seed=4).to_manifest()
-        manifest["format_version"] = 999
-        with pytest.raises(DataError, match="format version"):
-            ResamplePlan.from_manifest(manifest)

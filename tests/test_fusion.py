@@ -28,9 +28,12 @@ from votestack import (
     weights_from_accuracy,
     weights_from_inverse_variance,
 )
-from votestack.fusion import ROUTE_CONFIDENT, ROUTE_FALLBACK, ROUTE_META, tally
+from votestack.fusion import ROUTE_CONFIDENT, ROUTE_FALLBACK, ROUTE_META, ROUTES, tally
 
 from conftest import one_hot_pm, random_pm
+
+CONFIDENT, META, FALLBACK = (ROUTES.index(r)
+                             for r in (ROUTE_CONFIDENT, ROUTE_META, ROUTE_FALLBACK))
 
 FAST_BOOST = BoostConfig(rounds=10, max_depth=3)
 
@@ -256,7 +259,8 @@ class TestMetaStacking:
         meta = fit_meta(pm, labels, FAST_BOOST)
         outcome = meta_fuse(meta, pm)
         assert outcome_accuracy(outcome, labels) == 1.0
-        assert set(outcome.routes) == {ROUTE_META}
+        assert outcome.routes.dtype == np.int8
+        np.testing.assert_array_equal(outcome.routes, META)
 
     def test_meta_exploits_one_reliable_learner(self, rng):
         # learner 0 is always right, the other six vote randomly; plurality
@@ -314,9 +318,7 @@ class TestFilteredFusion:
         votes_test[:4, 2] = 0  # 4-3 split stays below threshold 6
         pm_test = one_hot_pm(votes_test, 2)
         outcome = apply_filtered(fit_filtered(pm_train, labels_train, FAST_BOOST), pm_test)
-        assert outcome.routes[0] == ROUTE_CONFIDENT
-        assert outcome.routes[1] == ROUTE_CONFIDENT
-        assert outcome.routes[2] == ROUTE_META
+        assert outcome.routes.tolist() == [CONFIDENT, CONFIDENT, META]
         assert outcome.decisions[0] == 1
         assert outcome.decisions[1] == 0
 
@@ -329,7 +331,7 @@ class TestFilteredFusion:
         np.testing.assert_array_equal(
             outcome.decisions, plurality_vote(pm_test).decisions
         )
-        assert set(outcome.routes) == {ROUTE_CONFIDENT}
+        np.testing.assert_array_equal(outcome.routes, CONFIDENT)
 
     def test_unanimous_training_falls_back_to_plurality(self, rng):
         labels = rng.integers(0, 2, size=20)
@@ -342,7 +344,9 @@ class TestFilteredFusion:
         pm_test = one_hot_pm(votes_test, 2)
         outcome = apply_filtered(fitted, pm_test)
         # column 0 splits 4-3, column 1 splits 3-4: both below threshold 6
-        assert outcome.routes == (ROUTE_FALLBACK, ROUTE_FALLBACK)
+        assert outcome.routes.tolist() == [FALLBACK, FALLBACK]
+        assert outcome.route_counts() == {ROUTE_CONFIDENT: 0, ROUTE_META: 0,
+                                           ROUTE_FALLBACK: 2}
         np.testing.assert_array_equal(
             outcome.decisions, plurality_vote(pm_test).decisions
         )
@@ -372,7 +376,10 @@ class TestFilteredFusion:
         pm_test = random_pm(rng, 7, 30, 3)
         outcome = apply_filtered(fit_filtered(pm_train, labels, FAST_BOOST), pm_test)
         assert len(outcome.routes) == 30
-        assert sum(outcome.route_counts().values()) == 30
+        counts = outcome.route_counts()
+        assert list(counts) == list(ROUTES)
+        assert counts[ROUTE_CONFIDENT] == int(np.sum(tally(pm_test).max(axis=1) >= 6))
+        assert sum(counts.values()) == 30
         assert outcome.rejected_count == 0
 
     def test_difficult_count_matches_threshold_rule(self, rng):
@@ -427,5 +434,18 @@ class TestOutcomeAccuracy:
             outcome_accuracy(outcome, [0, 1, 1])
 
     def test_route_tag_length_enforced(self):
-        with pytest.raises(ContractError, match="route"):
-            FusionOutcome(decisions=np.array([0, 1]), routes=("confident-vote",))
+        # Also rejected: codes outside ROUTES, and codes that are not integers.
+        for bad in ([CONFIDENT], [0, len(ROUTES)], [-1, 0], [0.0, 1.0],
+                    [ROUTE_META, ROUTE_META]):
+            with pytest.raises(ContractError, match="route codes"):
+                FusionOutcome(decisions=np.array([0, 1]), routes=np.array(bad))
+
+    def test_route_codes_are_a_frozen_int8_copy(self):
+        codes = np.array([META, FALLBACK])
+        outcome = FusionOutcome(decisions=np.array([0, 1]), routes=codes)
+        assert outcome.routes.dtype == np.int8
+        assert not outcome.routes.flags.writeable
+        assert codes.flags.writeable
+        assert outcome.route_counts() == {ROUTE_CONFIDENT: 0, ROUTE_META: 1,
+                                           ROUTE_FALLBACK: 1}
+        assert FusionOutcome(decisions=np.array([0])).route_counts() == dict.fromkeys(ROUTES, 0)

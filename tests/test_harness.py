@@ -10,12 +10,12 @@ from votestack import (
     ConfigError,
     DataError,
     ExperimentConfig,
-    ResamplePlan,
     RunReport,
     SplitSpec,
     SweepReport,
     apply_normalizer,
     boosting,
+    build_plan,
     derive_seed,
     emit_report,
     emit_sweep,
@@ -44,13 +44,13 @@ DESK_CONFIG = ExperimentConfig(
 
 GOLDEN_DIGESTS = {
     "report":
-        "2409c0603a4e50d897f60761cbecc54ac19b8016b2c3c7ee35211d848424c420",
+        "3ff6b94cb22d04bf55d4a682abef8746b8c74668cec0024e59e57abd60ed17eb",
     "accuracy_table":
         "ccaf18d11043d59492d15a9361319e4c57e5ef5d616e4b63090c4cb8162c55d7",
     "decisions":
         "abce6f15f344999b8f964861c4e8ec19e0ac2be6522492f806634e5fd4f9a7af",
     "manifest":
-        "a761fa4f786c510e1733dfa8bf1305c05efb943d0515dc78369a734d15a68dee",
+        "117d2712a0fa1ad1059ef6a6dd20297f80552df84796425679a97f4d12c71d35",
 }
 
 
@@ -269,7 +269,9 @@ class TestRunExperiment:
 
     def test_plan_manifest_reconstructs(self, desk_run):
         _, report, _ = desk_run
-        plan = ResamplePlan.from_manifest(report.plan_manifest)
+        manifest = report.plan_manifest
+        plan = build_plan(manifest["train_size"], manifest["n_learners"], manifest["seed"])
+        assert plan.to_manifest() == manifest
         assert plan.permutation.size == report.n_train
         assert plan.n_learners == report.n_learners
 
@@ -283,7 +285,8 @@ class TestRunExperiment:
         _, test = replicate_split(config, DESK_DATA)
         for j in range(config.n_learners):
             model = mlp.load(out / "models" / f"learner_{j}.mlp")
-            acc = float(np.mean(mlp.predict_label(model, test.features) == test.labels))
+            labels = np.argmax(mlp.predict_proba(model, test.features), axis=1)
+            acc = float(np.mean(labels == test.labels))
             assert acc == report.per_learner_accuracies[j]
 
     def test_persisted_models_reproduce_average_decisions(self, desk_run):
@@ -455,8 +458,8 @@ class TestSweep:
             accs = []
             for j in range(size):
                 model = mlp.load(out / f"size_{size}" / "models" / f"learner_{j}.mlp")
-                accs.append(float(np.mean(
-                    mlp.predict_label(model, test.features) == test.labels)))
+                labels = np.argmax(mlp.predict_proba(model, test.features), axis=1)
+                accs.append(float(np.mean(labels == test.labels)))
             assert sum(accs) / size == pytest.approx(run.mean_accuracy, abs=1e-12)
 
     def test_sweep_json_round_trip(self, small_sweep):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,11 +10,24 @@ from votestack import (
     ContractError,
     DataError,
     MlpConfig,
-    MlpModel,
+    PredictionMatrix,
     TrainingDivergenceError,
     gaussian_blobs,
     mlp,
 )
+
+from conftest import MALFORMED_MODEL_CASES, write_malformed_model
+
+
+def params(model):
+    """All weights then all biases, flattened into one vector."""
+    return np.concatenate([w.ravel() for w in model.weights]
+                          + [b.ravel() for b in model.biases])
+
+
+def votes(model, X):
+    """The model's labels as the harness derives them: PredictionMatrix votes."""
+    return PredictionMatrix(mlp.predict_proba(model, X)[None]).votes()[0]
 
 
 def zero_model(layer_sizes):
@@ -50,14 +64,14 @@ class TestInit:
 
     def test_same_seed_bit_identical(self):
         cfg = MlpConfig(layer_sizes=(6, 5, 4), seed=42)
-        a = mlp.init(cfg).parameter_vector()
-        b = mlp.init(cfg).parameter_vector()
+        a = params(mlp.init(cfg))
+        b = params(mlp.init(cfg))
         np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
         base = MlpConfig(layer_sizes=(6, 5, 4), seed=1)
-        a = mlp.init(base).parameter_vector()
-        b = mlp.init(replace(base, seed=2)).parameter_vector()
+        a = params(mlp.init(base))
+        b = params(mlp.init(replace(base, seed=2)))
         assert not np.array_equal(a, b)
 
     def test_weight_variance_matches_fan_in_scaling(self):
@@ -124,11 +138,11 @@ class TestPredictLabel:
     def test_argmax_of_probabilities(self):
         model = pass_through_model([0.2, 0.5, 0.3], [0.0, 0.0, 0.0])
         # input 1.0 makes the logits equal the output weights
-        assert mlp.predict_label(model, np.array([[1.0]]))[0] == 1
+        assert votes(model, np.array([[1.0]]))[0] == 1
 
     def test_tie_breaks_toward_lowest_class(self):
         model = zero_model((3, 2, 2))
-        labels = mlp.predict_label(model, np.ones((4, 3)))
+        labels = votes(model, np.ones((4, 3)))
         np.testing.assert_array_equal(labels, 0)
 
 
@@ -196,7 +210,7 @@ class TestTrain:
         cfg = MlpConfig(layer_sizes=(2, 16, 2), epochs=30, batch_size=16,
                         learning_rate=0.05, seed=0)
         model = mlp.train(mlp.init(cfg), data.features, data.labels)
-        acc = float(np.mean(mlp.predict_label(model, data.features) == data.labels))
+        acc = float(np.mean(votes(model, data.features) == data.labels))
         assert acc >= 0.99
 
     def test_loss_trace_shrinks(self):
@@ -205,13 +219,12 @@ class TestTrain:
         model = mlp.train(mlp.init(cfg), data.features, data.labels)
         assert len(model.loss_trace) == 10
         assert model.loss_trace[-1] < model.loss_trace[0]
-        assert model.final_loss == model.loss_trace[-1]
 
     def test_deterministic_for_fixed_seed(self):
         data = gaussian_blobs(60, 2, 2, seed=8)
         cfg = MlpConfig(layer_sizes=(2, 6, 2), epochs=4, seed=21)
-        a = mlp.train(mlp.init(cfg), data.features, data.labels).parameter_vector()
-        b = mlp.train(mlp.init(cfg), data.features, data.labels).parameter_vector()
+        a = params(mlp.train(mlp.init(cfg), data.features, data.labels))
+        b = params(mlp.train(mlp.init(cfg), data.features, data.labels))
         np.testing.assert_array_equal(a, b)
 
     def test_different_training_rows_change_the_model(self):
@@ -219,7 +232,7 @@ class TestTrain:
         cfg = MlpConfig(layer_sizes=(2, 6, 2), epochs=3, seed=0)
         a = mlp.train(mlp.init(cfg), data.features[:40], data.labels[:40])
         b = mlp.train(mlp.init(cfg), data.features[40:], data.labels[40:])
-        assert not np.array_equal(a.parameter_vector(), b.parameter_vector())
+        assert not np.array_equal(params(a), params(b))
 
     def test_divergence_reported_with_location(self):
         # a step this large overflows the weights to inf on the first
@@ -275,9 +288,23 @@ class TestSaveLoad:
         with pytest.raises(DataError):
             mlp.load(path)
 
+    def test_write_failing_mid_file_leaves_no_partial_file(self, tmp_path):
+        path = mlp.save(mlp.init(MlpConfig(layer_sizes=(2, 3, 2))), tmp_path / "m.mlp")
+        before = path.read_bytes()
+        broken = mlp.init(MlpConfig(layer_sizes=(2, 3, 2), seed=1))
+        # The last array fails conversion after the header and three arrays
+        # have been written.
+        broken.biases[1] = np.array(["not a number"], dtype=object)
+        for target in (path, tmp_path / "fresh.mlp"):
+            with pytest.raises(ValueError):
+                mlp.save(broken, target)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.mlp"]
 
-class TestHelpers:
-    def test_parameter_vector_length(self):
-        model = mlp.init(MlpConfig(layer_sizes=(4, 3, 2)))
-        assert model.parameter_vector().size == (4 * 3 + 3 * 2) + (3 + 2)
-        assert isinstance(model, MlpModel)
+    @pytest.mark.parametrize("case", MALFORMED_MODEL_CASES)
+    def test_malformed_file_is_data_error_naming_path(self, tmp_path, case):
+        path = mlp.save(mlp.init(MlpConfig(layer_sizes=(2, 3, 2))), tmp_path / "m.mlp")
+        write_malformed_model(path, mlp.MLP_MAGIC, mlp.MLP_FORMAT_VERSION, case,
+                              bad_config={"layer_sizes": [1, 2]})
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            mlp.load(path)
