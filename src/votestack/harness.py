@@ -216,9 +216,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Inverse of to_dict; absent sections and keys keep their defaults."""
+        for section, values in d.items():
+            if section not in _CONFIG_SCHEMA:
+                raise ConfigError(f"unknown config section [{section}]")
+            for key in values:
+                if key not in _CONFIG_SCHEMA[section]:
+                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
         kwargs = {_FIELD_OF_KEY.get(key, key): value
-                  for section, keys in _CONFIG_SCHEMA.items() if section != "boost"
-                  for key, value in d.get(section, {}).items() if key in keys}
+                  for section, values in d.items() if section != "boost"
+                  for key, value in values.items()}
         if d.get("boost"):
             kwargs["boost"] = BoostConfig.from_dict(d["boost"])
         return cls(**kwargs)
@@ -239,25 +246,23 @@ class ExperimentConfig:
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
+        # Unknown sections and keys pass through unparsed for from_dict to reject.
         d: dict = {}
         for section in parser.sections():
-            if section not in _CONFIG_SCHEMA:
-                raise ConfigError(f"{path}: unknown config section [{section}]")
-            parsers = _CONFIG_SCHEMA[section]
+            parsers = _CONFIG_SCHEMA.get(section, {})
             d[section] = {}
             for key, raw in parser[section].items():
-                if key not in parsers:
-                    raise ConfigError(
-                        f"{path}: unknown key {key!r} in section [{section}]"
-                    )
                 raw = raw.strip()
                 try:
-                    d[section][key] = parsers[key](raw)
+                    d[section][key] = parsers.get(key, str)(raw)
                 except (ValueError, TypeError) as exc:
                     raise ConfigError(
                         f"{path}: [{section}] {key}: cannot parse {raw!r}"
                     ) from exc
-        config = cls.from_dict(d)
+        try:
+            config = cls.from_dict(d)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
         if config.dataset_path is None and config.train_path is None:
             raise ConfigError(
                 f"{path}: missing dataset location: set [dataset] path, or "

@@ -61,9 +61,15 @@ def write_malformed_model(path, magic, version, case, bad_config):
 
     `bad_config` holds config fields with values the model family rejects.
     The dims cases declare one array of that shape and end before its data.
+    A `(fields, n_arrays)` case sets those header fields and keeps only the
+    first `n_arrays` arrays.
     """
     header, arrays = read_model_file(path, magic, version)
-    if case == "header without config":
+    if isinstance(case, tuple):
+        fields, n_arrays = case
+        header.update(fields)
+        arrays = arrays[:n_arrays]
+    elif case == "header without config":
         del header["config"]
     elif case == "JSON list header":
         header = [header]

@@ -1,8 +1,11 @@
+import hashlib
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votestack import (
     BoostConfig,
@@ -12,6 +15,7 @@ from votestack import (
     boosting,
     gaussian_blobs,
 )
+from votestack.numerics import cross_entropy, softmax
 
 from conftest import MALFORMED_MODEL_CASES, write_malformed_model
 
@@ -30,6 +34,109 @@ def depth(tree, node=0):
         return 0
     return 1 + max(depth(tree, tree.left[node]), depth(tree, tree.right[node]))
 
+
+def presort(X):
+    """The per-fit column order `boosting.fit` hands to `_grow_tree`."""
+    return np.argsort(X.T, axis=1, kind="stable")
+
+
+def grow(X, g, h, cfg):
+    """One tree grown from gradients and hessians as `boosting.fit` grows it."""
+    return boosting._grow_tree(np.ascontiguousarray(X.T), presort(X), g, h, cfg)
+
+
+def reference_split(X, rows, g, h, cfg):
+    """Best (gain, feature, threshold) at the node `rows` (ascending), or None.
+
+    Takes a stable argsort of every feature at the node and scores one
+    (feature, position) candidate at a time, keeping the first strictly
+    better one, so ties go to the first feature, then the first position.
+    """
+    lam, mcw = cfg.l2_lambda, cfg.min_child_weight
+    gs, hs = g[rows], h[rows]
+    G, H = gs.sum(), hs.sum()
+    best = None
+    for f in range(X.shape[1]):
+        order = np.argsort(X[rows, f], kind="stable")
+        xs = X[rows, f][order]
+        gl, hl = np.cumsum(gs[order]), np.cumsum(hs[order])
+        for k in range(rows.size - 1):
+            gr, hr = G - gl[k], H - hl[k]
+            if (xs[k + 1] > xs[k] and hl[k] >= mcw and hr >= mcw
+                    and hl[k] + lam > 0 and hr + lam > 0):
+                gain = 0.5 * (gl[k] * gl[k] / (hl[k] + lam) + gr * gr / (hr + lam)
+                              - G * G / (H + lam))
+                if best is None or gain > best[0]:
+                    best = (gain, f, (xs[k] + xs[k + 1]) / 2.0)
+    return best
+
+
+def reference_tree(X, g, h, cfg):
+    """Exact greedy tree from `reference_split`: the rows of `to_matrix`."""
+    nodes = []
+
+    def build(rows, depth):
+        node = len(nodes)
+        nodes.append([-1.0, 0.0, -1.0, -1.0, 0.0])
+        best = None
+        if depth < cfg.max_depth and rows.size >= 2:
+            best = reference_split(X, rows, g, h, cfg)
+        if best is not None and best[0] >= 0.0:
+            _, f, thr = best
+            mask = X[rows, f] < thr
+            if mask.any() and not mask.all():
+                nodes[node][:2] = [f, thr]
+                nodes[node][2] = build(rows[mask], depth + 1)
+                nodes[node][3] = build(rows[~mask], depth + 1)
+                return node
+        nodes[node][4] = -g[rows].sum() / (h[rows].sum() + cfg.l2_lambda)
+        return node
+
+    build(np.arange(X.shape[0]), 0)
+    return np.array(nodes)
+
+
+def reference_fit(X, y, cfg, n_classes):
+    """`boosting.fit` with `reference_tree`: (tree matrices, loss trace)."""
+    margins = np.zeros((X.shape[0], n_classes))
+    onehot = np.eye(n_classes)[y]
+    mats, loss_trace = [], [cross_entropy(softmax(margins), y)]
+    for _ in range(cfg.rounds):
+        probs = softmax(margins)
+        grad, hess = probs - onehot, probs * (1.0 - probs)
+        round_mats = [reference_tree(X, grad[:, c], hess[:, c], cfg) for c in range(n_classes)]
+        for c, mat in enumerate(round_mats):
+            margins[:, c] += cfg.learning_rate * boosting.RegressionTree.from_matrix(mat).predict(X)
+        mats.append(round_mats)
+        loss_trace.append(cross_entropy(softmax(margins), y))
+    return mats, loss_trace
+
+
+@st.composite
+def boosting_problems(draw):
+    """Small fits whose columns repeat values, and some of which are constant."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, n_features = draw(st.integers(2, 30)), draw(st.integers(1, 4))
+    n_classes = draw(st.integers(2, 3))
+    levels = draw(st.sampled_from([2, 3, 7, None]))
+    if levels is None:
+        X = rng.standard_normal((n, n_features))
+    else:
+        X = rng.integers(0, levels, size=(n, n_features)) * 0.5
+    constant = draw(st.lists(st.booleans(), min_size=n_features, max_size=n_features))
+    X[:, constant] = X[0, constant]
+    y = rng.integers(0, n_classes, size=n)
+    y[:2] = [0, 1]
+    cfg = BoostConfig(
+        rounds=draw(st.integers(1, 3)),
+        max_depth=draw(st.integers(1, 4)),
+        l2_lambda=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        min_child_weight=draw(st.sampled_from([0.0, 0.1, 0.5, 2.0])),
+    )
+    return X, y, cfg, n_classes
+
+
+GOLDEN_GBT_DIGEST = "7def7f1af91a1fe011eb955461a19dfc96ed310db5094af88a809e5c97e26268"
 
 TWO_POINT_CONFIG = BoostConfig(
     rounds=1, max_depth=1, learning_rate=0.3, l2_lambda=1.0, min_child_weight=0.0
@@ -59,11 +166,30 @@ class TestConfig:
 class TestLeafWeights:
     def test_newton_step_with_unit_regularizer(self):
         # one row forces a leaf; gradient 2, hessian 1, lambda 1 -> -2/(1+1)
-        tree = boosting._grow_tree(
-            np.array([[0.0]]), np.array([2.0]), np.array([1.0]), BoostConfig()
-        )
+        tree = grow(np.array([[0.0]]), np.array([2.0]), np.array([1.0]), BoostConfig())
         assert tree.leaf_value[0] == -1.0
         assert tree.feature[0] == -1
+
+    def test_zero_hessian_side_without_lambda_is_skipped(self):
+        # With lambda 0, cutting after the first row leaves a left side of
+        # hessian 0 and a 0/0 gain; that candidate is invalid, and the best
+        # valid cut at 1.5 (gain 0.5 * (1/1 + 4/2 - 1/3) = 4/3) is taken.
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        g = np.array([0.0, -1.0, 1.0, 1.0])
+        h = np.array([0.0, 1.0, 1.0, 1.0])
+        cfg = BoostConfig(max_depth=1, l2_lambda=0.0, min_child_weight=0.0)
+        tree = grow(X, g, h, cfg)
+        assert (tree.feature[0], tree.threshold[0]) == (0, 1.5)
+        assert tree.leaf_value[tree.left[0]] == 1.0
+        assert tree.leaf_value[tree.right[0]] == -1.0
+
+    def test_child_at_exactly_min_child_weight_is_allowed(self):
+        # At zero margins every hessian is 0.25, so the cut at 1.5 leaves
+        # exactly min_child_weight = 0.5 on each side, which is enough.
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        cfg = BoostConfig(rounds=1, max_depth=1, min_child_weight=0.5)
+        tree = boosting.fit(X, np.array([0, 0, 1, 1]), cfg).trees[0][0]
+        assert (tree.feature[0], tree.threshold[0]) == (0, 1.5)
 
     def test_two_point_stump_hand_computed(self):
         # At zero margins both classes sit at p = 0.5, so for the class-0
@@ -154,6 +280,40 @@ class TestFit:
         assert probs.shape == (4, 3)
         assert set(boosting.predict_label(model, X).tolist()) <= {0, 1, 2}
 
+    @given(problem=boosting_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_node_argsort_reference(self, problem):
+        X, y, cfg, n_classes = problem
+        model = boosting.fit(X, y, cfg, n_classes=n_classes)
+        mats, loss_trace = reference_fit(X, y, cfg, n_classes)
+        assert model.loss_trace == loss_trace
+        assert len(model.trees) == len(mats)
+        for round_trees, round_mats in zip(model.trees, mats):
+            for tree, mat in zip(round_trees, round_mats, strict=True):
+                np.testing.assert_array_equal(tree.to_matrix(), mat)
+
+    @given(problem=boosting_problems(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_root_split_gain_matches_reference_bit_for_bit(self, problem, seed):
+        # Unrounded gradients make the gain depend on the summation order,
+        # which the stable presort must keep; some hessians are zero.
+        X, _, cfg, _ = problem
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal(X.shape[0])
+        h = rng.uniform(0.0, 1.0, X.shape[0]) * (rng.random(X.shape[0]) < 0.8)
+        order = presort(X)
+        found = boosting._best_split(np.take_along_axis(X.T, order, axis=1), g[order],
+                                     h[order], g.sum(), h.sum(), cfg.l2_lambda,
+                                     cfg.min_child_weight)
+        assert found == reference_split(X, np.arange(X.shape[0]), g, h, cfg)
+
+    def test_featureless_matrix_rejected(self):
+        # load rejects n_features 0, so fit must not produce such a model
+        from votestack import ContractError
+
+        with pytest.raises(ContractError, match="at least one column"):
+            boosting.fit(np.zeros((4, 0)), np.array([0, 1, 0, 1]), BoostConfig())
+
     def test_labels_beyond_declared_classes_rejected(self):
         from votestack import ContractError
 
@@ -213,6 +373,20 @@ class TestSaveLoad:
             boosting.predict_margins(back, X), boosting.predict_margins(model, X)
         )
 
+    def test_golden_model_digest(self, tmp_path):
+        """Pin the exact `.gbt` bytes of one fixed fit.
+
+        Rounding to one decimal makes every column repeat values, so the
+        digest also pins how ties are ordered and broken. Like the run
+        artifact digests in test_harness.py, it is tied to the numpy build
+        it was recorded with (numpy 2.4.6, OpenBLAS 0.3.31, x86-64).
+        """
+        data = gaussian_blobs(240, 5, 3, seed=53)
+        model = boosting.fit(np.round(data.features, 1), data.labels,
+                             BoostConfig(rounds=8, max_depth=3))
+        path = boosting.save(model, tmp_path / "m.gbt")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_GBT_DIGEST
+
     def test_corrupt_magic_rejected(self, tmp_path):
         X = np.array([[0.0], [1.0]])
         model = boosting.fit(X, np.array([0, 1]), TWO_POINT_CONFIG)
@@ -232,7 +406,14 @@ class TestSaveLoad:
         with pytest.raises(DataError, match="format version 1 unsupported"):
             boosting.load(path)
 
-    @pytest.mark.parametrize("case", MALFORMED_MODEL_CASES)
+    @pytest.mark.parametrize("case", MALFORMED_MODEL_CASES + (
+        # Counts below 1, with the tree count their round/class grid implies.
+        pytest.param(({"n_features": -3}, 2), id="n_features -3"),
+        pytest.param(({"n_features": 0}, 2), id="n_features 0"),
+        pytest.param(({"n_classes": 0}, 0), id="n_classes 0"),
+        pytest.param(({"rounds": 0}, 0), id="rounds 0"),
+        pytest.param(({"n_classes": 0, "n_features": -3}, 0), id="n_classes 0, n_features -3"),
+    ))
     def test_malformed_file_is_data_error_naming_path(self, tmp_path, case):
         model = boosting.fit(np.array([[0.0], [1.0]]), np.array([0, 1]), TWO_POINT_CONFIG)
         path = boosting.save(model, tmp_path / "m.gbt")

@@ -149,6 +149,19 @@ class TestExperimentConfig:
         )
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("section", ["ensemble", "boost"])
+    def test_from_dict_rejects_unknown_key_naming_section(self, section):
+        # A [boost] seed is what manifests written before its removal carry.
+        d = ExperimentConfig().to_dict()
+        d[section]["seed"] = 1
+        with pytest.raises(ConfigError, match=rf"unknown key 'seed' in section \[{section}\]"):
+            ExperimentConfig.from_dict(d)
+
+    def test_from_dict_rejects_unknown_section(self):
+        d = {**ExperimentConfig().to_dict(), "extra": {"x": 1}}
+        with pytest.raises(ConfigError, match=r"unknown config section \[extra\]"):
+            ExperimentConfig.from_dict(d)
+
 
 class TestConfigFile:
     def write(self, tmp_path, text):
