@@ -24,9 +24,7 @@ from .fusion import (
     apply_filtered,
     build_level1_features,
     fit_filtered,
-    fit_meta,
     majority_vote,
-    meta_fuse,
     model_average,
     outcome_accuracy,
     plurality_vote,
@@ -66,8 +64,8 @@ __all__ = [
     "InsufficientDataError", "TrainingDivergenceError", "VoteStackError",
     "REJECTED", "FilteredFusion", "FusionOutcome", "PredictionMatrix",
     "VarianceReport", "WeightVector", "apply_filtered",
-    "build_level1_features", "fit_filtered", "fit_meta",
-    "majority_vote", "meta_fuse", "model_average", "outcome_accuracy",
+    "build_level1_features", "fit_filtered", "majority_vote",
+    "model_average", "outcome_accuracy",
     "plurality_vote", "variance_report", "weights_from_accuracy",
     "weights_from_inverse_variance",
     "ExperimentConfig", "RunReport", "SweepReport", "emit_report",

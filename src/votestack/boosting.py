@@ -146,21 +146,23 @@ def _grow_tree(columns: np.ndarray, order: np.ndarray, g: np.ndarray, h: np.ndar
     left: list[int] = []
     right: list[int] = []
     leaf_value: list[float] = []
+    lam = config.l2_lambda
 
-    def new_node() -> int:
+    # Depth first with the left child on top, so nodes are numbered in
+    # preorder; an entry names the parent link (left or right, parent) it
+    # fills. rows ascends; row f of node_order holds the same rows sorted
+    # by feature f, so the node sums keep the order of g[rows].sum().
+    stack = [(np.arange(columns.shape[1]), order, 0, None, 0)]
+    while stack:
+        rows, node_order, depth, links, parent = stack.pop()
+        node = len(feature)
+        if links is not None:
+            links[parent] = node
         feature.append(_NO_FEATURE)
         threshold.append(0.0)
         left.append(_NO_FEATURE)
         right.append(_NO_FEATURE)
         leaf_value.append(0.0)
-        return len(feature) - 1
-
-    lam = config.l2_lambda
-
-    def build(rows: np.ndarray, node_order: np.ndarray, depth: int) -> int:
-        # rows ascends; row f of node_order holds the same rows sorted by
-        # feature f, so the node sums keep the order of g[rows].sum().
-        node = new_node()
         G, H = g[rows].sum(), h[rows].sum()
         if depth < config.max_depth and rows.size >= 2:
             found = _best_split(np.take_along_axis(columns, node_order, axis=1),
@@ -180,17 +182,14 @@ def _grow_tree(columns: np.ndarray, order: np.ndarray, g: np.ndarray, h: np.ndar
                     n_features = node_order.shape[0]
                     feature[node] = f
                     threshold[node] = thr
-                    left[node] = build(rows[mask],
-                                       node_order[goes_left].reshape(n_features, -1),
-                                       depth + 1)
-                    right[node] = build(rows[~mask],
-                                        node_order[~goes_left].reshape(n_features, -1),
-                                        depth + 1)
-                    return node
+                    stack.append((rows[~mask],
+                                  node_order[~goes_left].reshape(n_features, -1),
+                                  depth + 1, right, node))
+                    stack.append((rows[mask],
+                                  node_order[goes_left].reshape(n_features, -1),
+                                  depth + 1, left, node))
+                    continue
         leaf_value[node] = float(-G / (H + lam))
-        return node
-
-    build(np.arange(columns.shape[1]), order, 0)
     return RegressionTree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),

@@ -1,11 +1,12 @@
 """Decision fusion over a stack of per-learner probability predictions.
 
 Implements averaging (uniform and weighted), plurality voting, strict
-majority voting with rejection, plain meta-learner stacking, and the
-vote-filtered variant: test samples where at least `threshold` learners
-agree take the voted label directly, everything else is scored by a
-meta-learner trained on the difficult training instances only. Ties break
-toward the lowest class index everywhere.
+majority voting with rejection, and vote-filtered stacking: test samples
+where at least `threshold` learners agree take the voted label directly,
+everything else is scored by a meta-learner trained on the difficult
+training instances only. Plain stacking is the same filter at threshold
+n+1, where no vote is confident: the meta-learner trains on every row and
+scores every sample. Ties break toward the lowest class index everywhere.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ class WeightVector:
     """Non-negative learner weights normalized to sum 1."""
 
     values: np.ndarray
-    provenance: str
 
     def __post_init__(self):
         values = frozen_copy(self.values, np.float64)
@@ -96,7 +96,7 @@ class WeightVector:
 
     @classmethod
     def uniform(cls, n: int) -> "WeightVector":
-        return cls(np.full(n, 1.0 / n), "uniform")
+        return cls(np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -177,14 +177,14 @@ def weights_from_accuracy(accuracies) -> WeightVector:
     total = acc.sum()
     if total <= 0:
         raise DegenerateWeightsError("all learner accuracies are zero")
-    return WeightVector(acc / total, "accuracy-based")
+    return WeightVector(acc / total)
 
 
 def weights_from_inverse_variance(variances) -> WeightVector:
     """Weights proportional to 1/variance, variances floored at 1e-12."""
     var = np.maximum(np.asarray(variances, dtype=np.float64), VARIANCE_FLOOR)
     inv = 1.0 / var
-    return WeightVector(inv / inv.sum(), "inverse-variance-based")
+    return WeightVector(inv / inv.sum())
 
 
 def plurality_vote(pm: PredictionMatrix) -> FusionOutcome:
@@ -215,36 +215,6 @@ def build_level1_features(pm: PredictionMatrix,
     raise ConfigError(f"unknown level-1 feature mode {mode!r}")
 
 
-def fit_meta(pm_train: PredictionMatrix, train_labels,
-             config: boosting.BoostConfig,
-             mode: str = LEVEL1_PROBA) -> boosting.BoostedModel:
-    """Train the level-2 learner on level-1 features of the training set."""
-    labels = np.asarray(train_labels, dtype=np.int64)
-    if labels.shape != (pm_train.n_samples,):
-        raise ContractError("train labels must match the prediction matrix samples")
-    return boosting.fit(
-        build_level1_features(pm_train, mode), labels, config,
-        n_classes=pm_train.n_classes,
-    )
-
-
-def meta_fuse(model: boosting.BoostedModel, pm_test: PredictionMatrix,
-              mode: str = LEVEL1_PROBA) -> FusionOutcome:
-    decisions = boosting.predict_label(model, build_level1_features(pm_test, mode))
-    return FusionOutcome(decisions=decisions, routes=np.full(pm_test.n_samples, _META))
-
-
-def effective_threshold(threshold: int | None, n_learners: int) -> int:
-    """The vote-filter threshold; None means the default n-1, floored at 1."""
-    if threshold is None:
-        return max(1, n_learners - 1)
-    if not (1 <= threshold <= n_learners):
-        raise ConfigError(
-            f"filter threshold must lie in [1, {n_learners}], got {threshold}"
-        )
-    return int(threshold)
-
-
 @dataclass(frozen=True)
 class FilteredFusion:
     """Fitted state of the vote-filter + meta-learner pipeline."""
@@ -257,32 +227,34 @@ class FilteredFusion:
 
 
 def fit_filtered(pm_train: PredictionMatrix, train_labels,
-                 config: boosting.BoostConfig,
-                 threshold: int | None = None,
+                 config: boosting.BoostConfig, threshold: int,
                  mode: str = LEVEL1_PROBA) -> FilteredFusion:
     """Fit the meta-learner on training instances that fail the vote filter.
 
     Instances whose top vote count reaches the threshold are excluded; the
-    meta-learner sees difficult cases only. If none remain (or they all
+    meta-learner sees difficult cases only. Above n_learners no vote is
+    confident, which is plain stacking. If no instance remains (or they all
     share one class) meta fitting is skipped and application falls back to
     plurality voting for unfiltered samples.
     """
     labels = np.asarray(train_labels, dtype=np.int64)
     if labels.shape != (pm_train.n_samples,):
         raise ContractError("train labels must match the prediction matrix samples")
-    thr = effective_threshold(threshold, pm_train.n_learners)
-    difficult = tally(pm_train).max(axis=1) < thr
+    if threshold < 1:
+        raise ConfigError(f"filter threshold must be at least 1, got {threshold}")
+    difficult = tally(pm_train).max(axis=1) < threshold
     n_difficult = int(difficult.sum())
     if n_difficult == 0:
         return FilteredFusion(
-            threshold=thr, meta_model=None, level1_mode=mode, n_difficult=0,
-            warnings=("no difficult training instances at threshold "
-                      f"{thr}; residual test samples fall back to plurality voting",),
+            threshold=threshold, meta_model=None, level1_mode=mode, n_difficult=0,
+            warnings=(f"no difficult training instances at threshold {threshold}; "
+                      "residual test samples fall back to plurality voting",),
         )
     hard_labels = labels[difficult]
     if np.unique(hard_labels).size < 2:
         return FilteredFusion(
-            threshold=thr, meta_model=None, level1_mode=mode, n_difficult=n_difficult,
+            threshold=threshold, meta_model=None, level1_mode=mode,
+            n_difficult=n_difficult,
             warnings=("difficult training instances all share one class; "
                       "residual test samples fall back to plurality voting",),
         )
@@ -291,7 +263,7 @@ def fit_filtered(pm_train: PredictionMatrix, train_labels,
         n_classes=pm_train.n_classes,
     )
     return FilteredFusion(
-        threshold=thr, meta_model=meta, level1_mode=mode, n_difficult=n_difficult,
+        threshold=threshold, meta_model=meta, level1_mode=mode, n_difficult=n_difficult,
     )
 
 

@@ -153,7 +153,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_learners < 1:
             raise ConfigError("[ensemble] n_learners must be at least 1")
-        fusion.effective_threshold(self.threshold, self.n_learners)  # range check
+        if self.threshold is not None and not 1 <= self.threshold <= self.n_learners:
+            raise ConfigError(
+                f"[ensemble] threshold must lie in [1, {self.n_learners}], got {self.threshold}"
+            )
         seen = []
         for s in self.strategies:
             if s not in ALL_STRATEGIES:
@@ -173,10 +176,11 @@ class ExperimentConfig:
             )
         if self.level1_mode not in (fusion.LEVEL1_PROBA, fusion.LEVEL1_LABEL):
             raise ConfigError("[ensemble] level1_mode must be 'proba' or 'label'")
-        hidden = tuple(int(h) for h in self.hidden_sizes)
-        if not hidden or any(h < 1 for h in hidden):
-            raise ConfigError("[mlp] hidden_sizes must be positive integers")
-        object.__setattr__(self, "hidden_sizes", hidden)
+        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        try:
+            self.mlp_config(1, 2, 0)
+        except ConfigError as exc:
+            raise ConfigError(f"[mlp] {exc}") from None
         if not (0.0 < self.train_fraction < 1.0):
             raise ConfigError("[split] train_fraction must lie in (0, 1)")
         if self.workers < 1:
@@ -192,7 +196,10 @@ class ExperimentConfig:
 
     @property
     def effective_threshold(self) -> int:
-        return fusion.effective_threshold(self.threshold, self.n_learners)
+        """The vote-filter threshold; unset means n-1, floored at 1."""
+        if self.threshold is None:
+            return max(1, self.n_learners - 1)
+        return int(self.threshold)
 
     def learner_seed(self, learner_id: int) -> int:
         return derive_seed(self.seed, "learner", learner_id)
@@ -499,22 +506,20 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None,
             outcome = fusion.majority_vote(pm_test)
             rejected_count = outcome.rejected_count
             record(STRATEGY_MAJORITY, outcome)
-        if STRATEGY_META in config.strategies:
-            meta_model = fusion.fit_meta(pm_train, train.labels, config.boost,
-                                         config.level1_mode)
-            if out is not None:
-                boosting.save(meta_model, out / "models" / "meta.gbt")
-            record(STRATEGY_META, fusion.meta_fuse(meta_model, pm_test,
-                                                   config.level1_mode))
-        if STRATEGY_FILTERED in config.strategies:
+        # Plain stacking is the vote filter at n+1, where no vote is confident.
+        for name, threshold, model_file in (
+                (STRATEGY_META, n + 1, "meta.gbt"),
+                (STRATEGY_FILTERED, config.effective_threshold, "filtered_meta.gbt")):
+            if name not in config.strategies:
+                continue
             fitted = fusion.fit_filtered(pm_train, train.labels, config.boost,
-                                         config.effective_threshold,
-                                         config.level1_mode)
+                                         threshold, config.level1_mode)
             if out is not None and fitted.meta_model is not None:
-                boosting.save(fitted.meta_model, out / "models" / "filtered_meta.gbt")
+                boosting.save(fitted.meta_model, out / "models" / model_file)
             outcome = fusion.apply_filtered(fitted, pm_test)
-            route_counts = outcome.route_counts()
-            record(STRATEGY_FILTERED, outcome)
+            if name == STRATEGY_FILTERED:
+                route_counts = outcome.route_counts()
+            record(name, outcome)
     t_done = time.perf_counter()
 
     return RunReport(

@@ -67,7 +67,6 @@ def gaussian_blobs(
     schema = DatasetSchema(
         n_features=n_features,
         feature_names=tuple(f"f{i}" for i in range(n_features)),
-        label_column=n_features,
         n_classes=n_classes,
         class_names=tuple(f"c{i}" for i in range(n_classes)),
     )

@@ -26,7 +26,6 @@ class DatasetSchema:
 
     n_features: int
     feature_names: tuple[str, ...]
-    label_column: int | str
     n_classes: int
     class_names: tuple[str, ...]
 
@@ -246,7 +245,6 @@ def load_csv(
     schema = DatasetSchema(
         n_features=n_features,
         feature_names=feature_names,
-        label_column=label_column,
         n_classes=len(ordered),
         class_names=ordered,
     )

@@ -16,7 +16,6 @@ def make_dataset(features, labels, n_classes=None):
     schema = DatasetSchema(
         n_features=features.shape[1],
         feature_names=tuple(f"f{i}" for i in range(features.shape[1])),
-        label_column=features.shape[1],
         n_classes=n_classes,
         class_names=tuple(f"c{i}" for i in range(n_classes)),
     )

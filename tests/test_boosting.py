@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import re
@@ -313,6 +314,20 @@ class TestFit:
 
         with pytest.raises(ContractError, match="at least one column"):
             boosting.fit(np.zeros((4, 0)), np.array([0, 1, 0, 1]), BoostConfig())
+
+    def test_fit_leaves_no_reference_cycle(self):
+        # A cycle would keep each round's gradients alive until a collection.
+        data = gaussian_blobs(300, 5, 3, seed=1)
+        cfg = BoostConfig(rounds=5)
+        boosting.fit(data.features, data.labels, cfg)
+        gc.collect()
+        gc.disable()
+        try:
+            boosting.fit(data.features, data.labels, cfg)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
 
     def test_labels_beyond_declared_classes_rejected(self):
         from votestack import ContractError

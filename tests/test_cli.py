@@ -138,6 +138,16 @@ class TestRun:
         assert rc == 1
         assert "unknown strategy" in capsys.readouterr().err
 
+    def test_invalid_mlp_setting_reported_before_data_is_read(self, tmp_path, capsys):
+        config = tmp_path / "exp.ini"
+        config.write_text(f"[dataset]\npath = {tmp_path / 'absent.csv'}\n"
+                          f"[mlp]\nepochs = 0\n[run]\noutput_dir = {tmp_path / 'o'}\n",
+                          encoding="utf-8")
+        rc = cli.main(["run", "--config", str(config)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(config) in err and "[mlp] epochs" in err
+
     def test_bad_data_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,2.0,a\n1.0,b\n", encoding="utf-8")

@@ -16,11 +16,10 @@ from votestack import (
     REJECTED,
     WeightVector,
     apply_filtered,
+    boosting,
     build_level1_features,
     fit_filtered,
-    fit_meta,
     majority_vote,
-    meta_fuse,
     model_average,
     outcome_accuracy,
     plurality_vote,
@@ -36,6 +35,12 @@ CONFIDENT, META, FALLBACK = (ROUTES.index(r)
                              for r in (ROUTE_CONFIDENT, ROUTE_META, ROUTE_FALLBACK))
 
 FAST_BOOST = BoostConfig(rounds=10, max_depth=3)
+
+
+def plain_stacking(pm_train, labels, pm_test, mode="proba"):
+    """Stacking without a confident vote: the filter at threshold n+1."""
+    fitted = fit_filtered(pm_train, labels, FAST_BOOST, pm_train.n_learners + 1, mode)
+    return fitted, apply_filtered(fitted, pm_test)
 
 
 def reference_plurality(votes, n_classes):
@@ -120,7 +125,6 @@ class TestWeights:
     def test_accuracy_weights_normalize(self):
         w = weights_from_accuracy([0.9, 0.8])
         np.testing.assert_allclose(w.values, [9 / 17, 8 / 17], atol=1e-15)
-        assert w.provenance == "accuracy-based"
 
     def test_inverse_variance_weights(self):
         w = weights_from_inverse_variance([1.0, 3.0])
@@ -146,11 +150,11 @@ class TestWeights:
 
     def test_invalid_weight_vectors_rejected(self):
         with pytest.raises(ContractError, match="non-negative"):
-            WeightVector(np.array([-0.5, 1.5]), "test")
+            WeightVector(np.array([-0.5, 1.5]))
         with pytest.raises(ContractError, match="sum to 1"):
-            WeightVector(np.array([0.5, 0.6]), "test")
+            WeightVector(np.array([0.5, 0.6]))
         with pytest.raises(ContractError, match="finite"):
-            WeightVector(np.array([np.nan, np.nan]), "test")
+            WeightVector(np.array([np.nan, np.nan]))
         with pytest.raises(ContractError, match="finite"):
             weights_from_inverse_variance([np.nan, 1.0])
 
@@ -256,8 +260,7 @@ class TestMetaStacking:
     def test_consistent_teachers_are_learned_exactly(self, rng):
         labels = rng.integers(0, 3, size=60)
         pm = one_hot_pm(np.tile(labels, (4, 1)), 3)
-        meta = fit_meta(pm, labels, FAST_BOOST)
-        outcome = meta_fuse(meta, pm)
+        _, outcome = plain_stacking(pm, labels, pm)
         assert outcome_accuracy(outcome, labels) == 1.0
         assert outcome.routes.dtype == np.int8
         np.testing.assert_array_equal(outcome.routes, META)
@@ -274,8 +277,7 @@ class TestMetaStacking:
 
         pm_train, y_train = build(11)
         pm_test, y_test = build(12)
-        meta = fit_meta(pm_train, y_train, FAST_BOOST)
-        meta_acc = outcome_accuracy(meta_fuse(meta, pm_test), y_test)
+        meta_acc = outcome_accuracy(plain_stacking(pm_train, y_train, pm_test)[1], y_test)
         plain_acc = outcome_accuracy(plurality_vote(pm_test), y_test)
         assert meta_acc > plain_acc
         assert meta_acc > 0.95
@@ -283,28 +285,37 @@ class TestMetaStacking:
     def test_label_shape_mismatch_rejected(self, rng):
         pm = random_pm(rng, 3, 10, 2)
         with pytest.raises(ContractError, match="labels"):
-            fit_meta(pm, np.zeros(9, dtype=int), FAST_BOOST)
+            plain_stacking(pm, np.zeros(9, dtype=int), pm)
+
+    @pytest.mark.parametrize("mode", ["proba", "label"])
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_threshold_above_n_is_plain_stacking(self, rng, n, mode):
+        pm_train = random_pm(rng, n, 80, 3)
+        labels = rng.integers(0, 3, size=80)
+        pm_test = random_pm(rng, n, 40, 3)
+        fitted, outcome = plain_stacking(pm_train, labels, pm_test, mode)
+        # Reference: the meta-learner fitted on every level-1 row.
+        reference = boosting.fit(build_level1_features(pm_train, mode), labels,
+                                 FAST_BOOST, n_classes=3)
+        assert fitted.n_difficult == 80
+        assert fitted.warnings == ()
+        got = [t.to_matrix() for r in fitted.meta_model.trees for t in r]
+        want = [t.to_matrix() for r in reference.trees for t in r]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(
+            outcome.decisions,
+            boosting.predict_label(reference, build_level1_features(pm_test, mode)))
+        np.testing.assert_array_equal(outcome.routes, META)
 
 
 class TestFilteredFusion:
-    def test_threshold_defaults_to_n_minus_one(self, rng):
-        pm = random_pm(rng, 7, 30, 3)
-        labels = rng.integers(0, 3, size=30)
-        fitted = fit_filtered(pm, labels, FAST_BOOST)
-        assert fitted.threshold == 6
-
-    def test_threshold_default_floors_at_one(self, rng):
-        pm = random_pm(rng, 1, 10, 2)
-        fitted = fit_filtered(pm, rng.integers(0, 2, size=10), FAST_BOOST)
-        assert fitted.threshold == 1
-
     def test_threshold_out_of_range_rejected(self, rng):
         pm = random_pm(rng, 5, 10, 2)
         labels = rng.integers(0, 2, size=10)
         with pytest.raises(ConfigError, match="threshold"):
             fit_filtered(pm, labels, FAST_BOOST, threshold=0)
-        with pytest.raises(ConfigError, match="threshold"):
-            fit_filtered(pm, labels, FAST_BOOST, threshold=6)
 
     def test_confident_samples_take_voted_label(self, rng):
         # train has disagreement so a meta-learner exists; the unanimous
@@ -317,7 +328,7 @@ class TestFilteredFusion:
         votes_test[:, 1] = 0
         votes_test[:4, 2] = 0  # 4-3 split stays below threshold 6
         pm_test = one_hot_pm(votes_test, 2)
-        outcome = apply_filtered(fit_filtered(pm_train, labels_train, FAST_BOOST), pm_test)
+        outcome = apply_filtered(fit_filtered(pm_train, labels_train, FAST_BOOST, 6), pm_test)
         assert outcome.routes.tolist() == [CONFIDENT, CONFIDENT, META]
         assert outcome.decisions[0] == 1
         assert outcome.decisions[1] == 0
@@ -336,7 +347,7 @@ class TestFilteredFusion:
     def test_unanimous_training_falls_back_to_plurality(self, rng):
         labels = rng.integers(0, 2, size=20)
         pm_train = one_hot_pm(np.tile(labels, (7, 1)), 2)
-        fitted = fit_filtered(pm_train, labels, FAST_BOOST)
+        fitted = fit_filtered(pm_train, labels, FAST_BOOST, 6)
         assert fitted.meta_model is None
         assert fitted.n_difficult == 0
         assert any("no difficult training instances" in w for w in fitted.warnings)
@@ -365,7 +376,7 @@ class TestFilteredFusion:
         ])
         labels = np.zeros(4, dtype=int)
         mixed = one_hot_pm(votes, 2)
-        fitted = fit_filtered(mixed, labels, FAST_BOOST)
+        fitted = fit_filtered(mixed, labels, FAST_BOOST, 6)
         assert fitted.meta_model is None
         assert fitted.n_difficult == 4
         assert any("share one class" in w for w in fitted.warnings)
@@ -374,7 +385,7 @@ class TestFilteredFusion:
         pm_train = random_pm(rng, 7, 60, 3)
         labels = rng.integers(0, 3, size=60)
         pm_test = random_pm(rng, 7, 30, 3)
-        outcome = apply_filtered(fit_filtered(pm_train, labels, FAST_BOOST), pm_test)
+        outcome = apply_filtered(fit_filtered(pm_train, labels, FAST_BOOST, 6), pm_test)
         assert len(outcome.routes) == 30
         counts = outcome.route_counts()
         assert list(counts) == list(ROUTES)

@@ -53,6 +53,24 @@ GOLDEN_DIGESTS = {
         "117d2712a0fa1ad1059ef6a6dd20297f80552df84796425679a97f4d12c71d35",
 }
 
+# models/ of the same run with an output_dir; same numpy/OpenBLAS caveat.
+GOLDEN_MODEL_DIGESTS = {
+    "learner_0.mlp":
+        "aa4fdfb9dfd7dc58831ffa742994822dca482b38564c6454bdb4846d5e321851",
+    "learner_1.mlp":
+        "1b07efb7fd2b3172a79b6918a54710ed0d860e3d8bd62f98de80c82cb1f064d7",
+    "learner_2.mlp":
+        "6aa11bd0e390582afe6f1df944e1dd45e8ad6ffec4a606369e9ec134996e86bb",
+    "learner_3.mlp":
+        "4211c3fe6ed5350ae829799e7bca587a3a65cf852550a39323a063a54d7bbd3a",
+    "learner_4.mlp":
+        "154012c15f2ef337f96f2404b18bde4623392770e20bf02ade7ac4ad89c2f27b",
+    "meta.gbt":
+        "6f27327ef015236f84cc64fc16631f2208d830e20efb979e7e451f4773258e5d",
+    "filtered_meta.gbt":
+        "2dd7377285a5340db6ec9032151d4e5b8912f4128170c423ad2eb4b7e96c72fe",
+}
+
 
 def replicate_split(config, dataset):
     """The same train/test views run_experiment derives from an in-memory set."""
@@ -120,10 +138,19 @@ class TestExperimentConfig:
             ExperimentConfig(workers=0)
         with pytest.raises(ConfigError, match="train_fraction"):
             ExperimentConfig(train_fraction=1.0)
-        with pytest.raises(ConfigError, match="hidden_sizes"):
+        with pytest.raises(ConfigError, match=r"\[mlp\] need at least one hidden layer"):
             ExperimentConfig(hidden_sizes=())
         with pytest.raises(ConfigError, match="n_learners"):
             ExperimentConfig(n_learners=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("epochs", 0, "epochs"), ("batch_size", 0, "batch_size"),
+        ("learning_rate", -1.0, "learning_rate"), ("momentum", 1.5, "momentum"),
+        ("hidden_sizes", (8, -4), "layer sizes"),
+    ])
+    def test_mlp_settings_checked_when_built(self, field, value, message):
+        with pytest.raises(ConfigError, match=rf"^\[mlp\] .*{message}"):
+            ExperimentConfig(**{field: value})
 
     def test_learner_seeds_are_stable_hashes(self):
         cfg = ExperimentConfig(seed=42)
@@ -534,6 +561,12 @@ class TestEmit:
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for name, path in paths.items()}
         assert digests == GOLDEN_DIGESTS
+
+    def test_golden_model_digests(self, desk_run):
+        _, _, out = desk_run
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (out / "models").iterdir()}
+        assert digests == GOLDEN_MODEL_DIGESTS
 
     def test_unused_strategy_columns_left_empty(self, tmp_path):
         config = replace(DESK_CONFIG, epochs=1, n_learners=2,

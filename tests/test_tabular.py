@@ -226,7 +226,7 @@ class TestNormalizer:
 
 class TestDatasetValidation:
     def test_label_out_of_schema_range(self):
-        schema = DatasetSchema(1, ("f0",), 1, 2, ("a", "b"))
+        schema = DatasetSchema(1, ("f0",), 2, ("a", "b"))
         with pytest.raises(DataError, match="label"):
             Dataset(schema, np.zeros((2, 1)), np.array([0, 2]))
 
