@@ -5,6 +5,9 @@ loss is mean cross-entropy with the true-class probability clamped at 1e-12
 before the log. Gradients are exact analytic backpropagation of that loss.
 Everything runs in double precision so finite-difference checks are
 meaningful.
+
+`train` allocates gradient and velocity buffers once per call and updates them
+in place; `predict_proba` keeps one activation block beside the one it builds.
 """
 
 from __future__ import annotations
@@ -128,8 +131,12 @@ def predict_proba(model: MlpModel, data) -> np.ndarray:
     if X.ndim != 2:
         raise ContractError("predict_proba expects a 2-D feature matrix")
     _check_input_dim(model, X)
-    _, _, probs = _forward_cached(model, X)
-    return probs
+    a = X
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = a @ W.T
+        a += b
+        np.maximum(a, 0.0, out=a)
+    return softmax(a @ model.weights[-1].T + model.biases[-1])
 
 
 def loss(model: MlpModel, features, labels) -> float:
@@ -141,7 +148,8 @@ def loss(model: MlpModel, features, labels) -> float:
     return cross_entropy(predict_proba(model, X), y)
 
 
-def _loss_and_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray):
+def _loss_and_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray, grad_w, grad_b):
+    """Batch loss; the gradients are written into grad_w/grad_b."""
     n = X.shape[0]
     pre, acts, probs = _forward_cached(model, X)
     p_true = probs[np.arange(n), y]
@@ -153,14 +161,12 @@ def _loss_and_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray):
     delta[p_true <= LOG_CLAMP] = 0.0
     delta /= n
 
-    grad_w = [np.empty_like(w) for w in model.weights]
-    grad_b = [np.empty_like(b) for b in model.biases]
     for i in range(len(model.weights) - 1, -1, -1):
-        grad_w[i] = delta.T @ acts[i]
-        grad_b[i] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[i], out=grad_w[i])
+        np.sum(delta, axis=0, out=grad_b[i])
         if i > 0:
             delta = (delta @ model.weights[i]) * (pre[i - 1] > 0.0)
-    return batch_loss, grad_w, grad_b
+    return batch_loss
 
 
 def gradients(model: MlpModel, features, labels):
@@ -170,7 +176,9 @@ def gradients(model: MlpModel, features, labels):
     if len(y) == 0:
         raise ContractError("gradients need a non-empty batch")
     _check_input_dim(model, X)
-    _, grad_w, grad_b = _loss_and_gradients(model, X, y)
+    grad_w = [np.empty_like(w) for w in model.weights]
+    grad_b = [np.empty_like(b) for b in model.biases]
+    _loss_and_gradients(model, X, y, grad_w, grad_b)
     return grad_w, grad_b
 
 
@@ -193,8 +201,11 @@ def train(model: MlpModel, features, labels) -> MlpModel:
 
     cfg = model.config
     rng = child_rng(cfg.seed, "shuffle")
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
+    grad_w = [np.empty_like(w) for w in model.weights]
+    grad_b = [np.empty_like(b) for b in model.biases]
+    # (parameter, its velocity, its gradient buffer) for every weight and bias
+    updates = [(p, np.zeros_like(p), g)
+               for p, g in zip(model.weights + model.biases, grad_w + grad_b)]
     n = X.shape[0]
 
     for epoch in range(cfg.epochs):
@@ -202,17 +213,18 @@ def train(model: MlpModel, features, labels) -> MlpModel:
         running = 0.0
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
-            batch_loss, grad_w, grad_b = _loss_and_gradients(model, X[idx], y[idx])
+            batch_loss = _loss_and_gradients(model, X[idx], y[idx], grad_w, grad_b)
             if not np.isfinite(batch_loss):
                 raise TrainingDivergenceError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
             running += batch_loss * len(idx)
-            for i in range(len(model.weights)):
-                vel_w[i] = cfg.momentum * vel_w[i] - cfg.learning_rate * grad_w[i]
-                vel_b[i] = cfg.momentum * vel_b[i] - cfg.learning_rate * grad_b[i]
-                model.weights[i] += vel_w[i]
-                model.biases[i] += vel_b[i]
+            # vel = momentum * vel - learning_rate * grad, without temporaries
+            for param, vel, grad in updates:
+                vel *= cfg.momentum
+                grad *= cfg.learning_rate
+                vel -= grad
+                param += vel
         model.loss_trace.append(running / n)
     return model
 

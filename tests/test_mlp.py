@@ -1,9 +1,12 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votestack import (
     ConfigError,
@@ -12,9 +15,11 @@ from votestack import (
     MlpConfig,
     PredictionMatrix,
     TrainingDivergenceError,
+    child_rng,
     gaussian_blobs,
     mlp,
 )
+from votestack.numerics import LOG_CLAMP, softmax
 
 from conftest import MALFORMED_MODEL_CASES, write_malformed_model
 
@@ -47,6 +52,88 @@ def pass_through_model(out_weights, out_biases):
     model.weights[1][:] = np.asarray(out_weights, dtype=np.float64).reshape(n_out, 1)
     model.biases[1][:] = out_biases
     return model
+
+
+def reference_train(model, X, y):
+    """The per-step allocating trainer: fresh gradients and a fresh velocity
+    every step, the loop that `mlp.train`'s in-place step must reproduce."""
+    cfg = model.config
+    rng = child_rng(cfg.seed, "shuffle")
+    vel_w = [np.zeros_like(w) for w in model.weights]
+    vel_b = [np.zeros_like(b) for b in model.biases]
+    n = X.shape[0]
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        running = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            xb, yb, m = X[idx], y[idx], len(idx)
+            pre, acts = [], [xb]
+            for i, (W, b) in enumerate(zip(model.weights, model.biases)):
+                pre.append(acts[-1] @ W.T + b)
+                if i < len(model.weights) - 1:
+                    acts.append(np.maximum(pre[-1], 0.0))
+            probs = softmax(pre[-1])
+            p_true = probs[np.arange(m), yb]
+            running += float(-np.log(np.maximum(p_true, LOG_CLAMP)).mean()) * m
+            delta = probs.copy()
+            delta[np.arange(m), yb] -= 1.0
+            delta[p_true <= LOG_CLAMP] = 0.0
+            delta /= m
+            grad_w, grad_b = [None] * len(vel_w), [None] * len(vel_b)
+            for i in range(len(model.weights) - 1, -1, -1):
+                grad_w[i] = delta.T @ acts[i]
+                grad_b[i] = delta.sum(axis=0)
+                if i > 0:
+                    delta = (delta @ model.weights[i]) * (pre[i - 1] > 0.0)
+            for i in range(len(model.weights)):
+                vel_w[i] = cfg.momentum * vel_w[i] - cfg.learning_rate * grad_w[i]
+                vel_b[i] = cfg.momentum * vel_b[i] - cfg.learning_rate * grad_b[i]
+                model.weights[i] += vel_w[i]
+                model.biases[i] += vel_b[i]
+        model.loss_trace.append(running / n)
+    return model
+
+
+def assert_bits_equal(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def assert_same_model(got, expected):
+    assert got.loss_trace == expected.loss_trace
+    for a, b in zip(got.weights + got.biases, expected.weights + expected.biases,
+                    strict=True):
+        assert_bits_equal(a, b)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while fn(*args) runs; numpy reports its buffers."""
+    fn(*args)  # one untraced call first, so one-time set-up is not counted
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@st.composite
+def training_problems(draw):
+    """Small nets of 1 to 3 hidden layers with any batch size up to past n."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, n_classes = draw(st.integers(1, 24)), draw(st.integers(2, 4))
+    hidden = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    cfg = MlpConfig(
+        layer_sizes=(draw(st.integers(1, 5)), *hidden, n_classes),
+        epochs=draw(st.integers(1, 3)),
+        batch_size=draw(st.integers(1, n + 2)),
+        learning_rate=draw(st.sampled_from([0.01, 0.1, 0.5])),
+        momentum=draw(st.sampled_from([0.0, 0.5, 0.9])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    X = rng.standard_normal((n, cfg.n_inputs))
+    return cfg, X, rng.integers(0, n_classes, size=n)
 
 
 class TestInit:
@@ -247,6 +334,80 @@ class TestTrain:
         cfg = MlpConfig(layer_sizes=(2, 4, 2), epochs=1)
         with pytest.raises(ContractError, match="label"):
             mlp.train(mlp.init(cfg), np.zeros((3, 2)), np.array([0, 1, 2]))
+
+
+class TestInPlaceHotPath:
+    @pytest.mark.parametrize("layer_sizes, batch_size, momentum", [
+        ((5, 7, 3), 32, 0.0),          # momentum off
+        ((5, 7, 6, 3), 8, 0.9),        # 8 does not divide 30: partial last batch
+        ((5, 4, 3), 1, 0.9),           # one sample per step
+        ((5, 9, 7, 4, 3), 7, 0.5),     # three hidden layers
+    ])
+    def test_train_matches_allocating_reference(self, layer_sizes, batch_size, momentum):
+        data = gaussian_blobs(30, 5, 3, seed=17)
+        cfg = MlpConfig(layer_sizes=layer_sizes, epochs=3, batch_size=batch_size,
+                        learning_rate=0.05, momentum=momentum, seed=4)
+        got = mlp.train(mlp.init(cfg), data.features, data.labels)
+        assert_same_model(got, reference_train(mlp.init(cfg), data.features, data.labels))
+
+    @given(problem=training_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_train_matches_allocating_reference_on_small_shapes(self, problem):
+        cfg, X, y = problem
+        assert_same_model(mlp.train(mlp.init(cfg), X, y),
+                          reference_train(mlp.init(cfg), X, y))
+
+    @given(problem=training_problems())
+    @settings(max_examples=40, deadline=None)
+    def test_predict_is_softmax_of_cached_forward(self, problem):
+        cfg, X, y = problem
+        model = mlp.train(mlp.init(cfg), X, y)
+        _, _, probs = mlp._forward_cached(model, X)
+        assert_bits_equal(mlp.predict_proba(model, X), probs)
+
+    def test_train_peak_memory_stays_near_two_parameter_copies(self):
+        # velocity plus one reused gradient buffer is 2x; per-step
+        # temporaries of weight size would push the peak to about 4x
+        cfg = MlpConfig(layer_sizes=(8, 600, 400, 2), epochs=1, batch_size=4, seed=3)
+        data = gaussian_blobs(16, 8, 2, seed=3)
+        model = mlp.init(cfg)
+        param_bytes = sum(p.nbytes for p in model.weights + model.biases)
+        peak = traced_peak(mlp.train, model, data.features, data.labels)
+        assert peak < 2.5 * param_bytes, f"peak {peak / param_bytes:.2f}x parameter bytes"
+
+    def test_predict_peak_memory_is_one_pair_of_activation_blocks(self):
+        # the 2000 x 600 block and the 2000 x 400 block built from it; holding
+        # every pre-activation and activation at once is about 2x this
+        model = mlp.init(MlpConfig(layer_sizes=(8, 600, 400, 2), seed=3))
+        X = gaussian_blobs(2000, 8, 2, seed=3).features
+        block_bytes = 2000 * (600 + 400) * 8
+        peak = traced_peak(mlp.predict_proba, model, X)
+        assert peak < 1.25 * block_bytes, f"peak {peak / block_bytes:.2f}x block bytes"
+
+    def test_gradients_return_fresh_arrays_every_call(self, rng):
+        model = mlp.init(MlpConfig(layer_sizes=(4, 6, 5, 3), seed=2))
+        X, y = rng.standard_normal((10, 4)), rng.integers(0, 3, size=10)
+        first_w, first_b = mlp.gradients(model, X, y)
+        kept = [g.copy() for g in first_w + first_b]
+        second_w, second_b = mlp.gradients(model, X[::-1], y[::-1])
+        arrays = first_w + first_b + second_w + second_b
+        for i, a in enumerate(arrays):
+            assert a.base is None
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        for g, before in zip(first_w + first_b, kept):
+            assert_bits_equal(g, before)
+
+    def test_train_and_predict_leave_inputs_untouched(self):
+        data = gaussian_blobs(40, 3, 2, seed=12)
+        X, y = data.features.copy(), data.labels.copy()
+        X.setflags(write=False)
+        y.setflags(write=False)
+        cfg = MlpConfig(layer_sizes=(3, 5, 2), epochs=2, batch_size=6, seed=1)
+        model = mlp.train(mlp.init(cfg), X, y)
+        mlp.predict_proba(model, X)
+        assert_bits_equal(X, data.features)
+        assert_bits_equal(y, data.labels)
 
 
 class TestSaveLoad:
