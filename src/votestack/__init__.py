@@ -48,7 +48,6 @@ from .tabular import (
     Dataset,
     DatasetSchema,
     NormalizerState,
-    SplitSpec,
     apply_normalizer,
     fit_normalizer,
     load_csv,
@@ -73,6 +72,6 @@ __all__ = [
     "MlpConfig", "MlpModel",
     "child_rng", "derive_seed",
     "gaussian_blobs",
-    "Dataset", "DatasetSchema", "NormalizerState", "SplitSpec",
+    "Dataset", "DatasetSchema", "NormalizerState",
     "apply_normalizer", "fit_normalizer", "load_csv", "save_csv", "split",
 ]

@@ -271,13 +271,10 @@ def predict_margins(model: BoostedModel, features: np.ndarray) -> np.ndarray:
     return margins
 
 
-def predict_proba(model: BoostedModel, features: np.ndarray) -> np.ndarray:
-    return softmax(predict_margins(model, features))
-
-
 def predict_label(model: BoostedModel, features: np.ndarray) -> np.ndarray:
-    """Per-row argmax; ties break toward the lowest class index."""
-    return np.argmax(predict_proba(model, features), axis=1)
+    """Per-row argmax of the class probabilities; ties break toward the
+    lowest class index."""
+    return np.argmax(softmax(predict_margins(model, features)), axis=1)
 
 
 def save(model: BoostedModel, path: str | Path) -> Path:

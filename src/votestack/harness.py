@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,14 +28,7 @@ from .errors import ConfigError, DataError, VoteStackError
 from .fusion import PredictionMatrix
 from .seeding import derive_seed
 from .serialize import atomic_write
-from .tabular import (
-    Dataset,
-    SplitSpec,
-    apply_normalizer,
-    fit_normalizer,
-    load_csv,
-    split,
-)
+from .tabular import Dataset, apply_normalizer, fit_normalizer, load_csv, split
 
 STRATEGY_AVERAGE = "average"
 STRATEGY_WEIGHTED = "weighted_average"
@@ -322,8 +316,7 @@ class RunReport:
         return cls(**{f.name: _plain(d[f.name]) for f in fields(cls)})
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     size: int
     filtered_accuracy: float
     mean_individual_accuracy: float
@@ -331,66 +324,63 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Accuracy-vs-ensemble-size curve data plus the underlying run reports."""
+    """The run reports of an ensemble-size sweep, one per size 1..K."""
 
     seed: int
-    rows: tuple[SweepRow, ...]
     reports: tuple[RunReport, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        object.__setattr__(self, "reports", tuple(self.reports))
-        sizes = [r.size for r in self.rows]
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ConfigError("sweep sizes must be strictly increasing")
+    @property
+    def rows(self) -> tuple[SweepRow, ...]:
+        """The accuracy-vs-ensemble-size curve, one row per report."""
+        return tuple(SweepRow(r.n_learners, r.strategy_accuracies[STRATEGY_FILTERED],
+                              r.mean_accuracy) for r in self.reports)
 
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "rows": [[r.size, r.filtered_accuracy, r.mean_individual_accuracy]
-                     for r in self.rows],
+            "rows": [list(row) for row in self.rows],
             "reports": [r.to_dict() for r in self.reports],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SweepReport":
-        return cls(
-            seed=d["seed"],
-            rows=tuple(SweepRow(int(s), float(p), float(m)) for s, p, m in d["rows"]),
-            reports=tuple(RunReport.from_dict(r) for r in d["reports"]),
-        )
 
+def _prepare(config: ExperimentConfig, dataset: Dataset | None,
+             dataset_label: str | None) -> tuple[Dataset, Dataset, str]:
+    """Load, split and z-score the data; returns (train, test, report label).
 
-def _load_data(config: ExperimentConfig,
-               dataset: Dataset | None) -> tuple[Dataset, Dataset, str]:
-    """Resolve (train, test, label) from an in-memory dataset or config paths."""
-    if dataset is None and config.train_path is not None:
-        train = load_csv(config.train_path, config.label_column,
-                         config.delimiter, config.has_header)
-        test = load_csv(config.test_path, config.label_column,
-                        config.delimiter, config.has_header,
-                        class_names=train.schema.class_names)
-        if test.n_features != train.n_features:
-            raise DataError(
-                f"train file has {train.n_features} features but test file "
-                f"has {test.n_features}"
+    `dataset` bypasses file loading (the splitter still applies); predefined
+    train/test files skip the splitter. The normalizer is fitted on train.
+    """
+    with _stage("loading data"):
+        if dataset is not None or config.dataset_path is not None:
+            label = "in-memory"
+            if dataset is None:
+                dataset = load_csv(config.dataset_path, config.label_column,
+                                   config.delimiter, config.has_header)
+                label = Path(config.dataset_path).stem
+            train, test = split(dataset, config.train_fraction, config.stratified,
+                                derive_seed(config.seed, "split"))
+        elif config.train_path is not None:
+            train = load_csv(config.train_path, config.label_column,
+                             config.delimiter, config.has_header)
+            test = load_csv(config.test_path, config.label_column,
+                            config.delimiter, config.has_header,
+                            class_names=train.schema.class_names)
+            if test.n_features != train.n_features:
+                raise DataError(
+                    f"train file has {train.n_features} features but test file "
+                    f"has {test.n_features}"
+                )
+            label = Path(config.train_path).stem
+        else:
+            raise ConfigError(
+                "missing dataset location: set [dataset] path, or "
+                "[dataset] train_path and test_path"
             )
-        return train, test, Path(config.train_path).stem
-    if dataset is not None:
-        label = "in-memory"
-    elif config.dataset_path is not None:
-        dataset = load_csv(config.dataset_path, config.label_column,
-                           config.delimiter, config.has_header)
-        label = Path(config.dataset_path).stem
-    else:
-        raise ConfigError(
-            "missing dataset location: set [dataset] path, or "
-            "[dataset] train_path and test_path"
-        )
-    spec = SplitSpec(config.train_fraction, config.stratified,
-                     seed=derive_seed(config.seed, "split"))
-    train, test = split(dataset, spec)
-    return train, test, label
+    with _stage("normalizing"):
+        norm = fit_normalizer(train)
+        train = apply_normalizer(norm, train)
+        test = apply_normalizer(norm, test)
+    return train, test, dataset_label if dataset_label is not None else label
 
 
 def _train_learners(config: ExperimentConfig, train: Dataset,
@@ -444,14 +434,14 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None,
     runs, so a failed fusion stage leaves the trained ensemble on disk.
     """
     t_start = time.perf_counter()
-    with _stage("loading data"):
-        train, test, inferred_label = _load_data(config, dataset)
-    label = dataset_label if dataset_label is not None else inferred_label
+    train, test, label = _prepare(config, dataset, dataset_label)
+    return _run(config, train, test, label, t_start)
 
-    with _stage("normalizing"):
-        norm = fit_normalizer(train)
-        train = apply_normalizer(norm, train)
-        test = apply_normalizer(norm, test)
+
+def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
+         t_start: float) -> RunReport:
+    """Plan, train, predict and fuse on prepared data; the timings start at
+    t_start, so load_seconds is the time since then."""
     t_loaded = time.perf_counter()
 
     n = config.n_learners
@@ -549,35 +539,32 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None,
     )
 
 
-def sweep(config: ExperimentConfig, max_size: int = 8,
+def sweep(config: ExperimentConfig, max_size: int,
           dataset: Dataset | None = None,
           dataset_label: str | None = None) -> SweepReport:
     """Run the experiment at every ensemble size 1..max_size, shared seed.
 
+    The data is loaded, split and normalized once and shared by every size.
     Each size uses its own default filter threshold (size-1, floored at 1)
     and, when an output directory is set, its own size_<k> subdirectory.
+    The per-size timings tile the sweep: size 1's load_seconds holds the
+    shared preparation, later sizes read about 0, and the total_seconds of
+    all sizes sum to the sweep's wall time.
     """
     if max_size < 1:
         raise ConfigError("sweep max_size must be at least 1")
-    rows = []
+    t_start = time.perf_counter()
+    train, test, label = _prepare(config, dataset, dataset_label)
     reports = []
     for size in range(1, max_size + 1):
-        strategies = tuple(
-            s for s in ALL_STRATEGIES
-            if s in config.strategies or s == STRATEGY_FILTERED
-        )
         sub_out = (str(Path(config.output_dir) / f"size_{size}")
                    if config.output_dir else None)
         sub = replace(config, n_learners=size, threshold=None,
-                      strategies=strategies, output_dir=sub_out)
-        report = run_experiment(sub, dataset=dataset, dataset_label=dataset_label)
-        reports.append(report)
-        rows.append(SweepRow(
-            size=size,
-            filtered_accuracy=report.strategy_accuracies[STRATEGY_FILTERED],
-            mean_individual_accuracy=report.mean_accuracy,
-        ))
-    return SweepReport(seed=config.seed, rows=tuple(rows), reports=tuple(reports))
+                      strategies=(*config.strategies, STRATEGY_FILTERED),
+                      output_dir=sub_out)
+        reports.append(_run(sub, train, test, label, t_start))
+        t_start = time.perf_counter()
+    return SweepReport(seed=config.seed, reports=tuple(reports))
 
 
 def _write_text(path: Path, text: str) -> None:

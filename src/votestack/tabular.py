@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -80,21 +80,6 @@ class Dataset:
         """Row subset sharing this dataset's schema."""
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.schema, self.features[idx], self.labels[idx])
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Train/test split parameters; train_fraction must lie strictly in (0, 1)."""
-
-    train_fraction: float = 0.8
-    stratified: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.train_fraction < 1.0):
-            raise ConfigError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
 
 
 @dataclass(frozen=True)
@@ -268,43 +253,38 @@ def save_csv(dataset: Dataset, path: str | Path, delimiter: str = ",",
     return path
 
 
-def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
+def split(dataset: Dataset, train_fraction: float, stratified: bool,
+          seed: int) -> tuple[Dataset, Dataset]:
     """Partition a dataset into disjoint train/test subsets.
 
-    Deterministic for a fixed spec.seed. With stratification, each class
-    contributes a train count within one sample of train_fraction and both
-    sides keep at least one sample per class.
+    Deterministic for a fixed seed; train_fraction must lie strictly in
+    (0, 1). Each group (every class when stratified, else all rows) gives
+    train a count within one sample of train_fraction, and both sides keep
+    at least one sample of every group.
     """
-    rng = np.random.default_rng(spec.seed)
+    if not (0.0 < train_fraction < 1.0):
+        raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     S = dataset.n_samples
     if S < 2:
         raise ConfigError("cannot split fewer than 2 samples")
-
-    if spec.stratified:
-        train_parts = []
-        test_parts = []
-        for c in range(dataset.schema.n_classes):
-            members = np.flatnonzero(dataset.labels == c)
-            if members.size < 2:
-                raise ConfigError(
-                    f"class {dataset.schema.class_names[c]!r} has {members.size} sample(s); "
-                    "stratified splitting needs at least 2 per class"
-                )
-            shuffled = rng.permutation(members)
-            n_train = int(round(spec.train_fraction * members.size))
-            n_train = min(max(n_train, 1), members.size - 1)
-            train_parts.append(shuffled[:n_train])
-            test_parts.append(shuffled[n_train:])
-        train_idx = np.sort(np.concatenate(train_parts))
-        test_idx = np.sort(np.concatenate(test_parts))
-    else:
-        shuffled = rng.permutation(S)
-        n_train = int(round(spec.train_fraction * S))
-        n_train = min(max(n_train, 1), S - 1)
-        train_idx = np.sort(shuffled[:n_train])
-        test_idx = np.sort(shuffled[n_train:])
-
-    return dataset.take(train_idx), dataset.take(test_idx)
+    groups = ([np.flatnonzero(dataset.labels == c) for c in range(dataset.schema.n_classes)]
+              if stratified else [np.arange(S)])
+    rng = np.random.default_rng(seed)
+    train_parts = []
+    test_parts = []
+    for c, members in enumerate(groups):
+        if members.size < 2:
+            raise ConfigError(
+                f"class {dataset.schema.class_names[c]!r} has {members.size} sample(s); "
+                "stratified splitting needs at least 2 per class"
+            )
+        shuffled = rng.permutation(members)
+        n_train = int(round(train_fraction * members.size))
+        n_train = min(max(n_train, 1), members.size - 1)
+        train_parts.append(shuffled[:n_train])
+        test_parts.append(shuffled[n_train:])
+    return (dataset.take(np.sort(np.concatenate(train_parts))),
+            dataset.take(np.sort(np.concatenate(test_parts))))
 
 
 def fit_normalizer(train: Dataset) -> NormalizerState:

@@ -218,14 +218,14 @@ class TestLeafWeights:
         cfg = BoostConfig(rounds=1, max_depth=1, min_child_weight=1.0)
         model = boosting.fit(X, y, cfg)
         np.testing.assert_array_equal(
-            boosting.predict_proba(model, X), [[0.5, 0.5], [0.5, 0.5]]
+            softmax(boosting.predict_margins(model, X)), [[0.5, 0.5], [0.5, 0.5]]
         )
 
 
 class TestFit:
     def test_empty_model_predicts_uniform_four_way(self):
         model = BoostedModel(BoostConfig(), n_features=2, n_classes=4, trees=[])
-        probs = boosting.predict_proba(model, np.zeros((3, 2)))
+        probs = softmax(boosting.predict_margins(model, np.zeros((3, 2))))
         np.testing.assert_array_equal(probs, 0.25)
 
     def test_single_label_rejected(self):
@@ -277,7 +277,7 @@ class TestFit:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 2, 2])
         model = boosting.fit(X, y, BoostConfig(rounds=3), n_classes=3)
-        probs = boosting.predict_proba(model, X)
+        probs = softmax(boosting.predict_margins(model, X))
         assert probs.shape == (4, 3)
         assert set(boosting.predict_label(model, X).tolist()) <= {0, 1, 2}
 
@@ -341,7 +341,7 @@ class TestPredict:
         X = np.array([[0.0], [1.0]])
         model = boosting.fit(X, np.array([0, 1]), TWO_POINT_CONFIG)
         probe = np.array([[0.0], [0.2], [0.49], [0.51], [1.0]])
-        probs = boosting.predict_proba(model, probe)
+        probs = softmax(boosting.predict_margins(model, probe))
         for row in probs[1:3]:
             np.testing.assert_array_equal(row, probs[0])
         np.testing.assert_array_equal(probs[4], probs[3])
@@ -362,7 +362,7 @@ class TestPredict:
     def test_proba_rows_sum_to_one(self):
         data = gaussian_blobs(60, 2, 3, seed=43)
         model = boosting.fit(data.features, data.labels, BoostConfig(rounds=4))
-        probs = boosting.predict_proba(model, data.features)
+        probs = softmax(boosting.predict_margins(model, data.features))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_feature_width_mismatch_rejected(self):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -11,15 +12,11 @@ from votestack import (
     DataError,
     ExperimentConfig,
     RunReport,
-    SplitSpec,
-    SweepReport,
-    apply_normalizer,
     boosting,
     build_plan,
     derive_seed,
     emit_report,
     emit_sweep,
-    fit_normalizer,
     gaussian_blobs,
     mlp,
     run_experiment,
@@ -27,7 +24,8 @@ from votestack import (
     split,
     sweep,
 )
-from votestack.harness import ALL_STRATEGIES, SweepRow
+from votestack import harness
+from votestack.harness import ALL_STRATEGIES, _prepare
 
 DESK_DATA = gaussian_blobs(400, 4, 3, seed=71)
 
@@ -72,13 +70,30 @@ GOLDEN_MODEL_DIGESTS = {
 }
 
 
-def replicate_split(config, dataset):
-    """The same train/test views run_experiment derives from an in-memory set."""
-    spec = SplitSpec(config.train_fraction, config.stratified,
-                     seed=derive_seed(config.seed, "split"))
-    train, test = split(dataset, spec)
-    norm = fit_normalizer(train)
-    return apply_normalizer(norm, train), apply_normalizer(norm, test)
+# The sweep of the small_sweep fixture (sizes 1..3); same numpy/OpenBLAS caveat.
+GOLDEN_SWEEP_DIGESTS = {
+    "sweep_csv":
+        "10880666116a704b85e78c3fbca6bb6a320cfba9c60ecdd7ff59f0f55f6e7739",
+    "sweep_json":
+        "5af02ee999a91d9465e71a4623589121b80ca04183c0fa2f47a399dc22b2e314",
+}
+
+GOLDEN_SWEEP_MODEL_DIGESTS = {
+    "size_1/models/learner_0.mlp":
+        "7b70b1964bee332d1b165618c8615378cab5cfb553fa43d58b42a867e797571d",
+    "size_2/models/learner_0.mlp":
+        "e42ff985048ab293fec119549eba4cb3330dc6b901cea420ca100a5d3098fa38",
+    "size_2/models/learner_1.mlp":
+        "6332634acfdd43b5def3f8ae3851218a8b73f9b8f62737ebbe2fcb6472a9c429",
+    "size_3/models/filtered_meta.gbt":
+        "cb93cb91c1d03e8d2612d25aa8e154b323bdef8db9e0ac9e63acc31a5450500c",
+    "size_3/models/learner_0.mlp":
+        "1dcbd9f2586d127c3e2686c07acf3079abbfc14df34e32c608d84f1ae203de33",
+    "size_3/models/learner_1.mlp":
+        "ce94e1e06b2c456ddc36e497b4b3937869a7e364afd16e08fe17240613c9761c",
+    "size_3/models/learner_2.mlp":
+        "9e0271c57ddecface760b329cd8593f541dd28b67ede098400e4d1d6bfa67b59",
+}
 
 
 @pytest.fixture(scope="module")
@@ -322,7 +337,7 @@ class TestRunExperiment:
 
     def test_persisted_models_reproduce_reported_accuracies(self, desk_run):
         config, report, out = desk_run
-        _, test = replicate_split(config, DESK_DATA)
+        _, test, _ = _prepare(config, DESK_DATA, None)
         for j in range(config.n_learners):
             model = mlp.load(out / "models" / f"learner_{j}.mlp")
             labels = np.argmax(mlp.predict_proba(model, test.features), axis=1)
@@ -331,7 +346,7 @@ class TestRunExperiment:
 
     def test_persisted_models_reproduce_average_decisions(self, desk_run):
         config, report, out = desk_run
-        _, test = replicate_split(config, DESK_DATA)
+        _, test, _ = _prepare(config, DESK_DATA, None)
         probs = np.stack([
             mlp.predict_proba(mlp.load(out / "models" / f"learner_{j}.mlp"),
                               test.features)
@@ -422,7 +437,7 @@ class TestRunExperiment:
         assert report.n_train + report.n_test == 400
 
     def test_predefined_train_test_paths(self, tmp_path):
-        train, test = split(DESK_DATA, SplitSpec(seed=1))
+        train, test = split(DESK_DATA, 0.8, True, 1)
         save_csv(train, tmp_path / "tr.csv")
         save_csv(test, tmp_path / "te.csv")
         config = replace(DESK_CONFIG, epochs=2, n_learners=2,
@@ -435,7 +450,7 @@ class TestRunExperiment:
         assert report.n_test == test.n_samples
 
     def test_train_test_feature_mismatch_rejected(self, tmp_path):
-        train, test = split(DESK_DATA, SplitSpec(seed=1))
+        train, test = split(DESK_DATA, 0.8, True, 1)
         save_csv(train, tmp_path / "tr.csv")
         wider = np.column_stack([test.features, test.labels.astype(float)])
         lines = [",".join(repr(float(v)) for v in row) + f",c{y}"
@@ -494,7 +509,7 @@ class TestSweep:
         config, report, out = small_sweep
         for size, run in zip((1, 2, 3), report.reports):
             sub = replace(config, n_learners=size, threshold=None)
-            _, test = replicate_split(sub, DESK_DATA)
+            _, test, _ = _prepare(sub, DESK_DATA, None)
             accs = []
             for j in range(size):
                 model = mlp.load(out / f"size_{size}" / "models" / f"learner_{j}.mlp")
@@ -504,17 +519,31 @@ class TestSweep:
 
     def test_sweep_json_round_trip(self, small_sweep):
         _, report, _ = small_sweep
-        back = SweepReport.from_dict(json.loads(json.dumps(report.to_dict())))
-        assert back == report
+        assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
 
     def test_invalid_max_size(self):
         with pytest.raises(ConfigError, match="max_size"):
             sweep(DESK_CONFIG, max_size=0, dataset=DESK_DATA)
 
-    def test_sizes_must_increase(self):
-        row = SweepRow(size=2, filtered_accuracy=0.5, mean_individual_accuracy=0.5)
-        with pytest.raises(ConfigError, match="increasing"):
-            SweepReport(seed=0, rows=(row, row), reports=())
+    def test_data_loaded_once_per_sweep(self, tmp_path, monkeypatch):
+        save_csv(DESK_DATA, tmp_path / "blobs.csv")
+        calls = []
+        real_load_csv = harness.load_csv
+
+        def counting_load_csv(*args, **kwargs):
+            calls.append(args)
+            return real_load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "load_csv", counting_load_csv)
+        config = replace(DESK_CONFIG, epochs=1, strategies=("plurality",),
+                         dataset_path=str(tmp_path / "blobs.csv"))
+        t0 = time.perf_counter()
+        report = sweep(config, max_size=3)
+        wall = time.perf_counter() - t0
+        assert len(calls) == 1
+        assert [r.dataset_label for r in report.reports] == ["blobs"] * 3
+        total = sum(r.timings["total_seconds"] for r in report.reports)
+        assert 0.8 * wall <= total <= wall
 
 
 class TestEmit:
@@ -568,6 +597,25 @@ class TestEmit:
                    for path in (out / "models").iterdir()}
         assert digests == GOLDEN_MODEL_DIGESTS
 
+    def test_golden_sweep_digests(self, small_sweep, tmp_path):
+        """Pin sweep.csv, sweep.json and every size_<k>/models file.
+
+        As for the run digests, output_dir is unset for the emitted sweep
+        (its path enters sweep.json) and every report's timings are zeroed.
+        """
+        config, _, out = small_sweep
+        report = sweep(replace(config, output_dir=None), max_size=3, dataset=DESK_DATA)
+        report = replace(report, reports=tuple(
+            replace(r, timings={k: 0.0 for k in r.timings}) for r in report.reports))
+        paths = emit_sweep(report, tmp_path)
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for name, path in paths.items()}
+        assert digests == GOLDEN_SWEEP_DIGESTS
+        models = {path.relative_to(out).as_posix():
+                  hashlib.sha256(path.read_bytes()).hexdigest()
+                  for path in out.glob("size_*/models/*")}
+        assert models == GOLDEN_SWEEP_MODEL_DIGESTS
+
     def test_unused_strategy_columns_left_empty(self, tmp_path):
         config = replace(DESK_CONFIG, epochs=1, n_learners=2,
                          strategies=("average",))
@@ -587,7 +635,7 @@ class TestEmit:
         assert lines[1].startswith("1,")
         assert lines[2].startswith("2,")
         loaded = json.loads(paths["sweep_json"].read_text(encoding="utf-8"))
-        assert SweepReport.from_dict(loaded) == report
+        assert loaded == report.to_dict()
 
     def test_unwritable_directory_is_config_error(self, desk_run, tmp_path):
         _, report, _ = desk_run

@@ -9,7 +9,6 @@ from votestack import (
     DataError,
     Dataset,
     DatasetSchema,
-    SplitSpec,
     apply_normalizer,
     fit_normalizer,
     load_csv,
@@ -113,22 +112,24 @@ class TestSaveCsv:
 class TestSplit:
     def test_sizes_100_at_80_percent(self):
         ds = make_dataset(np.arange(200.0).reshape(100, 2), [0, 1] * 50)
-        train, test = split(ds, SplitSpec(train_fraction=0.8, seed=3))
+        train, test = split(ds, 0.8, True, 3)
         assert train.n_samples == 80
         assert test.n_samples == 20
 
     def test_fraction_one_rejected(self):
+        ds = make_dataset(np.arange(20.0).reshape(10, 2), [0, 1] * 5)
         with pytest.raises(ConfigError, match="train_fraction"):
-            SplitSpec(train_fraction=1.0)
+            split(ds, 1.0, True, 0)
 
     def test_fraction_zero_rejected(self):
+        ds = make_dataset(np.arange(20.0).reshape(10, 2), [0, 1] * 5)
         with pytest.raises(ConfigError):
-            SplitSpec(train_fraction=0.0)
+            split(ds, 0.0, False, 0)
 
     def test_stratified_counts_balanced_two_class(self):
         labels = np.array([0] * 10 + [1] * 10)
         ds = make_dataset(np.arange(40.0).reshape(20, 2), labels)
-        train, test = split(ds, SplitSpec(train_fraction=0.8, stratified=True, seed=9))
+        train, test = split(ds, 0.8, True, 9)
         assert np.count_nonzero(train.labels == 0) == 8
         assert np.count_nonzero(train.labels == 1) == 8
         assert np.count_nonzero(test.labels == 0) == 2
@@ -139,29 +140,29 @@ class TestSplit:
         labels = rng.integers(0, 3, size=57)
         labels[:6] = [0, 0, 1, 1, 2, 2]
         ds = make_dataset(feats, labels, n_classes=3)
-        train, test = split(ds, SplitSpec(train_fraction=0.7, seed=4))
+        train, test = split(ds, 0.7, True, 4)
         assert train.n_samples + test.n_samples == ds.n_samples
         combined = np.concatenate([train.features, test.features])
         assert {tuple(r) for r in combined} == {tuple(r) for r in ds.features}
 
     def test_deterministic_for_fixed_seed(self, rng):
         ds = make_dataset(rng.standard_normal((30, 2)), [0, 1] * 15)
-        a = split(ds, SplitSpec(seed=11))
-        b = split(ds, SplitSpec(seed=11))
+        a = split(ds, 0.8, True, 11)
+        b = split(ds, 0.8, True, 11)
         np.testing.assert_array_equal(a[0].features, b[0].features)
         np.testing.assert_array_equal(a[1].labels, b[1].labels)
 
     def test_different_seeds_differ(self, rng):
         ds = make_dataset(rng.standard_normal((40, 2)), [0, 1] * 20)
-        a, _ = split(ds, SplitSpec(seed=1))
-        b, _ = split(ds, SplitSpec(seed=2))
+        a, _ = split(ds, 0.8, True, 1)
+        b, _ = split(ds, 0.8, True, 2)
         assert not np.array_equal(a.features, b.features)
 
     def test_both_sides_keep_every_class(self):
         # 3 samples in the smallest class at 90% would round to 3 without clamping
         labels = np.array([0] * 30 + [1] * 3)
         ds = make_dataset(np.arange(66.0).reshape(33, 2), labels)
-        train, test = split(ds, SplitSpec(train_fraction=0.9, stratified=True, seed=0))
+        train, test = split(ds, 0.9, True, 0)
         for side in (train, test):
             assert set(side.labels.tolist()) == {0, 1}
 
@@ -169,7 +170,20 @@ class TestSplit:
         labels = np.array([0] * 9 + [1])
         ds = make_dataset(np.arange(20.0).reshape(10, 2), labels)
         with pytest.raises(ConfigError, match="at least 2"):
-            split(ds, SplitSpec(stratified=True, seed=0))
+            split(ds, 0.8, True, 0)
+
+    def test_unstratified_indices_pinned(self):
+        # Feature value = row index.
+        ds = make_dataset(np.arange(13.0).reshape(13, 1), [0, 1, 2] * 4 + [0])
+        train, test = split(ds, 0.7, False, 5)
+        assert train.features[:, 0].tolist() == [1, 2, 3, 4, 6, 7, 9, 10, 12]
+        assert test.features[:, 0].tolist() == [0, 5, 8, 11]
+
+    def test_unstratified_ignores_class_sizes(self):
+        labels = np.array([0] * 9 + [1])
+        ds = make_dataset(np.arange(20.0).reshape(10, 2), labels)
+        train, test = split(ds, 0.8, False, 0)
+        assert (train.n_samples, test.n_samples) == (8, 2)
 
     @given(
         n0=st.integers(min_value=4, max_value=40),
@@ -181,10 +195,7 @@ class TestSplit:
     def test_stratified_class_counts_near_fraction(self, n0, n1, frac, seed):
         labels = np.array([0] * n0 + [1] * n1)
         feats = np.arange(2.0 * (n0 + n1)).reshape(-1, 2)
-        train, _ = split(
-            make_dataset(feats, labels),
-            SplitSpec(train_fraction=frac, stratified=True, seed=seed),
-        )
+        train, _ = split(make_dataset(feats, labels), frac, True, seed)
         for c, size in ((0, n0), (1, n1)):
             got = np.count_nonzero(train.labels == c)
             want = min(max(int(round(frac * size)), 1), size - 1)
