@@ -220,9 +220,9 @@ def fit(features: np.ndarray, labels: np.ndarray, config: BoostConfig,
     if distinct.size < 2:
         raise ConfigError("boosting needs at least 2 distinct labels")
     if n_classes is None:
-        n_classes = int(y.max()) + 1
-    if n_classes < 2 or y.max() >= n_classes:
-        raise ContractError("labels exceed the declared class count")
+        n_classes = int(distinct[-1]) + 1
+    if n_classes < 2 or distinct[0] < 0 or distinct[-1] >= n_classes:
+        raise ContractError("labels must be indices below the declared class count")
 
     S = X.shape[0]
     margins = np.zeros((S, n_classes))

@@ -53,6 +53,8 @@ class PredictionMatrix:
             )
         if probs.shape[2] < 2:
             raise ContractError("prediction matrix needs at least 2 classes")
+        if 0 in probs.shape[:2]:
+            raise ContractError("prediction matrix needs at least one learner and one sample")
         # Written so that NaN, which fails every comparison, is rejected too.
         if not (probs.min() >= 0.0 and probs.max() <= 1.0 + 1e-9):
             raise ContractError("probabilities must be finite and lie in [0, 1]")

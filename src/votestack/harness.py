@@ -1,11 +1,12 @@
 """End-to-end experiment orchestration, reporting, and the ensemble-size sweep.
 
 A run is: load data, split (or use predefined train/test files), z-score
-normalize on the train side, build the segment-deletion plan, train the n
-networks (optionally in parallel threads), predict on train and test, apply
-the configured fusion strategies, and report. Every number in the result is
-fixed by (config, master seed): per-learner seeds are stable hashes of the
-master seed and the learner index, so thread scheduling cannot change them.
+normalize on the train side, build the segment-deletion plan, run one job
+per network (train, save, predict on train and test; optionally in parallel
+threads), apply the configured fusion strategies, and report. Every number
+in the result is fixed by (config, master seed): per-learner seeds are
+stable hashes of the master seed and the learner index, so thread
+scheduling cannot change them.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ class ExperimentConfig:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         try:
             parser.read_string(path.read_text(encoding="utf-8"))
-        except configparser.Error as exc:
+        except (configparser.Error, OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
         # Unknown sections and keys pass through unparsed for from_dict to reject.
@@ -383,25 +384,35 @@ def _prepare(config: ExperimentConfig, dataset: Dataset | None,
     return train, test, dataset_label if dataset_label is not None else label
 
 
-def _train_learners(config: ExperimentConfig, train: Dataset,
-                    plan) -> list[mlp.MlpModel]:
-    n = config.n_learners
-    n_classes = train.schema.n_classes
+def _learner_predictions(config: ExperimentConfig, train: Dataset, test: Dataset,
+                         plan) -> tuple[PredictionMatrix, PredictionMatrix]:
+    """One train-save-predict job per learner. A job returns only its train and
+    test probabilities, so at most one trained model per worker is alive."""
+    out = Path(config.output_dir) if config.output_dir else None
 
-    def job(j: int) -> mlp.MlpModel:
-        if plan is None:
-            idx = np.arange(train.n_samples)
-        else:
-            idx = materialize(plan, j)
-        cfg = config.mlp_config(train.n_features, n_classes, config.learner_seed(j))
+    def job(j: int) -> tuple[np.ndarray, np.ndarray]:
+        idx = np.arange(train.n_samples) if plan is None else materialize(plan, j)
+        cfg = config.mlp_config(train.n_features, train.schema.n_classes,
+                                config.learner_seed(j))
         with _stage(f"training learner {j}"):
-            return mlp.train(mlp.init(cfg), train.features[idx], train.labels[idx])
+            model = mlp.train(mlp.init(cfg), train.features[idx], train.labels[idx])
+        if out is not None:
+            mlp.save(model, out / "models" / f"learner_{j}.mlp")
+        with _stage("predicting"):
+            return (mlp.predict_proba(model, train.features),
+                    mlp.predict_proba(model, test.features))
 
+    n = config.n_learners
     if config.workers > 1 and n > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             futures = [pool.submit(job, j) for j in range(n)]
-            return [f.result() for f in futures]
-    return [job(j) for j in range(n)]
+            blocks = [f.result() for f in futures]
+    else:
+        blocks = [job(j) for j in range(n)]
+    train_probs, test_probs = zip(*blocks)
+    with _stage("predicting"):
+        return (PredictionMatrix(np.stack(train_probs)),
+                PredictionMatrix(np.stack(test_probs)))
 
 
 def _learner_weights(config: ExperimentConfig, plan, pm_train: PredictionMatrix,
@@ -449,19 +460,8 @@ def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
     with _stage("planning resamples"):
         plan = build_plan(train.n_samples, n, config.seed) if n > 1 else None
 
-    models = _train_learners(config, train, plan)
+    pm_train, pm_test = _learner_predictions(config, train, test, plan)
     t_trained = time.perf_counter()
-
-    out = Path(config.output_dir) if config.output_dir else None
-    if out is not None:
-        for j, model in enumerate(models):
-            mlp.save(model, out / "models" / f"learner_{j}.mlp")
-
-    with _stage("predicting"):
-        pm_train = PredictionMatrix(
-            np.stack([mlp.predict_proba(m, train.features) for m in models]))
-        pm_test = PredictionMatrix(
-            np.stack([mlp.predict_proba(m, test.features) for m in models]))
 
     test_votes = pm_test.votes()
     per_learner = tuple(
@@ -469,33 +469,18 @@ def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
     )
     mean_accuracy = sum(per_learner) / n
 
-    strategy_accuracies: dict[str, float] = {}
-    decisions: dict[str, tuple[int, ...]] = {}
-    routes: dict[str, tuple[str, ...] | None] = {}
-    warnings: list[str] = []
-    rejected_count = 0
-    route_counts: dict[str, int] = {}
-
-    def record(name: str, outcome: fusion.FusionOutcome) -> None:
-        strategy_accuracies[name] = fusion.outcome_accuracy(outcome, test.labels)
-        decisions[name] = tuple(int(v) for v in outcome.decisions)
-        # The one place route codes become the names artifacts carry.
-        routes[name] = (None if outcome.routes is None
-                        else tuple(fusion.ROUTES[c] for c in outcome.routes.tolist()))
-        warnings.extend(outcome.warnings)
-
+    out = Path(config.output_dir) if config.output_dir else None
+    outcomes: dict[str, fusion.FusionOutcome] = {}
     with _stage("fusing"):
         if STRATEGY_AVERAGE in config.strategies:
-            record(STRATEGY_AVERAGE, fusion.model_average(pm_test))
+            outcomes[STRATEGY_AVERAGE] = fusion.model_average(pm_test)
         if STRATEGY_WEIGHTED in config.strategies:
             weights = _learner_weights(config, plan, pm_train, train.labels)
-            record(STRATEGY_WEIGHTED, fusion.model_average(pm_test, weights))
+            outcomes[STRATEGY_WEIGHTED] = fusion.model_average(pm_test, weights)
         if STRATEGY_PLURALITY in config.strategies:
-            record(STRATEGY_PLURALITY, fusion.plurality_vote(pm_test))
+            outcomes[STRATEGY_PLURALITY] = fusion.plurality_vote(pm_test)
         if STRATEGY_MAJORITY in config.strategies:
-            outcome = fusion.majority_vote(pm_test)
-            rejected_count = outcome.rejected_count
-            record(STRATEGY_MAJORITY, outcome)
+            outcomes[STRATEGY_MAJORITY] = fusion.majority_vote(pm_test)
         # Plain stacking is the vote filter at n+1, where no vote is confident.
         for name, threshold, model_file in (
                 (STRATEGY_META, n + 1, "meta.gbt"),
@@ -506,12 +491,11 @@ def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
                                          threshold, config.level1_mode)
             if out is not None and fitted.meta_model is not None:
                 boosting.save(fitted.meta_model, out / "models" / model_file)
-            outcome = fusion.apply_filtered(fitted, pm_test)
-            if name == STRATEGY_FILTERED:
-                route_counts = outcome.route_counts()
-            record(name, outcome)
+            outcomes[name] = fusion.apply_filtered(fitted, pm_test)
     t_done = time.perf_counter()
 
+    majority = outcomes.get(STRATEGY_MAJORITY)
+    filtered = outcomes.get(STRATEGY_FILTERED)
     return RunReport(
         dataset_label=label,
         seed=config.seed,
@@ -522,12 +506,16 @@ def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
         learner_seeds=tuple(config.learner_seed(j) for j in range(n)),
         per_learner_accuracies=per_learner,
         mean_accuracy=mean_accuracy,
-        strategy_accuracies=strategy_accuracies,
-        rejected_count=rejected_count,
-        route_counts=route_counts,
-        warnings=tuple(warnings),
-        decisions=decisions,
-        routes=routes,
+        strategy_accuracies={name: fusion.outcome_accuracy(o, test.labels)
+                             for name, o in outcomes.items()},
+        rejected_count=majority.rejected_count if majority is not None else 0,
+        route_counts=filtered.route_counts() if filtered is not None else {},
+        warnings=tuple(w for o in outcomes.values() for w in o.warnings),
+        decisions={name: o.decisions.tolist() for name, o in outcomes.items()},
+        # The one place route codes become the names artifacts carry.
+        routes={name: (None if o.routes is None
+                       else [fusion.ROUTES[c] for c in o.routes.tolist()])
+                for name, o in outcomes.items()},
         config=config.to_dict(),
         timings={
             "load_seconds": t_loaded - t_start,

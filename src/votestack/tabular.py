@@ -161,8 +161,11 @@ def load_csv(
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh, delimiter=delimiter))]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh, delimiter=delimiter))]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
     rows = [(ln, row) for ln, row in rows if row]
     if not rows:
         raise DataError(f"{path}: file contains no data rows")

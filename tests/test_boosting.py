@@ -334,6 +334,8 @@ class TestFit:
 
         with pytest.raises(ContractError, match="class count"):
             boosting.fit(np.zeros((3, 1)), np.array([0, 1, 2]), BoostConfig(), n_classes=2)
+        with pytest.raises(ContractError, match="class count"):
+            boosting.fit(np.zeros((3, 1)), np.array([-1, 0, 1]), BoostConfig())
 
 
 class TestPredict:

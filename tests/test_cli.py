@@ -159,6 +159,30 @@ class TestRun:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["directory", "latin1"])
+    def test_unreadable_data_file(self, tmp_path, capsys, kind):
+        data = tmp_path / "data"
+        if kind == "directory":
+            data.mkdir()
+        else:
+            data.write_bytes("1.0,2.0,caf\xe9\n3.0,4.0,caf\xe9\n".encode("latin-1"))
+        config = tmp_path / "exp.ini"
+        config.write_text(
+            f"[dataset]\npath = {data}\n[run]\noutput_dir = {tmp_path / 'o'}\n",
+            encoding="utf-8")
+        rc = cli.main(["run", "--config", str(config)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(data) in err
+
+    def test_config_file_not_utf8(self, tmp_path, data_csv, capsys):
+        config = tmp_path / "exp.ini"
+        config.write_bytes(f"[dataset]\npath = {data_csv}\n# caf\xe9\n".encode("latin-1"))
+        rc = cli.main(["run", "--config", str(config)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(config) in err
+
     def test_divergence_exit_code(self, tmp_path, data_csv, capsys):
         config = write_config(tmp_path, data_csv)
         text = config.read_text(encoding="utf-8").replace(

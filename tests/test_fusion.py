@@ -67,6 +67,8 @@ class TestPredictionMatrix:
     def test_rejects_non_3d(self):
         with pytest.raises(ContractError, match="3-D"):
             PredictionMatrix(np.full((2, 2), 0.5))
+        with pytest.raises(ContractError, match="one sample"):
+            PredictionMatrix(np.zeros((3, 0, 2)))
 
     def test_rejects_single_class(self):
         with pytest.raises(ContractError, match="2 classes"):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -399,6 +400,23 @@ class TestRunExperiment:
         _, report, _ = desk_run
         back = RunReport.from_dict(json.loads(json.dumps(report.to_dict())))
         assert back == report
+
+    def test_peak_memory_holds_one_trained_model_at_a_time(self):
+        # Five models alive together would put the peak near 8.5x one model.
+        data = gaussian_blobs(600, 8, 2, seed=3)
+        config = ExperimentConfig(n_learners=5, hidden_sizes=(400, 300), epochs=1,
+                                  batch_size=64, strategies=("plurality",))
+        model = mlp.init(config.mlp_config(8, 2, 0))
+        param_bytes = sum(p.nbytes for p in model.weights + model.biases)
+        del model
+        run_experiment(config, dataset=data)  # untraced, so set-up is not counted
+        tracemalloc.start()
+        try:
+            run_experiment(config, dataset=data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * param_bytes, f"peak {peak / param_bytes:.2f}x parameter bytes"
 
     def test_single_learner_plurality_equals_learner_accuracy(self):
         config = replace(DESK_CONFIG, n_learners=1,
