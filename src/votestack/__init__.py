@@ -22,7 +22,6 @@ from .fusion import (
     VarianceReport,
     WeightVector,
     apply_filtered,
-    build_level1_features,
     fit_filtered,
     majority_vote,
     model_average,
@@ -46,7 +45,6 @@ from .seeding import child_rng, derive_seed
 from .synthetic import gaussian_blobs
 from .tabular import (
     Dataset,
-    DatasetSchema,
     NormalizerState,
     apply_normalizer,
     fit_normalizer,
@@ -63,7 +61,7 @@ __all__ = [
     "InsufficientDataError", "TrainingDivergenceError", "VoteStackError",
     "REJECTED", "FilteredFusion", "FusionOutcome", "PredictionMatrix",
     "VarianceReport", "WeightVector", "apply_filtered",
-    "build_level1_features", "fit_filtered", "majority_vote",
+    "fit_filtered", "majority_vote",
     "model_average", "outcome_accuracy",
     "plurality_vote", "variance_report", "weights_from_accuracy",
     "weights_from_inverse_variance",
@@ -72,6 +70,6 @@ __all__ = [
     "MlpConfig", "MlpModel",
     "child_rng", "derive_seed",
     "gaussian_blobs",
-    "Dataset", "DatasetSchema", "NormalizerState",
+    "Dataset", "NormalizerState",
     "apply_normalizer", "fit_normalizer", "load_csv", "save_csv", "split",
 ]

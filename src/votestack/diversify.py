@@ -22,31 +22,33 @@ PLAN_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class ResamplePlan:
-    """One shuffled permutation of the training indices plus segment bounds."""
+    """One shuffled permutation of the training indices, cut into n segments."""
 
     n_learners: int
     seed: int
     permutation: np.ndarray
-    segment_bounds: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        perm = frozen_copy(self.permutation, np.int64)
-        object.__setattr__(self, "permutation", perm)
-        object.__setattr__(self, "segment_bounds", tuple(map(tuple, self.segment_bounds)))
-        if len(self.segment_bounds) != self.n_learners:
-            raise ContractError("one segment per learner required")
-        sizes = [hi - lo for lo, hi in self.segment_bounds]
-        if self.segment_bounds[0][0] != 0 or self.segment_bounds[-1][1] != perm.size:
-            raise ContractError("segments must cover the permutation")
-        for (_, hi), (lo, _) in zip(self.segment_bounds, self.segment_bounds[1:]):
-            if hi != lo:
-                raise ContractError("segments must be contiguous")
-        if max(sizes) - min(sizes) > 1:
-            raise ContractError("segment sizes may differ by at most one")
+        object.__setattr__(self, "permutation", frozen_copy(self.permutation, np.int64))
+        if self.n_learners < 1:
+            raise ConfigError("n_learners must be at least 1")
+        if self.train_size < 2 * self.n_learners:
+            raise ConfigError(
+                f"train_size {self.train_size} too small for {self.n_learners} learners "
+                f"(need at least {2 * self.n_learners})"
+            )
 
     @property
     def train_size(self) -> int:
         return int(self.permutation.size)
+
+    @property
+    def segment_bounds(self) -> tuple[tuple[int, int], ...]:
+        """(lo, hi) of each segment of the permutation, in order; sizes differ
+        by at most one, the remainder spread from the front."""
+        base, remainder = divmod(self.train_size, self.n_learners)
+        starts = [j * base + min(j, remainder) for j in range(self.n_learners + 1)]
+        return tuple(zip(starts, starts[1:]))
 
     def to_manifest(self) -> dict:
         """JSON-serializable description sufficient for an exact re-run."""
@@ -60,27 +62,9 @@ class ResamplePlan:
 
 
 def build_plan(train_size: int, n_learners: int, seed: int) -> ResamplePlan:
-    """Shuffle the training indices and cut them into n near-equal segments."""
-    if n_learners < 1:
-        raise ConfigError("n_learners must be at least 1")
-    if train_size < 2 * n_learners:
-        raise ConfigError(
-            f"train_size {train_size} too small for {n_learners} learners "
-            f"(need at least {2 * n_learners})"
-        )
-    rng = child_rng(seed, "plan")
-    permutation = rng.permutation(train_size)
-    base, remainder = divmod(train_size, n_learners)
-    bounds = []
-    lo = 0
-    for j in range(n_learners):
-        hi = lo + base + (1 if j < remainder else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return ResamplePlan(
-        n_learners=n_learners, seed=seed, permutation=permutation,
-        segment_bounds=tuple(bounds),
-    )
+    """Shuffle the training indices; the plan cuts them into n near-equal segments."""
+    permutation = child_rng(seed, "plan").permutation(train_size)
+    return ResamplePlan(n_learners=n_learners, seed=seed, permutation=permutation)
 
 
 def _check_learner_id(plan: ResamplePlan, learner_id: int) -> None:

@@ -202,8 +202,7 @@ def majority_vote(pm: PredictionMatrix) -> FusionOutcome:
     return FusionOutcome(decisions=decisions)
 
 
-def build_level1_features(pm: PredictionMatrix,
-                          mode: str = LEVEL1_PROBA) -> np.ndarray:
+def _level1_features(pm: PredictionMatrix, mode: str = LEVEL1_PROBA) -> np.ndarray:
     """Per-sample meta-learner inputs.
 
     "proba" concatenates the n probability vectors in learner-major order
@@ -246,22 +245,19 @@ def fit_filtered(pm_train: PredictionMatrix, train_labels,
         raise ConfigError(f"filter threshold must be at least 1, got {threshold}")
     difficult = tally(pm_train).max(axis=1) < threshold
     n_difficult = int(difficult.sum())
-    if n_difficult == 0:
-        return FilteredFusion(
-            threshold=threshold, meta_model=None, level1_mode=mode, n_difficult=0,
-            warnings=(f"no difficult training instances at threshold {threshold}; "
-                      "residual test samples fall back to plurality voting",),
-        )
     hard_labels = labels[difficult]
+    # An empty difficult set has fewer than two classes too.
     if np.unique(hard_labels).size < 2:
+        reason = (f"no difficult training instances at threshold {threshold}"
+                  if n_difficult == 0 else
+                  "difficult training instances all share one class")
         return FilteredFusion(
             threshold=threshold, meta_model=None, level1_mode=mode,
             n_difficult=n_difficult,
-            warnings=("difficult training instances all share one class; "
-                      "residual test samples fall back to plurality voting",),
+            warnings=(f"{reason}; residual test samples fall back to plurality voting",),
         )
     meta = boosting.fit(
-        build_level1_features(pm_train, mode)[difficult], hard_labels, config,
+        _level1_features(pm_train, mode)[difficult], hard_labels, config,
         n_classes=pm_train.n_classes,
     )
     return FilteredFusion(
@@ -276,7 +272,7 @@ def apply_filtered(fitted: FilteredFusion, pm_test: PredictionMatrix) -> FusionO
     decisions = np.argmax(counts, axis=1)
     residual = ~confident
     if fitted.meta_model is not None and residual.any():
-        feats = build_level1_features(pm_test, fitted.level1_mode)[residual]
+        feats = _level1_features(pm_test, fitted.level1_mode)[residual]
         decisions[residual] = boosting.predict_label(fitted.meta_model, feats)
     residual_route = _FALLBACK if fitted.meta_model is None else _META
     return FusionOutcome(

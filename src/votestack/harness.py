@@ -80,7 +80,8 @@ def _as_str_tuple(raw: str) -> tuple[str, ...]:
 # The config file schema: section -> key -> parser of the raw INI string.
 # A key names the ExperimentConfig field it sets, except [dataset] path
 # (field dataset_path); [boost] keys name BoostConfig fields. Defaults live
-# only on the dataclass fields.
+# only on the dataclass fields, the [mlp] and [boost] ones on MlpConfig and
+# BoostConfig.
 _CONFIG_SCHEMA = {
     "dataset": {"path": str, "train_path": str, "test_path": str,
                 "label_column": _as_label_column, "delimiter": str,
@@ -119,8 +120,7 @@ def _stage(name: str):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; defaults mirror the reference setup (n=7,
-    hidden 1200/800, 25 epochs, 80:20 split, filter threshold n-1)."""
+    """Everything a run needs; the defaults mirror the reference setup."""
 
     dataset_path: str | None = None
     train_path: str | None = None
@@ -136,10 +136,10 @@ class ExperimentConfig:
     weight_mode: str = "accuracy"
     level1_mode: str = fusion.LEVEL1_PROBA
     hidden_sizes: tuple[int, ...] = (1200, 800)
-    epochs: int = 25
-    batch_size: int = 32
-    learning_rate: float = 0.01
-    momentum: float = 0.9
+    epochs: int = mlp.MlpConfig.epochs
+    batch_size: int = mlp.MlpConfig.batch_size
+    learning_rate: float = mlp.MlpConfig.learning_rate
+    momentum: float = mlp.MlpConfig.momentum
     boost: BoostConfig = field(default_factory=BoostConfig)
     seed: int = 0
     output_dir: str | None = None
@@ -242,7 +242,9 @@ class ExperimentConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        # No interpolation: a value such as "100%.csv" is taken literally.
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                           interpolation=None)
         try:
             parser.read_string(path.read_text(encoding="utf-8"))
         except (configparser.Error, OSError, UnicodeDecodeError) as exc:
@@ -327,8 +329,12 @@ class SweepRow(NamedTuple):
 class SweepReport:
     """The run reports of an ensemble-size sweep, one per size 1..K."""
 
-    seed: int
     reports: tuple[RunReport, ...]
+
+    @property
+    def seed(self) -> int:
+        """The master seed every size ran with."""
+        return self.reports[0].seed
 
     @property
     def rows(self) -> tuple[SweepRow, ...]:
@@ -365,7 +371,7 @@ def _prepare(config: ExperimentConfig, dataset: Dataset | None,
                              config.delimiter, config.has_header)
             test = load_csv(config.test_path, config.label_column,
                             config.delimiter, config.has_header,
-                            class_names=train.schema.class_names)
+                            class_names=train.class_names)
             if test.n_features != train.n_features:
                 raise DataError(
                     f"train file has {train.n_features} features but test file "
@@ -392,8 +398,7 @@ def _learner_predictions(config: ExperimentConfig, train: Dataset, test: Dataset
 
     def job(j: int) -> tuple[np.ndarray, np.ndarray]:
         idx = np.arange(train.n_samples) if plan is None else materialize(plan, j)
-        cfg = config.mlp_config(train.n_features, train.schema.n_classes,
-                                config.learner_seed(j))
+        cfg = config.mlp_config(train.n_features, train.n_classes, config.learner_seed(j))
         with _stage(f"training learner {j}"):
             model = mlp.train(mlp.init(cfg), train.features[idx], train.labels[idx])
         if out is not None:
@@ -404,9 +409,9 @@ def _learner_predictions(config: ExperimentConfig, train: Dataset, test: Dataset
 
     n = config.n_learners
     if config.workers > 1 and n > 1:
+        # map cancels the jobs not yet started once one raises.
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(job, j) for j in range(n)]
-            blocks = [f.result() for f in futures]
+            blocks = list(pool.map(job, range(n)))
     else:
         blocks = [job(j) for j in range(n)]
     train_probs, test_probs = zip(*blocks)
@@ -552,7 +557,7 @@ def sweep(config: ExperimentConfig, max_size: int,
                       output_dir=sub_out)
         reports.append(_run(sub, train, test, label, t_start))
         t_start = time.perf_counter()
-    return SweepReport(seed=config.seed, reports=tuple(reports))
+    return SweepReport(tuple(reports))
 
 
 def _write_text(path: Path, text: str) -> None:

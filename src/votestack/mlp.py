@@ -96,11 +96,6 @@ def init(config: MlpConfig) -> MlpModel:
     return MlpModel(config=config, weights=weights, biases=biases)
 
 
-def _as_features(data) -> np.ndarray:
-    feats = getattr(data, "features", data)
-    return np.asarray(feats, dtype=np.float64)
-
-
 def _check_input_dim(model: MlpModel, X: np.ndarray) -> None:
     if X.shape[-1] != model.config.n_inputs:
         raise ContractError(
@@ -125,9 +120,9 @@ def _forward_cached(model: MlpModel, X: np.ndarray):
     return pre, acts, softmax(pre[-1])
 
 
-def predict_proba(model: MlpModel, data) -> np.ndarray:
-    """S x C probability matrix; accepts a Dataset or a raw feature matrix."""
-    X = _as_features(data)
+def predict_proba(model: MlpModel, features) -> np.ndarray:
+    """S x C probability matrix of a feature matrix."""
+    X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise ContractError("predict_proba expects a 2-D feature matrix")
     _check_input_dim(model, X)
@@ -141,7 +136,7 @@ def predict_proba(model: MlpModel, data) -> np.ndarray:
 
 def loss(model: MlpModel, features, labels) -> float:
     """Mean clamped cross-entropy over a batch."""
-    X = _as_features(features)
+    X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if len(y) == 0:
         raise ContractError("loss needs a non-empty batch")
@@ -171,7 +166,7 @@ def _loss_and_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray, grad_w, g
 
 def gradients(model: MlpModel, features, labels):
     """Analytic gradients of the batch loss w.r.t. every weight and bias."""
-    X = _as_features(features)
+    X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if len(y) == 0:
         raise ContractError("gradients need a non-empty batch")
@@ -189,7 +184,7 @@ def train(model: MlpModel, features, labels) -> MlpModel:
     TrainingDivergenceError naming the epoch and batch if the loss goes
     non-finite. Deterministic for a fixed config seed.
     """
-    X = _as_features(features)
+    X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ContractError("features and labels must agree on sample count")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .seeding import child_rng
-from .tabular import Dataset, DatasetSchema
+from .tabular import Dataset
 
 DEFAULT_CENTER_SPREAD = 0.45
 DEFAULT_NOISE = 1.0
@@ -64,10 +64,6 @@ def gaussian_blobs(
 
     features = centers[labels] + rng.normal(size=(n_samples, n_features)) * scales[labels]
 
-    schema = DatasetSchema(
-        n_features=n_features,
-        feature_names=tuple(f"f{i}" for i in range(n_features)),
-        n_classes=n_classes,
-        class_names=tuple(f"c{i}" for i in range(n_classes)),
-    )
-    return Dataset(schema, features, labels)
+    return Dataset(features, labels,
+                   feature_names=tuple(f"f{i}" for i in range(n_features)),
+                   class_names=tuple(f"c{i}" for i in range(n_classes)))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -21,12 +21,13 @@ STD_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class DatasetSchema:
-    """Column layout and label encoding of a dataset."""
+class Dataset:
+    """Feature matrix plus dense integer class labels, with the column and
+    class names that fix its layout and label encoding."""
 
-    n_features: int
+    features: np.ndarray
+    labels: np.ndarray
     feature_names: tuple[str, ...]
-    n_classes: int
     class_names: tuple[str, ...]
 
     def __post_init__(self):
@@ -36,34 +37,19 @@ class DatasetSchema:
             raise ConfigError("schema needs at least one feature")
         if self.n_classes < 2:
             raise ConfigError("schema needs at least two classes")
-        if len(self.class_names) != self.n_classes:
-            raise ConfigError("class_names length must equal n_classes")
         if len(set(self.class_names)) != self.n_classes:
             raise ConfigError("class names must be unique")
-        if len(self.feature_names) != self.n_features:
-            raise ConfigError("feature_names length must equal n_features")
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Feature matrix plus dense integer class labels."""
-
-    schema: DatasetSchema
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
         feats = frozen_copy(self.features, np.float64)
         labels = frozen_copy(self.labels, np.int64)
-        if feats.ndim != 2 or feats.shape[1] != self.schema.n_features:
+        if feats.ndim != 2 or feats.shape[1] != self.n_features:
             raise ContractError(
-                f"features must be S x {self.schema.n_features}, got shape {feats.shape}"
+                f"features must be S x {self.n_features}, got shape {feats.shape}"
             )
         if labels.shape != (feats.shape[0],):
             raise ContractError("labels must be a vector with one entry per row")
         if not np.all(np.isfinite(feats)):
             raise DataError("dataset contains non-finite feature values")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.schema.n_classes):
+        if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
             raise DataError("label index out of range for schema")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
@@ -74,12 +60,16 @@ class Dataset:
 
     @property
     def n_features(self) -> int:
-        return self.schema.n_features
+        return len(self.feature_names)
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.class_names)
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        """Row subset sharing this dataset's schema."""
+        """Row subset with this dataset's names."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.schema, self.features[idx], self.labels[idx])
+        return replace(self, features=self.features[idx], labels=self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -145,9 +135,9 @@ def _looks_like_header(row: list[str], label_idx_hint: int | None) -> bool:
 
 def load_csv(
     path: str | Path,
-    label_column: int | str = -1,
-    delimiter: str = ",",
-    has_header: bool | None = None,
+    label_column: int | str,
+    delimiter: str,
+    has_header: bool | None,
     class_names: Sequence[str] | None = None,
 ) -> Dataset:
     """Load a delimited text file into a Dataset.
@@ -230,13 +220,7 @@ def load_csv(
     ordered = tuple(class_names) if class_names is not None else tuple(class_index)
     if len(ordered) < 2:
         raise DataError(f"{path}: fewer than two distinct class labels")
-    schema = DatasetSchema(
-        n_features=n_features,
-        feature_names=feature_names,
-        n_classes=len(ordered),
-        class_names=ordered,
-    )
-    return Dataset(schema, features, labels)
+    return Dataset(features, labels, feature_names, ordered)
 
 
 def save_csv(dataset: Dataset, path: str | Path, delimiter: str = ",",
@@ -249,8 +233,8 @@ def save_csv(dataset: Dataset, path: str | Path, delimiter: str = ",",
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(list(dataset.schema.feature_names) + [label_name])
-        names = dataset.schema.class_names
+        writer.writerow(list(dataset.feature_names) + [label_name])
+        names = dataset.class_names
         for row, label in zip(dataset.features, dataset.labels):
             writer.writerow([repr(float(v)) for v in row] + [names[label]])
     return path
@@ -270,7 +254,7 @@ def split(dataset: Dataset, train_fraction: float, stratified: bool,
     S = dataset.n_samples
     if S < 2:
         raise ConfigError("cannot split fewer than 2 samples")
-    groups = ([np.flatnonzero(dataset.labels == c) for c in range(dataset.schema.n_classes)]
+    groups = ([np.flatnonzero(dataset.labels == c) for c in range(dataset.n_classes)]
               if stratified else [np.arange(S)])
     rng = np.random.default_rng(seed)
     train_parts = []
@@ -278,7 +262,7 @@ def split(dataset: Dataset, train_fraction: float, stratified: bool,
     for c, members in enumerate(groups):
         if members.size < 2:
             raise ConfigError(
-                f"class {dataset.schema.class_names[c]!r} has {members.size} sample(s); "
+                f"class {dataset.class_names[c]!r} has {members.size} sample(s); "
                 "stratified splitting needs at least 2 per class"
             )
         shuffled = rng.permutation(members)
@@ -304,5 +288,4 @@ def apply_normalizer(state: NormalizerState, dataset: Dataset) -> Dataset:
         raise ContractError(
             f"normalizer fitted for {state.mean.shape[0]} features, dataset has {dataset.n_features}"
         )
-    transformed = (dataset.features - state.mean) / state.std
-    return Dataset(dataset.schema, transformed, dataset.labels)
+    return replace(dataset, features=(dataset.features - state.mean) / state.std)

@@ -3,23 +3,19 @@ import struct
 import numpy as np
 import pytest
 
-from votestack import Dataset, DatasetSchema, PredictionMatrix
+from votestack import Dataset, PredictionMatrix
 from votestack.serialize import read_model_file, write_model_file
 
 
 def make_dataset(features, labels, n_classes=None):
-    """Dataset wrapper around raw arrays with an auto-generated schema."""
+    """Dataset wrapper around raw arrays with generated feature and class names."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if n_classes is None:
         n_classes = int(labels.max()) + 1
-    schema = DatasetSchema(
-        n_features=features.shape[1],
-        feature_names=tuple(f"f{i}" for i in range(features.shape[1])),
-        n_classes=n_classes,
-        class_names=tuple(f"c{i}" for i in range(n_classes)),
-    )
-    return Dataset(schema, features, labels)
+    return Dataset(features, labels,
+                   feature_names=tuple(f"f{i}" for i in range(features.shape[1])),
+                   class_names=tuple(f"c{i}" for i in range(n_classes)))
 
 
 def one_hot_pm(votes, n_classes):

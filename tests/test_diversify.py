@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votestack import ConfigError, build_plan, materialize, out_of_bag
+from votestack import ConfigError, ResamplePlan, build_plan, materialize, out_of_bag
 
 
 def segment_sizes(plan):
@@ -59,6 +59,12 @@ class TestSegmentLayout:
     def test_zero_learners_rejected(self):
         with pytest.raises(ConfigError, match="at least 1"):
             build_plan(10, 0, seed=0)
+
+    def test_direct_construction_checked_too(self):
+        with pytest.raises(ConfigError, match="too small"):
+            ResamplePlan(n_learners=7, seed=0, permutation=np.arange(13))
+        with pytest.raises(ConfigError, match="at least 1"):
+            ResamplePlan(n_learners=0, seed=0, permutation=np.arange(10))
 
 
 class TestMaterialize:

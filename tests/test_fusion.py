@@ -17,7 +17,6 @@ from votestack import (
     WeightVector,
     apply_filtered,
     boosting,
-    build_level1_features,
     fit_filtered,
     majority_vote,
     model_average,
@@ -27,7 +26,14 @@ from votestack import (
     weights_from_accuracy,
     weights_from_inverse_variance,
 )
-from votestack.fusion import ROUTE_CONFIDENT, ROUTE_FALLBACK, ROUTE_META, ROUTES, tally
+from votestack.fusion import (
+    ROUTE_CONFIDENT,
+    ROUTE_FALLBACK,
+    ROUTE_META,
+    ROUTES,
+    _level1_features,
+    tally,
+)
 
 from conftest import one_hot_pm, random_pm
 
@@ -236,12 +242,12 @@ class TestVoting:
 class TestLevel1Features:
     def test_two_learner_concatenation(self):
         pm = PredictionMatrix(np.array([[[0.6, 0.4]], [[0.3, 0.7]]]))
-        feats = build_level1_features(pm)
+        feats = _level1_features(pm)
         np.testing.assert_allclose(feats, [[0.6, 0.4, 0.3, 0.7]])
 
     def test_learner_major_column_layout(self, rng):
         pm = random_pm(rng, 4, 9, 3)
-        feats = build_level1_features(pm)
+        feats = _level1_features(pm)
         assert feats.shape == (9, 12)
         for j in range(4):
             for c in range(3):
@@ -249,13 +255,13 @@ class TestLevel1Features:
 
     def test_label_mode_uses_hard_votes(self, rng):
         pm = random_pm(rng, 4, 9, 3)
-        feats = build_level1_features(pm, mode="label")
+        feats = _level1_features(pm, mode="label")
         assert feats.shape == (9, 4)
         np.testing.assert_array_equal(feats, pm.votes().T.astype(float))
 
     def test_unknown_mode_rejected(self, rng):
         with pytest.raises(ConfigError, match="mode"):
-            build_level1_features(random_pm(rng, 2, 3, 2), mode="logits")
+            _level1_features(random_pm(rng, 2, 3, 2), mode="logits")
 
 
 class TestMetaStacking:
@@ -297,7 +303,7 @@ class TestMetaStacking:
         pm_test = random_pm(rng, n, 40, 3)
         fitted, outcome = plain_stacking(pm_train, labels, pm_test, mode)
         # Reference: the meta-learner fitted on every level-1 row.
-        reference = boosting.fit(build_level1_features(pm_train, mode), labels,
+        reference = boosting.fit(_level1_features(pm_train, mode), labels,
                                  FAST_BOOST, n_classes=3)
         assert fitted.n_difficult == 80
         assert fitted.warnings == ()
@@ -308,7 +314,7 @@ class TestMetaStacking:
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(
             outcome.decisions,
-            boosting.predict_label(reference, build_level1_features(pm_test, mode)))
+            boosting.predict_label(reference, _level1_features(pm_test, mode)))
         np.testing.assert_array_equal(outcome.routes, META)
 
 

@@ -13,6 +13,7 @@ from votestack import (
     DataError,
     ExperimentConfig,
     RunReport,
+    TrainingDivergenceError,
     boosting,
     build_plan,
     derive_seed,
@@ -294,6 +295,12 @@ workers = 2
         with pytest.raises(ConfigError, match=r"\[mlp\] epochs"):
             ExperimentConfig.from_file(path)
 
+    def test_percent_sign_is_literal(self, tmp_path):
+        cfg = ExperimentConfig.from_file(
+            self.write(tmp_path, "[dataset]\npath = data/100%.csv\n")
+        )
+        assert cfg.dataset_path == "data/100%.csv"
+
     def test_negative_label_column_stays_integer(self, tmp_path):
         cfg = ExperimentConfig.from_file(
             self.write(tmp_path, "[dataset]\npath = d.csv\nlabel_column = -1\n")
@@ -395,6 +402,25 @@ class TestRunExperiment:
             d["config"]["run"].pop("workers")
             d["config"]["run"].pop("output_dir")
         assert a == b
+
+    def test_failing_learner_cancels_queued_jobs(self, monkeypatch):
+        config = replace(DESK_CONFIG, n_learners=7, epochs=1, workers=2,
+                         strategies=("plurality",))
+        failing_seed = config.learner_seed(0)
+        calls = []
+        real_train = mlp.train
+
+        def counting_train(model, features, labels):
+            calls.append(model.config.seed)
+            if model.config.seed == failing_seed:
+                raise TrainingDivergenceError("diverged")
+            time.sleep(0.05)
+            return real_train(model, features, labels)
+
+        monkeypatch.setattr(mlp, "train", counting_train)
+        with pytest.raises(TrainingDivergenceError, match="training learner 0"):
+            run_experiment(config, dataset=DESK_DATA)
+        assert len(calls) <= config.workers + 1
 
     def test_report_json_round_trip(self, desk_run):
         _, report, _ = desk_run

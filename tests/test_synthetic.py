@@ -9,9 +9,9 @@ class TestGaussianBlobs:
         ds = gaussian_blobs(30, 5, 3, seed=0)
         assert ds.features.shape == (30, 5)
         assert ds.labels.shape == (30,)
-        assert ds.schema.n_classes == 3
-        assert ds.schema.feature_names == ("f0", "f1", "f2", "f3", "f4")
-        assert ds.schema.class_names == ("c0", "c1", "c2")
+        assert ds.n_classes == 3
+        assert ds.feature_names == ("f0", "f1", "f2", "f3", "f4")
+        assert ds.class_names == ("c0", "c1", "c2")
 
     def test_class_sizes_balanced_within_one(self):
         ds = gaussian_blobs(100, 2, 3, seed=1)

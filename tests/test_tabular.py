@@ -8,7 +8,6 @@ from votestack import (
     ContractError,
     DataError,
     Dataset,
-    DatasetSchema,
     apply_normalizer,
     fit_normalizer,
     load_csv,
@@ -30,70 +29,70 @@ class TestLoadCsv:
         path = write_lines(
             tmp_path, "mail.csv", ["1.0,2.0,spam", "0.5,1.5,ham", "3.0,4.0,spam"]
         )
-        ds = load_csv(path, label_column=-1)
+        ds = load_csv(path, -1, ",", None)
         assert ds.labels.tolist() == [0, 1, 0]
-        assert ds.schema.class_names == ("spam", "ham")
-        assert ds.schema.n_classes == 2
+        assert ds.class_names == ("spam", "ham")
+        assert ds.n_classes == 2
 
     def test_ragged_row_error_names_line_number(self, tmp_path):
         path = write_lines(tmp_path, "bad.csv", ["1.0,2.0,a", "1.0,b", "2.0,3.0,a"])
         with pytest.raises(DataError, match="line 2"):
-            load_csv(path, label_column=-1)
+            load_csv(path, -1, ",", None)
 
     def test_non_numeric_feature_error_names_line_and_column(self, tmp_path):
         path = write_lines(
             tmp_path, "bad.csv", ["x1,x2,y", "1.0,2.0,a", "1.0,oops,b"]
         )
         with pytest.raises(DataError, match=r"line 3.*'x2'"):
-            load_csv(path, label_column="y")
+            load_csv(path, "y", ",", None)
 
     def test_header_autodetected(self, tmp_path):
         path = write_lines(tmp_path, "h.csv", ["alpha,beta,label", "1,2,a", "3,4,b"])
-        ds = load_csv(path, label_column=-1)
-        assert ds.schema.feature_names == ("alpha", "beta")
+        ds = load_csv(path, -1, ",", None)
+        assert ds.feature_names == ("alpha", "beta")
         assert ds.n_samples == 2
 
     def test_headerless_numeric_file(self, tmp_path):
         path = write_lines(tmp_path, "n.csv", ["1,2,0", "3,4,1"])
-        ds = load_csv(path, label_column=-1)
+        ds = load_csv(path, -1, ",", None)
         assert ds.n_samples == 2
-        assert ds.schema.feature_names == ("f0", "f1")
-        assert ds.schema.class_names == ("0", "1")
+        assert ds.feature_names == ("f0", "f1")
+        assert ds.class_names == ("0", "1")
 
     def test_label_column_by_name(self, tmp_path):
         path = write_lines(tmp_path, "named.csv", ["y,a,b", "yes,1,2", "no,3,4"])
-        ds = load_csv(path, label_column="y")
-        assert ds.schema.class_names == ("yes", "no")
+        ds = load_csv(path, "y", ",", None)
+        assert ds.class_names == ("yes", "no")
         np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_named_label_without_header_is_config_error(self, tmp_path):
         path = write_lines(tmp_path, "n.csv", ["1,2,0", "3,4,1"])
         with pytest.raises(ConfigError, match="header"):
-            load_csv(path, label_column="y", has_header=False)
+            load_csv(path, "y", ",", False)
 
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
-            load_csv(tmp_path / "absent.csv")
+            load_csv(tmp_path / "absent.csv", -1, ",", None)
 
     def test_single_class_file_rejected(self, tmp_path):
         path = write_lines(tmp_path, "one.csv", ["1,2,a", "3,4,a"])
         with pytest.raises(DataError, match="two distinct class"):
-            load_csv(path, label_column=-1)
+            load_csv(path, -1, ",", None)
 
     def test_explicit_class_names_fix_encoding(self, tmp_path):
         path = write_lines(tmp_path, "t.csv", ["1,2,ham", "3,4,spam"])
-        ds = load_csv(path, label_column=-1, class_names=("spam", "ham"))
+        ds = load_csv(path, -1, ",", None, class_names=("spam", "ham"))
         assert ds.labels.tolist() == [1, 0]
 
     def test_unexpected_class_under_explicit_names(self, tmp_path):
         path = write_lines(tmp_path, "t.csv", ["1,2,ham", "3,4,eggs"])
         with pytest.raises(DataError, match="'eggs'"):
-            load_csv(path, label_column=-1, class_names=("spam", "ham"))
+            load_csv(path, -1, ",", None, class_names=("spam", "ham"))
 
     def test_non_finite_feature_rejected(self, tmp_path):
         path = write_lines(tmp_path, "inf.csv", ["1,inf,a", "3,4,b"])
         with pytest.raises(DataError, match="line 1"):
-            load_csv(path, label_column=-1)
+            load_csv(path, -1, ",", None)
 
 
 class TestSaveCsv:
@@ -103,10 +102,10 @@ class TestSaveCsv:
         labels[:3] = [0, 1, 2]
         ds = make_dataset(feats, labels, n_classes=3)
         path = save_csv(ds, tmp_path / "rt.csv")
-        back = load_csv(path, label_column=-1, class_names=ds.schema.class_names)
+        back = load_csv(path, -1, ",", None, class_names=ds.class_names)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
-        assert back.schema.class_names == ds.schema.class_names
+        assert back.class_names == ds.class_names
 
 
 class TestSplit:
@@ -237,9 +236,8 @@ class TestNormalizer:
 
 class TestDatasetValidation:
     def test_label_out_of_schema_range(self):
-        schema = DatasetSchema(1, ("f0",), 2, ("a", "b"))
         with pytest.raises(DataError, match="label"):
-            Dataset(schema, np.zeros((2, 1)), np.array([0, 2]))
+            Dataset(np.zeros((2, 1)), np.array([0, 2]), ("f0",), ("a", "b"))
 
     def test_non_finite_features_rejected(self):
         with pytest.raises(DataError, match="non-finite"):
