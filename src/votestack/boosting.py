@@ -8,6 +8,11 @@ shrinkage-scaled leaf values. Each column is sorted once per fit; a node
 filters that order down to its rows and scores every (feature, threshold)
 candidate in one array pass. Small-scale on purpose: no histograms, no
 column subsampling, no sparsity handling.
+
+A fit allocates one `_Scratch` of F x S arrays (Chen & Guestrin, sec. 4): the
+node's sorted values, prefix sums, gains, masks, and children's orders per
+depth. A node of n rows works in their first F x n entries; per split only
+`np.compress`'s index of the rows it keeps is allocated.
 """
 
 from __future__ import annotations
@@ -108,8 +113,24 @@ class BoostedModel:
     loss_trace: list[float] = field(default_factory=list)
 
 
+class _Scratch:
+    """Work arrays of one fit, reused by every node (see the module notes)."""
+
+    def __init__(self, n_features: int, n_samples: int, max_depth: int):
+        size = n_features * n_samples
+        self.xs, self.gl, self.hl, self.hr, self.gain = (np.empty(size) for _ in range(5))
+        self.index = np.empty(size, dtype=np.int64)
+        self.valid, self.mask = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+        self.orders = [np.empty(size, dtype=np.int64) for _ in range(max_depth - 1)]
+
+
+def _prefix(buf: np.ndarray, n_features: int, n: int) -> np.ndarray:
+    """The leading n_features x n entries of a scratch array, as a matrix."""
+    return buf[:n_features * n].reshape(n_features, n)
+
+
 def _best_split(xs: np.ndarray, gs: np.ndarray, hs: np.ndarray, G: float, H: float,
-                lam: float, min_child_weight: float):
+                lam: float, min_child_weight: float, scratch: _Scratch | None = None):
     """Exact greedy search over all (feature, threshold) candidates at once.
 
     Row f of the (F, n) arrays xs, gs and hs holds the node's values of
@@ -117,30 +138,47 @@ def _best_split(xs: np.ndarray, gs: np.ndarray, hs: np.ndarray, G: float, H: flo
     order; G and H are the node's gradient and hessian sums. Returns
     (gain, feature, threshold) for the best valid split or None. Ties
     resolve to the first feature, then the first sorted position, keeping
-    fits deterministic.
+    fits deterministic. Works in scratch, which gs and hs may live in: gs in
+    its gain array and hs in its hr array, both read before they are written.
     """
-    gl = np.cumsum(gs[:, :-1], axis=1).ravel()
-    hl = np.cumsum(hs[:, :-1], axis=1).ravel()
-    hr = H - hl
-    # A side with zero hessian and zero lambda would score 0/0.
-    valid = ((xs[:, 1:] > xs[:, :-1]).ravel()
-             & (hl >= min_child_weight) & (hr >= min_child_weight)
-             & (hl + lam > 0) & (hr + lam > 0))
-    candidates = np.flatnonzero(valid)
-    if candidates.size == 0:
+    F, n = xs.shape
+    scratch = scratch or _Scratch(F, n, 1)
+    # Position k splits after the k-th sorted value; the last one never can.
+    gl = np.cumsum(gs, axis=1, out=_prefix(scratch.gl, F, n))
+    hl = np.cumsum(hs, axis=1, out=_prefix(scratch.hl, F, n))
+    hr = np.subtract(H, hl, out=_prefix(scratch.hr, F, n))
+    valid, test = _prefix(scratch.valid, F, n), _prefix(scratch.mask, F, n)
+    np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, :-1])
+    valid[:, -1] = False
+    for side in (hl, hr):
+        valid &= np.greater_equal(side, min_child_weight, out=test)
+        side += lam  # a side with zero hessian and zero lambda would score 0/0
+        valid &= np.greater(side, 0, out=test)
+    if not valid.any():
         return None
-    gl, hl, hr = gl[candidates], hl[candidates], hr[candidates]
-    gr = G - gl
-    gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam))
-    best = int(np.argmax(gain))
-    f, k = divmod(int(candidates[best]), xs.shape[1] - 1)
-    return float(gain[best]), f, float((xs[f, k] + xs[f, k + 1]) / 2.0)
+    # 0.5 * (gl^2 / (hl + lam) + gr^2 / (hr + lam) - G^2 / (H + lam)) at the
+    # valid positions, -inf elsewhere, so argmax picks the first best one.
+    gain = _prefix(scratch.gain, F, n)
+    gain.fill(-np.inf)
+    np.multiply(gl, gl, out=gain, where=valid)
+    np.divide(gain, hl, out=gain, where=valid)
+    gr = np.subtract(G, gl, out=gl)
+    np.multiply(gr, gr, out=gr, where=valid)
+    np.divide(gr, hr, out=gr, where=valid)
+    np.add(gain, gr, out=gain, where=valid)
+    np.subtract(gain, G * G / (H + lam), out=gain, where=valid)
+    np.multiply(0.5, gain, out=gain, where=valid)
+    f, k = divmod(int(np.argmax(gain)), n)
+    return float(gain[f, k]), f, float((xs[f, k] + xs[f, k + 1]) / 2.0)
 
 
 def _grow_tree(columns: np.ndarray, order: np.ndarray, g: np.ndarray, h: np.ndarray,
-               config: BoostConfig) -> RegressionTree:
+               config: BoostConfig, scratch: _Scratch | None = None) -> RegressionTree:
     """Grow one tree on the (F, S) feature columns; row f of order is the
     stable argsort of column f."""
+    F, S = columns.shape
+    scratch = scratch or _Scratch(F, S, config.max_depth)
+    offsets = np.arange(0, F * S, S)[:, None]
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -151,8 +189,9 @@ def _grow_tree(columns: np.ndarray, order: np.ndarray, g: np.ndarray, h: np.ndar
     # Depth first with the left child on top, so nodes are numbered in
     # preorder; an entry names the parent link (left or right, parent) it
     # fills. rows ascends; row f of node_order holds the same rows sorted
-    # by feature f, so the node sums keep the order of g[rows].sum().
-    stack = [(np.arange(columns.shape[1]), order, 0, None, 0)]
+    # by feature f, so the node sums keep the order of g[rows].sum(). Below
+    # the root, node_order is a view of scratch.orders[depth - 1] or None.
+    stack = [(np.arange(S), order, 0, None, 0)]
     while stack:
         rows, node_order, depth, links, parent = stack.pop()
         node = len(feature)
@@ -165,9 +204,12 @@ def _grow_tree(columns: np.ndarray, order: np.ndarray, g: np.ndarray, h: np.ndar
         leaf_value.append(0.0)
         G, H = g[rows].sum(), h[rows].sum()
         if depth < config.max_depth and rows.size >= 2:
-            found = _best_split(np.take_along_axis(columns, node_order, axis=1),
-                                g[node_order], h[node_order], G, H, lam,
-                                config.min_child_weight)
+            n = rows.size
+            index = np.add(node_order, offsets, out=_prefix(scratch.index, F, n))
+            found = _best_split(np.take(columns, index, out=_prefix(scratch.xs, F, n)),
+                                np.take(g, node_order, out=_prefix(scratch.gain, F, n)),
+                                np.take(h, node_order, out=_prefix(scratch.hr, F, n)),
+                                G, H, lam, config.min_child_weight, scratch)
             # Zero-gain splits are accepted: symmetric patterns (e.g. an
             # exclusive-or layout at uniform margins) only pay off a level
             # deeper, and the depth bound caps the cost.
@@ -175,19 +217,23 @@ def _grow_tree(columns: np.ndarray, order: np.ndarray, g: np.ndarray, h: np.ndar
                 _, f, thr = found
                 mask = columns[f, rows] < thr
                 if mask.any() and not mask.all():
-                    # A stable filter keeps each child's rows in sorted order.
-                    in_left = np.zeros(columns.shape[1], dtype=bool)
-                    in_left[rows[mask]] = True
-                    goes_left = in_left[node_order]
-                    n_features = node_order.shape[0]
                     feature[node] = f
                     threshold[node] = thr
-                    stack.append((rows[~mask],
-                                  node_order[~goes_left].reshape(n_features, -1),
-                                  depth + 1, right, node))
-                    stack.append((rows[mask],
-                                  node_order[goes_left].reshape(n_features, -1),
-                                  depth + 1, left, node))
+                    left_order = right_order = None
+                    if depth + 1 < config.max_depth:
+                        # A stable filter keeps each child's rows in sorted order.
+                        in_left = np.zeros(S, dtype=bool)
+                        in_left[rows[mask]] = True
+                        goes = np.take(in_left, node_order, out=_prefix(scratch.valid, F, n))
+                        children = scratch.orders[depth][:F * n]
+                        split_at = F * int(mask.sum())
+                        left_order = np.compress(goes.ravel(), node_order,
+                                                 out=children[:split_at]).reshape(F, -1)
+                        right_order = np.compress(np.logical_not(goes, out=goes).ravel(),
+                                                  node_order,
+                                                  out=children[split_at:]).reshape(F, -1)
+                    stack.append((rows[~mask], right_order, depth + 1, right, node))
+                    stack.append((rows[mask], left_order, depth + 1, left, node))
                     continue
         leaf_value[node] = float(-G / (H + lam))
     return RegressionTree(
@@ -233,6 +279,7 @@ def fit(features: np.ndarray, labels: np.ndarray, config: BoostConfig,
     # changes during a fit, so every tree filters this one order.
     columns = np.ascontiguousarray(X.T)
     order = np.argsort(columns, axis=1, kind="stable")
+    scratch = _Scratch(*columns.shape, config.max_depth)
     trees: list[list[RegressionTree]] = []
     loss_trace = [cross_entropy(softmax(margins), y)]
     for _ in range(config.rounds):
@@ -240,7 +287,7 @@ def fit(features: np.ndarray, labels: np.ndarray, config: BoostConfig,
         grad = probs - onehot
         hess = probs * (1.0 - probs)
         round_trees = [
-            _grow_tree(columns, order, grad[:, c], hess[:, c], config)
+            _grow_tree(columns, order, grad[:, c], hess[:, c], config, scratch)
             for c in range(n_classes)
         ]
         for c, tree in enumerate(round_trees):

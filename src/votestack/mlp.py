@@ -6,8 +6,10 @@ before the log. Gradients are exact analytic backpropagation of that loss.
 Everything runs in double precision so finite-difference checks are
 meaningful.
 
-`train` allocates gradient and velocity buffers once per call and updates them
-in place; `predict_proba` keeps one activation block beside the one it builds.
+Working memory is set by the model, not by the data. `train` allocates its
+gradient, velocity and one batch's pre-activation and activation buffers once
+per call. `predict_proba` scores `PREDICT_ROWS` rows at a time through one
+`(PREDICT_ROWS, width)` buffer per hidden layer.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .serialize import parsing_header, read_model_file, write_model_file
 
 MLP_MAGIC = b"VSTKMLP\x00"
 MLP_FORMAT_VERSION = 2
+# Rows scored per block; smaller blocks change the output layer's last bits
+# under OpenBLAS.
+PREDICT_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -103,35 +108,42 @@ def _check_input_dim(model: MlpModel, X: np.ndarray) -> None:
         )
 
 
-def _forward_cached(model: MlpModel, X: np.ndarray):
+def _forward_cached(model: MlpModel, X: np.ndarray, buffers=None):
     """Forward pass keeping pre-activations for backprop.
 
     Returns (pre_activations, activations, probs); activations[0] is X.
+    Given buffers, (pre, activation) lists of per-layer arrays of at least
+    X.shape[0] rows, the layers go into their leading rows.
     """
     pre, acts = [], [X]
     a = X
     last = len(model.weights) - 1
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ W.T + b
+        z = np.matmul(a, W.T, out=None if buffers is None else buffers[0][i][:len(X)])
+        z += b
         pre.append(z)
         if i < last:
-            a = np.maximum(z, 0.0)
+            a = np.maximum(z, 0.0, out=None if buffers is None else buffers[1][i][:len(X)])
             acts.append(a)
     return pre, acts, softmax(pre[-1])
 
 
 def predict_proba(model: MlpModel, features) -> np.ndarray:
-    """S x C probability matrix of a feature matrix."""
+    """S x C probability matrix of a feature matrix, PREDICT_ROWS rows at a time."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise ContractError("predict_proba expects a 2-D feature matrix")
     _check_input_dim(model, X)
-    a = X
-    for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = a @ W.T
-        a += b
-        np.maximum(a, 0.0, out=a)
-    return softmax(a @ model.weights[-1].T + model.biases[-1])
+    hidden = [np.empty((min(PREDICT_ROWS, len(X)), W.shape[0])) for W in model.weights[:-1]]
+    probs = np.empty((X.shape[0], model.config.n_classes))
+    for start in range(0, X.shape[0], PREDICT_ROWS):
+        a = X[start:start + PREDICT_ROWS]
+        for W, b, buf in zip(model.weights[:-1], model.biases[:-1], hidden):
+            a = np.matmul(a, W.T, out=buf[:a.shape[0]])
+            a += b
+            np.maximum(a, 0.0, out=a)
+        probs[start:start + a.shape[0]] = softmax(a @ model.weights[-1].T + model.biases[-1])
+    return probs
 
 
 def loss(model: MlpModel, features, labels) -> float:
@@ -143,10 +155,13 @@ def loss(model: MlpModel, features, labels) -> float:
     return cross_entropy(predict_proba(model, X), y)
 
 
-def _loss_and_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray, grad_w, grad_b):
-    """Batch loss; the gradients are written into grad_w/grad_b."""
+def _loss_and_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray, grad_w, grad_b,
+                        buffers=None):
+    """Batch loss; the gradients are written into grad_w/grad_b. Going
+    backward, a spent activation takes the next delta and a spent
+    pre-activation its mask."""
     n = X.shape[0]
-    pre, acts, probs = _forward_cached(model, X)
+    pre, acts, probs = _forward_cached(model, X, buffers)
     p_true = probs[np.arange(n), y]
     batch_loss = float(-np.log(np.maximum(p_true, LOG_CLAMP)).mean())
 
@@ -160,7 +175,8 @@ def _loss_and_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray, grad_w, g
         np.matmul(delta.T, acts[i], out=grad_w[i])
         np.sum(delta, axis=0, out=grad_b[i])
         if i > 0:
-            delta = (delta @ model.weights[i]) * (pre[i - 1] > 0.0)
+            delta = np.matmul(delta, model.weights[i], out=acts[i])
+            delta *= np.greater(pre[i - 1], 0.0, out=pre[i - 1])
     return batch_loss
 
 
@@ -202,13 +218,16 @@ def train(model: MlpModel, features, labels) -> MlpModel:
     updates = [(p, np.zeros_like(p), g)
                for p, g in zip(model.weights + model.biases, grad_w + grad_b)]
     n = X.shape[0]
+    rows = min(cfg.batch_size, n)
+    buffers = ([np.empty((rows, w.shape[0])) for w in model.weights],
+               [np.empty((rows, w.shape[0])) for w in model.weights[:-1]])
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         running = 0.0
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
-            batch_loss = _loss_and_gradients(model, X[idx], y[idx], grad_w, grad_b)
+            batch_loss = _loss_and_gradients(model, X[idx], y[idx], grad_w, grad_b, buffers)
             if not np.isfinite(batch_loss):
                 raise TrainingDivergenceError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"

@@ -62,14 +62,19 @@ def write_model_file(path: str | Path, magic: bytes, version: int,
             fh.write(struct.pack("<B", data.ndim))
             for dim in data.shape:
                 fh.write(struct.pack("<Q", dim))
-            fh.write(data.tobytes())
+            fh.write(data)  # from the array's own buffer, no bytes copy
     return path
 
 
-def _read_exact(fh, n: int, path: Path) -> bytes:
+def _check_remaining(fh, n: int, path: Path) -> None:
     # A corrupt length must not read (or allocate) past the end of the file.
-    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-    data = fh.read(n) if n <= remaining else b""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise DataError(f"{path}: truncated model file")
+
+
+def _read_exact(fh, n: int, path: Path) -> bytes:
+    _check_remaining(fh, n, path)
+    data = fh.read(n)
     if len(data) != n:
         raise DataError(f"{path}: truncated model file")
     return data
@@ -103,8 +108,11 @@ def read_model_file(path: str | Path, magic: bytes,
             shape = struct.unpack(
                 "<" + "Q" * ndim, _read_exact(fh, 8 * ndim, path)
             )
-            raw = _read_exact(fh, 8 * math.prod(shape), path)
-            arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
+            _check_remaining(fh, 8 * math.prod(shape), path)
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:
+                raise DataError(f"{path}: truncated model file")
+            arrays.append(arr)
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after model payload")
     return header, arrays

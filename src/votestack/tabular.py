@@ -7,10 +7,12 @@ read-only so they can be shared freely across threads.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -153,14 +155,21 @@ def load_csv(
         raise DataError(f"dataset file not found: {path}")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh, delimiter=delimiter))]
+            records = ((line_no, row) for line_no, row
+                       in enumerate(csv.reader(fh, delimiter=delimiter), 1) if row)
+            return _parse_records(path, records, label_column, has_header, class_names)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    rows = [(ln, row) for ln, row in rows if row]
-    if not rows:
-        raise DataError(f"{path}: file contains no data rows")
 
-    first_line, first_row = rows[0]
+
+def _parse_records(path: Path, records: Iterator[tuple[int, list[str]]],
+                   label_column: int | str, has_header: bool | None,
+                   class_names: Sequence[str] | None) -> Dataset:
+    """load_csv's parse of the (line number, cells) records, one at a time."""
+    first = next(records, None)
+    if first is None:
+        raise DataError(f"{path}: file contains no data rows")
+    first_row = first[1]
     n_columns = len(first_row)
     label_hint = None
     if isinstance(label_column, int):
@@ -172,12 +181,12 @@ def load_csv(
         has_header = isinstance(label_column, str) or _looks_like_header(first_row, label_hint)
 
     header: list[str] | None = None
-    data_rows = rows
     if has_header:
         header = [c.strip() for c in first_row]
-        data_rows = rows[1:]
-        if not data_rows:
+        first = next(records, None)
+        if first is None:
             raise DataError(f"{path}: no data rows after header")
+    records = itertools.chain([first], records)
 
     label_idx = _resolve_label_column(label_column, header, n_columns)
 
@@ -193,9 +202,8 @@ def load_csv(
     if class_names is not None:
         class_index = {name: i for i, name in enumerate(class_names)}
 
-    features = np.empty((len(data_rows), n_features), dtype=np.float64)
-    labels = np.empty(len(data_rows), dtype=np.int64)
-    for r, (line_no, row) in enumerate(data_rows):
+    features, labels = array("d"), array("q")
+    for line_no, row in records:
         if len(row) != n_columns:
             raise DataError(
                 f"line {line_no}: expected {n_columns} cells, got {len(row)}"
@@ -209,18 +217,16 @@ def load_csv(
                     f"line {line_no}: label {label_cell!r} not among the expected classes"
                 )
             class_index[label_cell] = len(class_index)
-        labels[r] = class_index[label_cell]
-        c = 0
-        for i, cell in enumerate(row):
-            if i == label_idx:
-                continue
-            features[r, c] = _parse_feature(cell.strip(), line_no, feature_names[c])
-            c += 1
+        labels.append(class_index[label_cell])
+        del row[label_idx]
+        for name, cell in zip(feature_names, row):
+            features.append(_parse_feature(cell.strip(), line_no, name))
 
     ordered = tuple(class_names) if class_names is not None else tuple(class_index)
     if len(ordered) < 2:
         raise DataError(f"{path}: fewer than two distinct class labels")
-    return Dataset(features, labels, feature_names, ordered)
+    return Dataset(np.frombuffer(features).reshape(-1, n_features),
+                   np.frombuffer(labels, dtype=np.int64), feature_names, ordered)
 
 
 def save_csv(dataset: Dataset, path: str | Path, delimiter: str = ",",

@@ -1,10 +1,42 @@
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from votestack import Dataset, PredictionMatrix
 from votestack.serialize import read_model_file, write_model_file
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while fn(*args) runs; numpy reports its buffers."""
+    fn(*args)  # one untraced call first, so one-time set-up is not counted
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def fresh_process_minor_faults(setup: str, statement: str) -> int:
+    """Minor page faults a fresh interpreter takes to run `statement` after
+    `setup` (both Python source): the page churn a warmed process can hide."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (f"import resource\n{setup}\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            f"{statement}\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
 
 
 def make_dataset(features, labels, n_classes=None):

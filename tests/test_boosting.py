@@ -18,7 +18,12 @@ from votestack import (
 )
 from votestack.numerics import cross_entropy, softmax
 
-from conftest import MALFORMED_MODEL_CASES, write_malformed_model
+from conftest import (
+    MALFORMED_MODEL_CASES,
+    fresh_process_minor_faults,
+    traced_peak,
+    write_malformed_model,
+)
 
 
 def walk(tree, x):
@@ -328,6 +333,27 @@ class TestFit:
         finally:
             gc.enable()
         assert unreachable == 0
+
+    def test_fit_takes_few_page_faults_in_a_fresh_process(self):
+        # per-node (F, n) temporaries are above glibc's mmap threshold; made
+        # at every node they are mapped and faulted in again (about 300k)
+        faults = fresh_process_minor_faults(
+            "from votestack import BoostConfig, boosting, gaussian_blobs\n"
+            "data = gaussian_blobs(2400, 21, 3, seed=5)",
+            "boosting.fit(data.features, data.labels, BoostConfig(rounds=50))")
+        assert faults < 20000, f"{faults} minor faults"
+
+    @pytest.mark.parametrize("shape, allocating_peak_mb", [
+        ((2400, 21, 3), 6.73),
+        ((6238, 182, 4), 121.27),
+    ])
+    def test_fit_peak_memory_stays_near_the_per_node_allocating_search(
+            self, shape, allocating_peak_mb):
+        # allocating_peak_mb: the traced peak of one round when every node
+        # allocated its own arrays (numpy 2.4); the scratch may not cost more
+        data = gaussian_blobs(*shape, seed=5)
+        peak = traced_peak(boosting.fit, data.features, data.labels, BoostConfig(rounds=1))
+        assert peak <= 1.10 * allocating_peak_mb * 1e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_labels_beyond_declared_classes_rejected(self):
         from votestack import ContractError

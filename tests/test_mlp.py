@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +20,12 @@ from votestack import (
 )
 from votestack.numerics import LOG_CLAMP, softmax
 
-from conftest import MALFORMED_MODEL_CASES, write_malformed_model
+from conftest import (
+    MALFORMED_MODEL_CASES,
+    fresh_process_minor_faults,
+    traced_peak,
+    write_malformed_model,
+)
 
 
 def params(model):
@@ -105,17 +109,6 @@ def assert_same_model(got, expected):
     for a, b in zip(got.weights + got.biases, expected.weights + expected.biases,
                     strict=True):
         assert_bits_equal(a, b)
-
-
-def traced_peak(fn, *args):
-    """Peak bytes traced while fn(*args) runs; numpy reports its buffers."""
-    fn(*args)  # one untraced call first, so one-time set-up is not counted
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @st.composite
@@ -410,6 +403,47 @@ class TestInPlaceHotPath:
         assert_bits_equal(y, data.labels)
 
 
+def one_block_proba(model, X):
+    """predict_proba as one block: every row through each layer at once."""
+    a = X
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = np.maximum(a @ W.T + b, 0.0)
+    return softmax(a @ model.weights[-1].T + model.biases[-1])
+
+
+class TestBoundedWorkingMemory:
+    @pytest.mark.parametrize("n_rows", [0, 1, 1024, 1025])
+    def test_predict_matches_one_block_formula(self, n_rows):
+        # predict_proba scores 1,024 rows per block
+        model = mlp.init(MlpConfig(layer_sizes=(6, 40, 30, 3), seed=8))
+        X = np.random.default_rng(n_rows).standard_normal((n_rows, 6))
+        got, expected = mlp.predict_proba(model, X), one_block_proba(model, X)
+        if n_rows <= 1024:
+            assert_bits_equal(got, expected)
+        else:
+            # another block shape may move the BLAS result by an ulp
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_predict_peak_memory_is_set_by_the_model_not_the_rows(self):
+        # one block through 57-1200-800-2 holds 1024 x 2000 doubles, 16.4 MB;
+        # scoring all 4,000 rows at once peaks near 64 MB
+        model = mlp.init(MlpConfig(layer_sizes=(57, 1200, 800, 2), seed=1))
+        X = gaussian_blobs(4000, 57, 2, seed=5).features
+        peak = traced_peak(mlp.predict_proba, model, X)
+        assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_train_takes_few_page_faults_in_a_fresh_process(self):
+        # per-step activations of 512 x 128 doubles are above glibc's mmap
+        # threshold; allocated per step they are mapped and faulted in again
+        faults = fresh_process_minor_faults(
+            "from votestack import MlpConfig, gaussian_blobs, mlp\n"
+            "data = gaussian_blobs(2400, 20, 3, seed=5)\n"
+            "model = mlp.init(MlpConfig(layer_sizes=(20, 128, 64, 3), epochs=25,"
+            " batch_size=512, seed=1))",
+            "mlp.train(model, data.features, data.labels)")
+        assert faults < 5000, f"{faults} minor faults"
+
+
 class TestSaveLoad:
     def test_round_trip_preserves_predictions(self, tmp_path, rng):
         data = gaussian_blobs(80, 4, 3, seed=6)
@@ -423,6 +457,17 @@ class TestSaveLoad:
         np.testing.assert_array_equal(
             mlp.predict_proba(back, X), mlp.predict_proba(model, X)
         )
+
+    def test_save_and_load_hold_no_second_copy_of_the_weights(self, tmp_path):
+        # each array is written from and read into its own buffer; a bytes
+        # copy on either side would add one more copy of every weight
+        model = mlp.init(MlpConfig(layer_sizes=(4, 600, 400, 2), seed=2))
+        param_bytes = sum(p.nbytes for p in model.weights + model.biases)
+        path = tmp_path / "m.mlp"
+        saved = traced_peak(mlp.save, model, path)
+        loaded = traced_peak(mlp.load, path)
+        assert saved < 0.1 * param_bytes, f"save peak {saved / param_bytes:.2f}x"
+        assert loaded < 1.1 * param_bytes, f"load peak {loaded / param_bytes:.2f}x"
 
     def test_corrupt_magic_rejected(self, tmp_path):
         model = mlp.init(MlpConfig(layer_sizes=(2, 3, 2)))

@@ -10,12 +10,13 @@ from votestack import (
     Dataset,
     apply_normalizer,
     fit_normalizer,
+    gaussian_blobs,
     load_csv,
     save_csv,
     split,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, traced_peak
 
 
 def write_lines(tmp_path, name, lines):
@@ -93,6 +94,16 @@ class TestLoadCsv:
         path = write_lines(tmp_path, "inf.csv", ["1,inf,a", "3,4,b"])
         with pytest.raises(DataError, match="line 1"):
             load_csv(path, -1, ",", None)
+
+
+    def test_load_peak_memory_is_near_two_feature_copies(self, tmp_path):
+        # records are parsed as they are read, into one flat float buffer
+        # that the Dataset then copies; keeping every row's cells as strings
+        # first peaks at about 13x the feature bytes
+        data = gaussian_blobs(2000, 20, 3, seed=1)
+        path = save_csv(data, tmp_path / "blobs.csv")
+        peak = traced_peak(load_csv, path, -1, ",", None)
+        assert peak < 3 * data.features.nbytes, f"peak {peak / data.features.nbytes:.1f}x"
 
 
 class TestSaveCsv:
