@@ -6,10 +6,19 @@ before the log. Gradients are exact analytic backpropagation of that loss.
 Everything runs in double precision so finite-difference checks are
 meaningful.
 
-Working memory is set by the model, not by the data. `train` allocates its
-gradient, velocity and one batch's pre-activation and activation buffers once
-per call. `predict_proba` scores `PREDICT_ROWS` rows at a time through one
-`(PREDICT_ROWS, width)` buffer per hidden layer.
+Working memory is set by the model, not by the data. `train` holds the
+parameters, their velocity and one batch's pre-activation and activation
+buffers, allocated once per call. Its backward pass applies each gradient
+block to the parameters as soon as it is computed (the fused update of Lv et
+al., "Full Parameter Fine-tuning for Large Language Models with Limited
+Resources", 2023, here with a momentum buffer), so no weight-sized gradient
+exists: a weight matrix's gradient is built `_GRAD_ENTRIES` entries at a time
+in one small scratch block. `predict_proba` scores `PREDICT_ROWS` rows at a
+time: the hidden layers below the last run in sub-blocks of at most
+`_HIDDEN_ROWS` rows, and only the last hidden layer is held at full block
+height. The output layer is narrow, and OpenBLAS computes its GEMM with last
+bits that depend on the row count, so it keeps its `(PREDICT_ROWS, width)`
+shape and the probabilities keep their bytes.
 """
 
 from __future__ import annotations
@@ -29,6 +38,12 @@ MLP_FORMAT_VERSION = 2
 # Rows scored per block; smaller blocks change the output layer's last bits
 # under OpenBLAS.
 PREDICT_ROWS = 1024
+# Most rows per sub-block of the hidden layers below the last; a PREDICT_ROWS
+# block splits into six of about 171 rows.
+_HIDDEN_ROWS = 192
+# Most entries per weight-gradient block (512 KiB): the block and the velocity
+# and weight rows it updates fit in L2 together.
+_GRAD_ENTRIES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -128,21 +143,38 @@ def _forward_cached(model: MlpModel, X: np.ndarray, buffers=None):
     return pre, acts, softmax(pre[-1])
 
 
+def _spans(n: int, step: int) -> list[tuple[int, int]]:
+    """Bounds of ceil(n / step) spans of near-equal length covering range(n).
+
+    No span is a short remainder: OpenBLAS may compute a GEMM of a few rows
+    with another kernel, whose last bits differ from the whole GEMM's.
+    """
+    parts = max(1, -(-n // step))
+    return [(n * j // parts, n * (j + 1) // parts) for j in range(parts)]
+
+
 def predict_proba(model: MlpModel, features) -> np.ndarray:
     """S x C probability matrix of a feature matrix, PREDICT_ROWS rows at a time."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise ContractError("predict_proba expects a 2-D feature matrix")
     _check_input_dim(model, X)
-    hidden = [np.empty((min(PREDICT_ROWS, len(X)), W.shape[0])) for W in model.weights[:-1]]
+    rows = min(PREDICT_ROWS, len(X))
+    hidden = model.weights[:-1]
+    # one sub-block buffer per hidden layer below the last, one full block for the last
+    buffers = [np.empty((min(_HIDDEN_ROWS, rows), W.shape[0])) for W in hidden[:-1]]
+    top = np.empty((rows, hidden[-1].shape[0]))
     probs = np.empty((X.shape[0], model.config.n_classes))
     for start in range(0, X.shape[0], PREDICT_ROWS):
-        a = X[start:start + PREDICT_ROWS]
-        for W, b, buf in zip(model.weights[:-1], model.biases[:-1], hidden):
-            a = np.matmul(a, W.T, out=buf[:a.shape[0]])
-            a += b
-            np.maximum(a, 0.0, out=a)
-        probs[start:start + a.shape[0]] = softmax(a @ model.weights[-1].T + model.biases[-1])
+        block = X[start:start + PREDICT_ROWS]
+        for lo, hi in _spans(len(block), _HIDDEN_ROWS):
+            a = block[lo:hi]
+            for W, b, buf in zip(hidden, model.biases, buffers + [top[lo:]]):
+                a = np.matmul(a, W.T, out=buf[:hi - lo])
+                a += b
+                np.maximum(a, 0.0, out=a)
+        logits = top[:len(block)] @ model.weights[-1].T + model.biases[-1]
+        probs[start:start + len(block)] = softmax(logits)
     return probs
 
 
@@ -155,29 +187,51 @@ def loss(model: MlpModel, features, labels) -> float:
     return cross_entropy(predict_proba(model, X), y)
 
 
-def _loss_and_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray, grad_w, grad_b,
-                        buffers=None):
-    """Batch loss; the gradients are written into grad_w/grad_b. Going
-    backward, a spent activation takes the next delta and a spent
-    pre-activation its mask."""
-    n = X.shape[0]
-    pre, acts, probs = _forward_cached(model, X, buffers)
-    p_true = probs[np.arange(n), y]
-    batch_loss = float(-np.log(np.maximum(p_true, LOG_CLAMP)).mean())
+def _row_blocks(W: np.ndarray) -> list[tuple[int, int]]:
+    """Row spans of W whose gradient blocks hold at most _GRAD_ENTRIES entries."""
+    return _spans(W.shape[0], max(1, _GRAD_ENTRIES // W.shape[1]))
 
-    delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0
+
+def _grad_block(model: MlpModel) -> np.ndarray:
+    """Scratch for `_backward`: room for its largest gradient block or bias."""
+    return np.empty(max(max(W.shape[0], W.shape[1] * (hi - lo))
+                        for W in model.weights for lo, hi in _row_blocks(W)))
+
+
+def _backward(model: MlpModel, y: np.ndarray, pre, acts, probs, sink, block) -> None:
+    """Backpropagate the batch's clamped cross-entropy from a `_forward_cached`
+    result, top layer first, handing each gradient to sink(j, rows, grad).
+
+    `grad` is the gradient of params[j][rows], params being weights + biases;
+    a weight matrix comes in row blocks of at most _GRAD_ENTRIES entries (or
+    one row), built in `block` (see `_grad_block`) and valid only until sink
+    returns. A layer's delta for the layer below is taken before its weights
+    are handed out, so sink may update them in place. Consumes probs, the
+    spent pre-activations (which take the next delta) and the spent hidden
+    activations (its mask).
+    """
+    n = len(y)
+    batch = np.arange(n)
+    p_true = probs[batch, y]
+    delta = probs
+    delta[batch, y] -= 1.0
     # Where the clamp is active the loss is locally flat, so no gradient flows.
     delta[p_true <= LOG_CLAMP] = 0.0
     delta /= n
 
-    for i in range(len(model.weights) - 1, -1, -1):
-        np.matmul(delta.T, acts[i], out=grad_w[i])
-        np.sum(delta, axis=0, out=grad_b[i])
+    n_layers = len(model.weights)
+    for i in range(n_layers - 1, -1, -1):
+        W = model.weights[i]
         if i > 0:
-            delta = np.matmul(delta, model.weights[i], out=acts[i])
-            delta *= np.greater(pre[i - 1], 0.0, out=pre[i - 1])
-    return batch_loss
+            below = np.matmul(delta, W, out=pre[i - 1])
+        sink(n_layers + i, slice(None), np.sum(delta, axis=0, out=block[:W.shape[0]]))
+        for lo, hi in _row_blocks(W):
+            grad = block[:(hi - lo) * W.shape[1]].reshape(hi - lo, W.shape[1])
+            sink(i, slice(lo, hi), np.matmul(delta.T[lo:hi], acts[i], out=grad))
+        if i > 0:
+            # acts[i] = max(pre[i - 1], 0) is positive exactly where pre[i - 1] is
+            delta = below
+            delta *= np.greater(acts[i], 0.0, out=acts[i])
 
 
 def gradients(model: MlpModel, features, labels):
@@ -187,10 +241,13 @@ def gradients(model: MlpModel, features, labels):
     if len(y) == 0:
         raise ContractError("gradients need a non-empty batch")
     _check_input_dim(model, X)
-    grad_w = [np.empty_like(w) for w in model.weights]
-    grad_b = [np.empty_like(b) for b in model.biases]
-    _loss_and_gradients(model, X, y, grad_w, grad_b)
-    return grad_w, grad_b
+    grads = [np.empty_like(p) for p in model.weights + model.biases]
+
+    def keep(j, rows, grad):
+        grads[j][rows] = grad
+
+    _backward(model, y, *_forward_cached(model, X), keep, _grad_block(model))
+    return grads[:len(model.weights)], grads[len(model.weights):]
 
 
 def train(model: MlpModel, features, labels) -> MlpModel:
@@ -198,7 +255,8 @@ def train(model: MlpModel, features, labels) -> MlpModel:
 
     Runs config.epochs passes, records per-epoch mean loss, and raises
     TrainingDivergenceError naming the epoch and batch if the loss goes
-    non-finite. Deterministic for a fixed config seed.
+    non-finite, before that batch changes any parameter. Deterministic for a
+    fixed config seed.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -212,33 +270,38 @@ def train(model: MlpModel, features, labels) -> MlpModel:
 
     cfg = model.config
     rng = child_rng(cfg.seed, "shuffle")
-    grad_w = [np.empty_like(w) for w in model.weights]
-    grad_b = [np.empty_like(b) for b in model.biases]
-    # (parameter, its velocity, its gradient buffer) for every weight and bias
-    updates = [(p, np.zeros_like(p), g)
-               for p, g in zip(model.weights + model.biases, grad_w + grad_b)]
+    params = model.weights + model.biases
+    velocity = [np.zeros_like(p) for p in params]
+
+    def step(j, rows, grad):
+        # vel = momentum * vel - learning_rate * grad, without temporaries
+        vel = velocity[j][rows]
+        vel *= cfg.momentum
+        grad *= cfg.learning_rate
+        vel -= grad
+        param = params[j][rows]
+        param += vel
+
     n = X.shape[0]
     rows = min(cfg.batch_size, n)
     buffers = ([np.empty((rows, w.shape[0])) for w in model.weights],
                [np.empty((rows, w.shape[0])) for w in model.weights[:-1]])
+    block = _grad_block(model)
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         running = 0.0
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
-            batch_loss = _loss_and_gradients(model, X[idx], y[idx], grad_w, grad_b, buffers)
+            yb = y[idx]
+            pre, acts, probs = _forward_cached(model, X[idx], buffers)
+            batch_loss = cross_entropy(probs, yb)
             if not np.isfinite(batch_loss):
                 raise TrainingDivergenceError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
             running += batch_loss * len(idx)
-            # vel = momentum * vel - learning_rate * grad, without temporaries
-            for param, vel, grad in updates:
-                vel *= cfg.momentum
-                grad *= cfg.learning_rate
-                vel -= grad
-                param += vel
+            _backward(model, yb, pre, acts, probs, step, block)
         model.loss_trace.append(running / n)
     return model
 

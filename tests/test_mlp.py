@@ -58,6 +58,31 @@ def pass_through_model(out_weights, out_biases):
     return model
 
 
+def reference_gradients(model, X, y):
+    """Batch loss and gradients by whole-matrix backpropagation: one GEMM per
+    weight gradient and fresh arrays throughout."""
+    m = len(y)
+    pre, acts = [], [X]
+    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
+        pre.append(acts[-1] @ W.T + b)
+        if i < len(model.weights) - 1:
+            acts.append(np.maximum(pre[-1], 0.0))
+    probs = softmax(pre[-1])
+    p_true = probs[np.arange(m), y]
+    batch_loss = float(-np.log(np.maximum(p_true, LOG_CLAMP)).mean())
+    delta = probs.copy()
+    delta[np.arange(m), y] -= 1.0
+    delta[p_true <= LOG_CLAMP] = 0.0
+    delta /= m
+    grad_w, grad_b = [None] * len(model.weights), [None] * len(model.biases)
+    for i in range(len(model.weights) - 1, -1, -1):
+        grad_w[i] = delta.T @ acts[i]
+        grad_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ model.weights[i]) * (pre[i - 1] > 0.0)
+    return batch_loss, grad_w, grad_b
+
+
 def reference_train(model, X, y):
     """The per-step allocating trainer: fresh gradients and a fresh velocity
     every step, the loop that `mlp.train`'s in-place step must reproduce."""
@@ -71,25 +96,8 @@ def reference_train(model, X, y):
         running = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            xb, yb, m = X[idx], y[idx], len(idx)
-            pre, acts = [], [xb]
-            for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-                pre.append(acts[-1] @ W.T + b)
-                if i < len(model.weights) - 1:
-                    acts.append(np.maximum(pre[-1], 0.0))
-            probs = softmax(pre[-1])
-            p_true = probs[np.arange(m), yb]
-            running += float(-np.log(np.maximum(p_true, LOG_CLAMP)).mean()) * m
-            delta = probs.copy()
-            delta[np.arange(m), yb] -= 1.0
-            delta[p_true <= LOG_CLAMP] = 0.0
-            delta /= m
-            grad_w, grad_b = [None] * len(vel_w), [None] * len(vel_b)
-            for i in range(len(model.weights) - 1, -1, -1):
-                grad_w[i] = delta.T @ acts[i]
-                grad_b[i] = delta.sum(axis=0)
-                if i > 0:
-                    delta = (delta @ model.weights[i]) * (pre[i - 1] > 0.0)
+            batch_loss, grad_w, grad_b = reference_gradients(model, X[idx], y[idx])
+            running += batch_loss * len(idx)
             for i in range(len(model.weights)):
                 vel_w[i] = cfg.momentum * vel_w[i] - cfg.learning_rate * grad_w[i]
                 vel_b[i] = cfg.momentum * vel_b[i] - cfg.learning_rate * grad_b[i]
@@ -442,6 +450,85 @@ class TestBoundedWorkingMemory:
             " batch_size=512, seed=1))",
             "mlp.train(model, data.features, data.labels)")
         assert faults < 5000, f"{faults} minor faults"
+
+
+# Every fan-in below 32, so OpenBLAS computes the row-split forward GEMMs with
+# the kernel of the whole ones; the 40-unit layer splits in both passes.
+SPLIT_SIZES = (6, 20, 40, 4)
+
+
+@pytest.fixture
+def tiny_blocks(monkeypatch):
+    """Gradient blocks of 120 entries and hidden sub-blocks of 16 rows."""
+    monkeypatch.setattr(mlp, "_GRAD_ENTRIES", 120)
+    monkeypatch.setattr(mlp, "_HIDDEN_ROWS", 16)
+
+
+class TestFusedBackward:
+    def test_tiny_blocks_split_the_forty_unit_layer(self, tiny_blocks):
+        model = mlp.init(MlpConfig(layer_sizes=SPLIT_SIZES))
+        assert len(mlp._row_blocks(model.weights[1])) >= 3
+        assert len(mlp._row_blocks(model.weights[2])) >= 2
+        assert len(mlp._spans(60, mlp._HIDDEN_ROWS)) >= 3
+
+    @pytest.mark.parametrize("batch_size, momentum", [(8, 0.9), (30, 0.0), (3, 0.5)])
+    def test_train_matches_reference_when_gradient_blocks_split(self, tiny_blocks,
+                                                                 batch_size, momentum):
+        data = gaussian_blobs(30, 6, 4, seed=23)
+        cfg = MlpConfig(layer_sizes=SPLIT_SIZES, epochs=3, batch_size=batch_size,
+                        learning_rate=0.05, momentum=momentum, seed=6)
+        got = mlp.train(mlp.init(cfg), data.features, data.labels)
+        assert_same_model(got, reference_train(mlp.init(cfg), data.features, data.labels))
+
+    def test_gradients_match_whole_matrix_reference_when_blocks_split(self, tiny_blocks,
+                                                                      rng):
+        model = mlp.init(MlpConfig(layer_sizes=SPLIT_SIZES, seed=9))
+        for b in model.biases:
+            b[:] = rng.normal(scale=0.5, size=b.shape)
+        X, y = rng.standard_normal((11, 6)), rng.integers(0, 4, size=11)
+        grad_w, grad_b = mlp.gradients(model, X, y)
+        _, ref_w, ref_b = reference_gradients(model, X, y)
+        for got, expected in zip(grad_w + grad_b, ref_w + ref_b, strict=True):
+            assert_bits_equal(got, expected)
+
+    @pytest.mark.parametrize("n_rows", [60, 100])
+    def test_predict_matches_one_block_formula_when_hidden_layers_split(
+            self, tiny_blocks, monkeypatch, n_rows):
+        # 40-row blocks: 100 rows end in a 20-row block whose two sub-blocks
+        # are wider than the first block's three
+        monkeypatch.setattr(mlp, "PREDICT_ROWS", 40)
+        model = mlp.init(MlpConfig(layer_sizes=SPLIT_SIZES, seed=8))
+        X = np.random.default_rng(n_rows).standard_normal((n_rows, 6))
+        expected = np.concatenate([one_block_proba(model, X[s:s + 40])
+                                   for s in range(0, n_rows, 40)])
+        assert_bits_equal(mlp.predict_proba(model, X), expected)
+
+    def test_paper_width_learner_matches_reference(self):
+        # 600 rows at batch 32 end in a 24-row batch; the 800 x 1200 layer's
+        # gradient comes in row blocks of about 54 rows
+        data = gaussian_blobs(600, 57, 2, seed=11)
+        cfg = MlpConfig(layer_sizes=(57, 1200, 800, 2), epochs=1, batch_size=32, seed=2)
+        got = mlp.train(mlp.init(cfg), data.features, data.labels)
+        assert len(mlp._row_blocks(got.weights[1])) > 1
+        assert_same_model(got, reference_train(mlp.init(cfg), data.features, data.labels))
+
+    def test_train_peak_memory_is_parameters_plus_velocity_plus_one_block(self):
+        # the velocity is 1x; a weight-sized gradient buffer would add another 1x
+        cfg = MlpConfig(layer_sizes=(8, 600, 400, 2), epochs=1, batch_size=4, seed=3)
+        data = gaussian_blobs(16, 8, 2, seed=3)
+        model = mlp.init(cfg)
+        param_bytes = sum(p.nbytes for p in model.weights + model.biases)
+        peak = traced_peak(mlp.train, model, data.features, data.labels)
+        assert peak < 1.3 * param_bytes, f"peak {peak / param_bytes:.2f}x parameter bytes"
+
+    def test_predict_holds_only_the_last_hidden_layer_at_full_block_height(self):
+        # one 1024 x 800 block of the last hidden layer is 6.6 MB and one
+        # sub-block of the first at most 1.8 MB; a 1024 x 1200 block of the
+        # first hidden layer as well would make it 16.4 MB
+        model = mlp.init(MlpConfig(layer_sizes=(57, 1200, 800, 2), seed=1))
+        X = gaussian_blobs(4000, 57, 2, seed=5).features
+        peak = traced_peak(mlp.predict_proba, model, X)
+        assert peak < 9e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestSaveLoad:
