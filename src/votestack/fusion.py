@@ -207,10 +207,11 @@ def _level1_features(pm: PredictionMatrix, mode: str = LEVEL1_PROBA) -> np.ndarr
 
     "proba" concatenates the n probability vectors in learner-major order
     (column j*C + c holds learner j's probability for class c); "label"
-    uses the n hard argmax labels instead.
+    uses the n hard argmax labels instead. For n = 1 "proba" is a read-only
+    view of pm.probs; callers select rows, which copies.
     """
     if mode == LEVEL1_PROBA:
-        return pm.probs.transpose(1, 0, 2).reshape(pm.n_samples, -1).copy()
+        return pm.probs.transpose(1, 0, 2).reshape(pm.n_samples, -1)
     if mode == LEVEL1_LABEL:
         return pm.votes().T.astype(np.float64)
     raise ConfigError(f"unknown level-1 feature mode {mode!r}")

@@ -89,10 +89,12 @@ def write_malformed_model(path, magic, version, case, bad_config):
     `bad_config` holds config fields with values the model family rejects.
     The dims cases declare one array of that shape and end before its data.
     A `(fields, n_arrays)` case sets those header fields and keeps only the
-    first `n_arrays` arrays.
+    first `n_arrays` arrays. A callable case edits the list of arrays in place.
     """
     header, arrays = read_model_file(path, magic, version)
-    if isinstance(case, tuple):
+    if callable(case):
+        case(arrays)
+    elif isinstance(case, tuple):
         fields, n_arrays = case
         header.update(fields)
         arrays = arrays[:n_arrays]

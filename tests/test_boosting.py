@@ -118,11 +118,23 @@ def reference_fit(X, y, cfg, n_classes):
     return mats, loss_trace
 
 
+def assert_fit_matches_reference(X, y, cfg, n_classes):
+    """`boosting.fit` equals `reference_fit` bit for bit: trees and loss trace."""
+    model = boosting.fit(X, y, cfg, n_classes=n_classes)
+    mats, loss_trace = reference_fit(X, y, cfg, n_classes)
+    assert model.loss_trace == loss_trace
+    assert len(model.trees) == len(mats)
+    for round_trees, round_mats in zip(model.trees, mats):
+        for tree, mat in zip(round_trees, round_mats, strict=True):
+            np.testing.assert_array_equal(tree.to_matrix(), mat)
+
+
 @st.composite
-def boosting_problems(draw):
+def boosting_problems(draw, min_features=1, max_features=4):
     """Small fits whose columns repeat values, and some of which are constant."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, n_features = draw(st.integers(2, 30)), draw(st.integers(1, 4))
+    n = draw(st.integers(2, 30))
+    n_features = draw(st.integers(min_features, max_features))
     n_classes = draw(st.integers(2, 3))
     levels = draw(st.sampled_from([2, 3, 7, None]))
     if levels is None:
@@ -140,6 +152,20 @@ def boosting_problems(draw):
         min_child_weight=draw(st.sampled_from([0.0, 0.1, 0.5, 2.0])),
     )
     return X, y, cfg, n_classes
+
+
+def set_tree_entry(tree, row, col, value):
+    """A malformed-model case that sets one entry of one stored tree matrix."""
+    def edit(arrays):
+        arrays[tree][row, col] = value
+    return edit
+
+
+def reshape_tree(tree, reshape):
+    """A malformed-model case that replaces one stored tree matrix by reshape(it)."""
+    def edit(arrays):
+        arrays[tree] = reshape(arrays[tree])
+    return edit
 
 
 GOLDEN_GBT_DIGEST = "7def7f1af91a1fe011eb955461a19dfc96ed310db5094af88a809e5c97e26268"
@@ -289,14 +315,17 @@ class TestFit:
     @given(problem=boosting_problems())
     @settings(max_examples=60, deadline=None)
     def test_matches_per_node_argsort_reference(self, problem):
-        X, y, cfg, n_classes = problem
-        model = boosting.fit(X, y, cfg, n_classes=n_classes)
-        mats, loss_trace = reference_fit(X, y, cfg, n_classes)
-        assert model.loss_trace == loss_trace
-        assert len(model.trees) == len(mats)
-        for round_trees, round_mats in zip(model.trees, mats):
-            for tree, mat in zip(round_trees, round_mats, strict=True):
-                np.testing.assert_array_equal(tree.to_matrix(), mat)
+        assert_fit_matches_reference(*problem)
+
+    @given(problem=boosting_problems(min_features=3, max_features=6))
+    @settings(max_examples=60, deadline=None)
+    def test_one_feature_per_block_matches_reference(self, problem):
+        # Every problem fits in one block of the real size. At one feature per
+        # block each node spans at least 3 blocks, and equal gains (constant
+        # columns, repeated values) land in different blocks.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(boosting, "_BLOCK_ENTRIES", 1)
+            assert_fit_matches_reference(*problem)
 
     @given(problem=boosting_problems(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -307,10 +336,8 @@ class TestFit:
         rng = np.random.default_rng(seed)
         g = rng.standard_normal(X.shape[0])
         h = rng.uniform(0.0, 1.0, X.shape[0]) * (rng.random(X.shape[0]) < 0.8)
-        order = presort(X)
-        found = boosting._best_split(np.take_along_axis(X.T, order, axis=1), g[order],
-                                     h[order], g.sum(), h.sum(), cfg.l2_lambda,
-                                     cfg.min_child_weight)
+        found = boosting._best_split(np.ascontiguousarray(X.T), presort(X), g, h, g.sum(),
+                                     h.sum(), cfg.l2_lambda, cfg.min_child_weight)
         assert found == reference_split(X, np.arange(X.shape[0]), g, h, cfg)
 
     def test_featureless_matrix_rejected(self):
@@ -354,6 +381,16 @@ class TestFit:
         data = gaussian_blobs(*shape, seed=5)
         peak = traced_peak(boosting.fit, data.features, data.labels, BoostConfig(rounds=1))
         assert peak <= 1.10 * allocating_peak_mb * 1e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_fit_peak_memory_stays_near_the_input_size(self):
+        # A level-1-shaped input (Isolet: 7 learners x 26 classes = 182
+        # columns). Besides the input, a fit holds its column copy, the
+        # presort and max_depth - 1 child orders of the same size, plus
+        # block-sized search arrays; F x S search arrays or an F x n index
+        # per split would go over.
+        data = gaussian_blobs(6238, 182, 4, seed=5)
+        peak = traced_peak(boosting.fit, data.features, data.labels, BoostConfig(rounds=1))
+        assert peak < 5 * data.features.nbytes, f"peak {peak / 1e6:.1f} MB"
 
     def test_labels_beyond_declared_classes_rejected(self):
         from votestack import ContractError
@@ -456,6 +493,20 @@ class TestSaveLoad:
         pytest.param(({"n_classes": 0}, 0), id="n_classes 0"),
         pytest.param(({"rounds": 0}, 0), id="rounds 0"),
         pytest.param(({"n_classes": 0, "n_features": -3}, 0), id="n_classes 0, n_features -3"),
+        # Tree structure. Each tree is a root split on feature 0 with leaves
+        # 1 and 2, as rows (feature, threshold, left, right, leaf value).
+        pytest.param(set_tree_entry(0, 0, 2, 0), id="root left child 0"),
+        pytest.param(set_tree_entry(0, 0, 3, 1), id="right child = left"),
+        pytest.param(set_tree_entry(0, 0, 3, 3), id="child past the end"),
+        pytest.param(set_tree_entry(0, 0, 0, 1), id="feature 1 of 1"),
+        pytest.param(set_tree_entry(0, 0, 0, -2), id="feature -2"),
+        pytest.param(set_tree_entry(0, 0, 0, 0.5), id="feature 0.5"),
+        pytest.param(set_tree_entry(0, 1, 2, 2), id="leaf with a child"),
+        pytest.param(set_tree_entry(1, 2, 4, np.nan), id="NaN leaf value"),
+        pytest.param(set_tree_entry(1, 0, 1, np.inf), id="inf threshold"),
+        pytest.param(reshape_tree(0, np.ravel), id="1-D tree"),
+        pytest.param(reshape_tree(0, lambda mat: mat[:, :4]), id="4-column tree"),
+        pytest.param(reshape_tree(0, lambda mat: mat[:0]), id="tree of no nodes"),
     ))
     def test_malformed_file_is_data_error_naming_path(self, tmp_path, case):
         model = boosting.fit(np.array([[0.0], [1.0]]), np.array([0, 1]), TWO_POINT_CONFIG)
