@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
-from .numerics import cross_entropy, softmax
+from .numerics import cross_entropy, softmax, spans
 from .serialize import parsing_header, read_model_file, write_model_file
 
 GBT_MAGIC = b"VSTKGBT\x00"
@@ -57,13 +57,6 @@ class BoostConfig:
             raise ConfigError("l2_lambda must be non-negative")
         if self.min_child_weight < 0:
             raise ConfigError("min_child_weight must be non-negative")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoostConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -138,16 +131,9 @@ def _prefix(buf: np.ndarray, n_features: int, n: int) -> np.ndarray:
     return buf[:n_features * n].reshape(n_features, n)
 
 
-def _blocks(n_features: int, n: int) -> list[tuple[int, int]]:
-    """(f0, f1) feature ranges of at most _BLOCK_ENTRIES cells of n rows each
-    (one feature when a column alone is longer)."""
-    step = max(1, _BLOCK_ENTRIES // n)
-    return [(f0, min(f0 + step, n_features)) for f0 in range(0, n_features, step)]
-
-
 def _best_split(columns: np.ndarray, node_order: np.ndarray, g: np.ndarray, h: np.ndarray,
                 G: float, H: float, lam: float, min_child_weight: float,
-                scratch: _Scratch | None = None):
+                scratch: _Scratch):
     """Exact greedy search over all (feature, threshold) candidates of a node.
 
     Row f of node_order holds the node's rows in ascending (value, row) order
@@ -158,9 +144,8 @@ def _best_split(columns: np.ndarray, node_order: np.ndarray, g: np.ndarray, h: n
     only with a strictly larger gain.
     """
     F, n = node_order.shape
-    scratch = scratch or _Scratch(*columns.shape, 1)
     best = None
-    for f0, f1 in _blocks(F, n):
+    for f0, f1 in spans(F, max(1, _BLOCK_ENTRIES // n)):
         order, m = node_order[f0:f1], f1 - f0
         gl_buf, hl_buf = _prefix(scratch.gl, m, n), _prefix(scratch.hl, m, n)
         hr_buf, gain = _prefix(scratch.hr, m, n), _prefix(scratch.gain, m, n)
@@ -214,7 +199,7 @@ def _partition(node_order: np.ndarray, n_left: int, out: np.ndarray,
     F, n = node_order.shape
     n_right = n - n_left
     left, right = out[:F * n_left], out[F * n_left:F * n]
-    for f0, f1 in _blocks(F, n):
+    for f0, f1 in spans(F, max(1, _BLOCK_ENTRIES // n)):
         order = node_order[f0:f1]
         goes = np.take(scratch.in_left, order, out=_prefix(scratch.valid, f1 - f0, n)).ravel()
         np.compress(goes, order, out=left[f0 * n_left:f1 * n_left])
@@ -224,11 +209,10 @@ def _partition(node_order: np.ndarray, n_left: int, out: np.ndarray,
 
 
 def _grow_tree(columns: np.ndarray, order: np.ndarray, g: np.ndarray, h: np.ndarray,
-               config: BoostConfig, scratch: _Scratch | None = None) -> RegressionTree:
+               config: BoostConfig, scratch: _Scratch) -> RegressionTree:
     """Grow one tree on the (F, S) feature columns; row f of order is the
     stable argsort of column f."""
-    F, S = columns.shape
-    scratch = scratch or _Scratch(F, S, config.max_depth)
+    S = columns.shape[1]
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -320,9 +304,9 @@ def fit(features: np.ndarray, labels: np.ndarray, config: BoostConfig,
     order = np.argsort(columns, axis=1, kind="stable")
     scratch = _Scratch(*columns.shape, config.max_depth)
     trees: list[list[RegressionTree]] = []
-    loss_trace = [cross_entropy(softmax(margins), y)]
+    probs = softmax(margins)
+    loss_trace = [cross_entropy(probs, y)]
     for _ in range(config.rounds):
-        probs = softmax(margins)
         grad = probs - onehot
         hess = probs * (1.0 - probs)
         round_trees = [
@@ -332,7 +316,8 @@ def fit(features: np.ndarray, labels: np.ndarray, config: BoostConfig,
         for c, tree in enumerate(round_trees):
             margins[:, c] += config.learning_rate * tree.predict(X)
         trees.append(round_trees)
-        loss_trace.append(cross_entropy(softmax(margins), y))
+        probs = softmax(margins)
+        loss_trace.append(cross_entropy(probs, y))
 
     return BoostedModel(
         config=config,
@@ -365,7 +350,7 @@ def predict_label(model: BoostedModel, features: np.ndarray) -> np.ndarray:
 
 def save(model: BoostedModel, path: str | Path) -> Path:
     header = {
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "n_features": model.n_features,
         "n_classes": model.n_classes,
         "rounds": len(model.trees),
@@ -401,7 +386,7 @@ def _tree_fault(mat: np.ndarray, n_features: int) -> str | None:
 def load(path: str | Path) -> BoostedModel:
     header, arrays = read_model_file(path, GBT_MAGIC, GBT_FORMAT_VERSION)
     with parsing_header(path):
-        config = BoostConfig.from_dict(header["config"])
+        config = BoostConfig(**header["config"])
         n_features = int(header["n_features"])
         n_classes = int(header["n_classes"])
         rounds = int(header["rounds"])

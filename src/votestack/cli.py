@@ -33,7 +33,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         updates["seed"] = args.seed
     if args.out is not None:
         updates["output_dir"] = args.out
-    if getattr(args, "workers", None) is not None:
+    if args.workers is not None:
         updates["workers"] = args.workers
     return replace(config, **updates) if updates else config
 
@@ -178,22 +178,19 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__about__.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one experiment from a config file")
-    run_p.add_argument("--config", required=True, help="path to the config file")
-    run_p.add_argument("--seed", type=int, default=None, help="override [run] seed")
-    run_p.add_argument("--out", default=None, help="override [run] output_dir")
-    run_p.add_argument("--workers", type=int, default=None,
-                       help="override [run] workers (parallel learner training)")
-    run_p.set_defaults(func=_cmd_run)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="path to the config file")
+    common.add_argument("--seed", type=int, default=None, help="override [run] seed")
+    common.add_argument("--out", default=None, help="override [run] output_dir")
+    common.add_argument("--workers", type=int, default=None,
+                        help="override [run] workers (parallel learner training)")
 
-    sweep_p = sub.add_parser("sweep", help="run at every ensemble size 1..K")
-    sweep_p.add_argument("--config", required=True, help="path to the config file")
+    sub.add_parser("run", parents=[common],
+                   help="run one experiment from a config file").set_defaults(func=_cmd_run)
+
+    sweep_p = sub.add_parser("sweep", parents=[common], help="run at every ensemble size 1..K")
     sweep_p.add_argument("--max-size", type=int, default=8,
                          help="largest ensemble size (default 8)")
-    sweep_p.add_argument("--seed", type=int, default=None, help="override [run] seed")
-    sweep_p.add_argument("--out", default=None, help="override [run] output_dir")
-    sweep_p.add_argument("--workers", type=int, default=None,
-                         help="override [run] workers")
     sweep_p.set_defaults(func=_cmd_sweep)
 
     check_p = sub.add_parser("selfcheck", help="run fast built-in invariant checks")

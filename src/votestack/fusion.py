@@ -149,12 +149,7 @@ class VarianceReport:
 
 def tally(pm: PredictionMatrix) -> np.ndarray:
     """Per-sample label counts, shape (n_samples, n_classes); rows sum to n."""
-    votes = pm.votes()
-    counts = np.zeros((pm.n_samples, pm.n_classes), dtype=np.int64)
-    rows = np.arange(pm.n_samples)
-    for j in range(pm.n_learners):
-        counts[rows, votes[j]] += 1
-    return counts
+    return (pm.votes()[:, :, None] == np.arange(pm.n_classes)).sum(axis=0)
 
 
 def model_average(pm: PredictionMatrix,

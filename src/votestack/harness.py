@@ -2,7 +2,7 @@
 
 A run is: load data, split (or use predefined train/test files), z-score
 normalize on the train side, build the segment-deletion plan, run one job
-per network (train, save, predict on train and test; optionally in parallel
+per network (train, predict on train and test, save; optionally in parallel
 threads), apply the configured fusion strategies, and report. Every number
 in the result is fixed by (config, master seed): per-learner seeds are
 stable hashes of the master seed and the learner index, so thread
@@ -16,7 +16,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -25,7 +25,7 @@ import numpy as np
 from . import __about__, boosting, fusion, mlp
 from .boosting import BoostConfig
 from .diversify import build_plan, materialize, out_of_bag
-from .errors import ConfigError, DataError, VoteStackError
+from .errors import ConfigError, DataError, TrainingDivergenceError, VoteStackError
 from .fusion import PredictionMatrix
 from .seeding import derive_seed
 from .serialize import atomic_write
@@ -50,12 +50,7 @@ ALL_STRATEGIES = (
 WEIGHT_MODES = ("accuracy", "inverse_variance")
 
 def _as_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
 def _as_tribool(raw: str) -> bool | None:
@@ -152,18 +147,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"[ensemble] threshold must lie in [1, {self.n_learners}], got {self.threshold}"
             )
-        seen = []
         for s in self.strategies:
             if s not in ALL_STRATEGIES:
                 raise ConfigError(
                     f"[ensemble] unknown strategy {s!r}; valid: {', '.join(ALL_STRATEGIES)}"
                 )
-            if s not in seen:
-                seen.append(s)
-        if not seen:
+        if not self.strategies:
             raise ConfigError("[ensemble] strategies must not be empty")
         object.__setattr__(
-            self, "strategies", tuple(s for s in ALL_STRATEGIES if s in seen)
+            self, "strategies", tuple(s for s in ALL_STRATEGIES if s in self.strategies)
         )
         if self.weight_mode not in WEIGHT_MODES:
             raise ConfigError(
@@ -213,7 +205,7 @@ class ExperimentConfig:
         out = {section: {key: _plain(getattr(self, _FIELD_OF_KEY.get(key, key)))
                          for key in keys}
                for section, keys in _CONFIG_SCHEMA.items() if section != "boost"}
-        out["boost"] = self.boost.to_dict()
+        out["boost"] = asdict(self.boost)
         return out
 
     @classmethod
@@ -229,7 +221,7 @@ class ExperimentConfig:
                   for section, values in d.items() if section != "boost"
                   for key, value in values.items()}
         if d.get("boost"):
-            kwargs["boost"] = BoostConfig.from_dict(d["boost"])
+            kwargs["boost"] = BoostConfig(**d["boost"])
         return cls(**kwargs)
 
     @classmethod
@@ -259,7 +251,7 @@ class ExperimentConfig:
                 raw = raw.strip()
                 try:
                     d[section][key] = parsers.get(key, str)(raw)
-                except (ValueError, TypeError) as exc:
+                except (KeyError, ValueError, TypeError) as exc:
                     raise ConfigError(
                         f"{path}: [{section}] {key}: cannot parse {raw!r}"
                     ) from exc
@@ -391,21 +383,25 @@ def _prepare(config: ExperimentConfig, dataset: Dataset | None,
 
 
 def _learner_predictions(config: ExperimentConfig, train: Dataset, test: Dataset,
-                         plan) -> tuple[PredictionMatrix, PredictionMatrix]:
-    """One train-save-predict job per learner. A job returns only its train and
-    test probabilities, so at most one trained model per worker is alive."""
-    out = Path(config.output_dir) if config.output_dir else None
+                         plan, out: Path | None) -> tuple[PredictionMatrix, PredictionMatrix]:
+    """One train-predict-save job per learner. A job returns only its train and
+    test probabilities, so at most one trained model per worker is alive; one
+    with a non-finite weight or probability raises before it saves its model."""
 
     def job(j: int) -> tuple[np.ndarray, np.ndarray]:
         idx = np.arange(train.n_samples) if plan is None else materialize(plan, j)
         cfg = config.mlp_config(train.n_features, train.n_classes, config.learner_seed(j))
         with _stage(f"training learner {j}"):
             model = mlp.train(mlp.init(cfg), train.features[idx], train.labels[idx])
+        with _stage("predicting"):
+            probs = (mlp.predict_proba(model, train.features),
+                     mlp.predict_proba(model, test.features))
+        if not all(np.isfinite(a).all() for a in (*model.weights, *model.biases, *probs)):
+            raise TrainingDivergenceError(
+                f"learner {j}: non-finite weights or probabilities after training")
         if out is not None:
             mlp.save(model, out / "models" / f"learner_{j}.mlp")
-        with _stage("predicting"):
-            return (mlp.predict_proba(model, train.features),
-                    mlp.predict_proba(model, test.features))
+        return probs
 
     n = config.n_learners
     if config.workers > 1 and n > 1:
@@ -424,7 +420,7 @@ def _learner_weights(config: ExperimentConfig, plan, pm_train: PredictionMatrix,
                      train_labels: np.ndarray) -> fusion.WeightVector:
     """Out-of-bag accuracy or error-variance weights for weighted averaging."""
     n = config.n_learners
-    if plan is None or n == 1:
+    if plan is None:
         return fusion.WeightVector.uniform(n)
     C = pm_train.n_classes
     accs = np.empty(n)
@@ -461,11 +457,12 @@ def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
     t_loaded = time.perf_counter()
 
     n = config.n_learners
+    out = Path(config.output_dir) if config.output_dir else None
     # A single learner has no segment to delete; it trains on the full set.
     with _stage("planning resamples"):
         plan = build_plan(train.n_samples, n, config.seed) if n > 1 else None
 
-    pm_train, pm_test = _learner_predictions(config, train, test, plan)
+    pm_train, pm_test = _learner_predictions(config, train, test, plan, out)
     t_trained = time.perf_counter()
 
     test_votes = pm_test.votes()
@@ -474,7 +471,6 @@ def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
     )
     mean_accuracy = sum(per_learner) / n
 
-    out = Path(config.output_dir) if config.output_dir else None
     outcomes: dict[str, fusion.FusionOutcome] = {}
     with _stage("fusing"):
         if STRATEGY_AVERAGE in config.strategies:

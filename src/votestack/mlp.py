@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, TrainingDivergenceError
-from .numerics import LOG_CLAMP, cross_entropy, softmax
+from .numerics import LOG_CLAMP, cross_entropy, softmax, spans
 from .seeding import child_rng
 from .serialize import parsing_header, read_model_file, write_model_file
 
@@ -82,13 +82,6 @@ class MlpConfig:
     @property
     def n_classes(self) -> int:
         return self.layer_sizes[-1]
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "layer_sizes": list(self.layer_sizes)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MlpConfig":
-        return cls(**{**d, "layer_sizes": tuple(d["layer_sizes"])})
 
 
 @dataclass
@@ -143,16 +136,6 @@ def _forward_cached(model: MlpModel, X: np.ndarray, buffers=None):
     return pre, acts, softmax(pre[-1])
 
 
-def _spans(n: int, step: int) -> list[tuple[int, int]]:
-    """Bounds of ceil(n / step) spans of near-equal length covering range(n).
-
-    No span is a short remainder: OpenBLAS may compute a GEMM of a few rows
-    with another kernel, whose last bits differ from the whole GEMM's.
-    """
-    parts = max(1, -(-n // step))
-    return [(n * j // parts, n * (j + 1) // parts) for j in range(parts)]
-
-
 def predict_proba(model: MlpModel, features) -> np.ndarray:
     """S x C probability matrix of a feature matrix, PREDICT_ROWS rows at a time."""
     X = np.asarray(features, dtype=np.float64)
@@ -167,7 +150,7 @@ def predict_proba(model: MlpModel, features) -> np.ndarray:
     probs = np.empty((X.shape[0], model.config.n_classes))
     for start in range(0, X.shape[0], PREDICT_ROWS):
         block = X[start:start + PREDICT_ROWS]
-        for lo, hi in _spans(len(block), _HIDDEN_ROWS):
+        for lo, hi in spans(len(block), _HIDDEN_ROWS):
             a = block[lo:hi]
             for W, b, buf in zip(hidden, model.biases, buffers + [top[lo:]]):
                 a = np.matmul(a, W.T, out=buf[:hi - lo])
@@ -189,7 +172,7 @@ def loss(model: MlpModel, features, labels) -> float:
 
 def _row_blocks(W: np.ndarray) -> list[tuple[int, int]]:
     """Row spans of W whose gradient blocks hold at most _GRAD_ENTRIES entries."""
-    return _spans(W.shape[0], max(1, _GRAD_ENTRIES // W.shape[1]))
+    return spans(W.shape[0], max(1, _GRAD_ENTRIES // W.shape[1]))
 
 
 def _grad_block(model: MlpModel) -> np.ndarray:
@@ -308,7 +291,7 @@ def train(model: MlpModel, features, labels) -> MlpModel:
 
 def save(model: MlpModel, path: str | Path) -> Path:
     header = {
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "loss_trace": model.loss_trace,
     }
     arrays: list[np.ndarray] = []
@@ -321,7 +304,7 @@ def save(model: MlpModel, path: str | Path) -> Path:
 def load(path: str | Path) -> MlpModel:
     header, arrays = read_model_file(path, MLP_MAGIC, MLP_FORMAT_VERSION)
     with parsing_header(path):
-        config = MlpConfig.from_dict(header["config"])
+        config = MlpConfig(**header["config"])
         loss_trace = [float(v) for v in header.get("loss_trace", [])]
     n_layers = len(config.layer_sizes) - 1
     if len(arrays) != 2 * n_layers:
@@ -331,6 +314,9 @@ def load(path: str | Path) -> MlpModel:
     for i, (fan_in, fan_out) in enumerate(zip(config.layer_sizes, config.layer_sizes[1:])):
         if weights[i].shape != (fan_out, fan_in) or biases[i].shape != (fan_out,):
             raise DataError(f"{path}: parameter shapes do not match the stored config")
+    # min and max are non-finite exactly when some entry is, and copy nothing
+    if not all(np.isfinite([p.min(), p.max()]).all() for p in arrays):
+        raise DataError(f"{path}: non-finite weight or bias")
     return MlpModel(
         config=config,
         weights=weights,

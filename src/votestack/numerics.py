@@ -1,5 +1,5 @@
-"""Shared numerical helpers: frozen array copies, stable softmax and clamped
-cross-entropy."""
+"""Shared numerical helpers: frozen array copies, near-equal spans, stable
+softmax and clamped cross-entropy."""
 
 from __future__ import annotations
 
@@ -15,6 +15,19 @@ def frozen_copy(arr, dtype) -> np.ndarray:
         out = out.copy()
     out.setflags(write=False)
     return out
+
+
+def spans(n: int, step: int) -> list[tuple[int, int]]:
+    """Bounds of ceil(n / step) spans of near-equal length covering range(n).
+
+    No span is longer than step or a short remainder, for two reasons. In
+    `mlp`, OpenBLAS may compute a GEMM of a few rows with another kernel, whose
+    last bits differ from the whole GEMM's. In `boosting`, each feature block
+    of the split search stays within its L2-sized cell budget, and no block is
+    a near-empty tail.
+    """
+    parts = max(1, -(-n // step))
+    return [(n * j // parts, n * (j + 1) // parts) for j in range(parts)]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

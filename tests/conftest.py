@@ -73,6 +73,10 @@ def random_pm(rng, n, s, c):
     return PredictionMatrix(rng.dirichlet(np.ones(c), size=(n, s)))
 
 
+def _nan_first_entry(arrays):
+    arrays[0].flat[0] = np.nan
+
+
 MALFORMED_MODEL_CASES = (
     "header without config",
     "JSON list header",
@@ -80,6 +84,7 @@ MALFORMED_MODEL_CASES = (
     "invalid config value",
     "dims 2**31 x 2**31",
     "dims 2**40 x 2**30",
+    pytest.param(_nan_first_entry, id="NaN first entry"),
 )
 
 

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -48,7 +49,8 @@ def presort(X):
 
 def grow(X, g, h, cfg):
     """One tree grown from gradients and hessians as `boosting.fit` grows it."""
-    return boosting._grow_tree(np.ascontiguousarray(X.T), presort(X), g, h, cfg)
+    return boosting._grow_tree(np.ascontiguousarray(X.T), presort(X), g, h, cfg,
+                               boosting._Scratch(X.shape[1], X.shape[0], cfg.max_depth))
 
 
 def reference_split(X, rows, g, h, cfg):
@@ -192,7 +194,7 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         cfg = BoostConfig(rounds=7, max_depth=2, learning_rate=0.1)
-        assert BoostConfig.from_dict(cfg.to_dict()) == cfg
+        assert BoostConfig(**asdict(cfg)) == cfg
 
 
 class TestLeafWeights:
@@ -337,7 +339,8 @@ class TestFit:
         g = rng.standard_normal(X.shape[0])
         h = rng.uniform(0.0, 1.0, X.shape[0]) * (rng.random(X.shape[0]) < 0.8)
         found = boosting._best_split(np.ascontiguousarray(X.T), presort(X), g, h, g.sum(),
-                                     h.sum(), cfg.l2_lambda, cfg.min_child_weight)
+                                     h.sum(), cfg.l2_lambda, cfg.min_child_weight,
+                                     boosting._Scratch(X.shape[1], X.shape[0], 1))
         assert found == reference_split(X, np.arange(X.shape[0]), g, h, cfg)
 
     def test_featureless_matrix_rejected(self):
@@ -381,6 +384,14 @@ class TestFit:
         data = gaussian_blobs(*shape, seed=5)
         peak = traced_peak(boosting.fit, data.features, data.labels, BoostConfig(rounds=1))
         assert peak <= 1.10 * allocating_peak_mb * 1e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_fit_peak_memory_at_the_meta_fit_shape_has_a_tight_bound(self):
+        # One round reads about 3.5 MB with the fit-wide scratch (numpy 2.4);
+        # the search that allocated per node read 5.06 MB, and a fit that
+        # doubled its working memory would go over too.
+        data = gaussian_blobs(2400, 21, 3, seed=5)
+        peak = traced_peak(boosting.fit, data.features, data.labels, BoostConfig(rounds=1))
+        assert peak < 4.5e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_fit_peak_memory_stays_near_the_input_size(self):
         # A level-1-shaped input (Isolet: 7 learners x 26 classes = 182

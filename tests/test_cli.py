@@ -193,6 +193,26 @@ class TestRun:
         assert rc == 3
         assert "non-finite loss" in capsys.readouterr().err
 
+    def test_learner_overflowing_in_its_last_update_exits_3_without_a_model(
+            self, tmp_path, capsys):
+        # One full-batch step leaves finite weights of about 1e300 whose
+        # forward pass overflows, so training itself sees a finite loss.
+        data = tmp_path / "blobs.csv"
+        save_csv(gaussian_blobs(200, 5, 2, seed=1), data)
+        config = tmp_path / "exp.ini"
+        config.write_text(
+            f"[dataset]\npath = {data}\n"
+            "[ensemble]\nn_learners = 3\nstrategies = plurality, filtered\n"
+            "[mlp]\nhidden_sizes = 8\nepochs = 1\nbatch_size = 100000\n"
+            "learning_rate = 1e300\n"
+            f"[run]\noutput_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+        with np.errstate(all="ignore"):
+            rc = cli.main(["run", "--config", str(config)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "learner 0" in err and "non-finite" in err
+        assert not list((tmp_path / "out").rglob("*.mlp"))
+
     def test_model_path_taken_by_directory(self, tmp_path, data_csv, capsys):
         config = write_config(tmp_path, data_csv)
         text = config.read_text(encoding="utf-8").replace(
@@ -229,6 +249,18 @@ class TestSweep:
         assert len(lines) == 3
         stdout = capsys.readouterr().out
         assert "size" in stdout and "filtered" in stdout
+
+    def test_overrides_reach_every_size(self, tmp_path, data_csv):
+        # sweep writes no per-size manifest; sweep.json holds each size's
+        # report, with the seed and [run] settings a manifest would record.
+        config = write_config(tmp_path, data_csv)
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(config), "--max-size", "2",
+                         "--seed", "7", "--workers", "2", "--out", str(out)]) == 0
+        reports = json.loads((out / "sweep.json").read_text(encoding="utf-8"))["reports"]
+        assert [r["seed"] for r in reports] == [7, 7]
+        assert [r["config"]["run"] for r in reports] == [
+            {"seed": 7, "workers": 2, "output_dir": str(out / f"size_{k}")} for k in (1, 2)]
 
     def test_invalid_max_size(self, tmp_path, data_csv, capsys):
         config = write_config(tmp_path, data_csv)

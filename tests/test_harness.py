@@ -295,6 +295,25 @@ workers = 2
         with pytest.raises(ConfigError, match=r"\[mlp\] epochs"):
             ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize("extra, where", [
+        ("has_header = maybe\n", r"\[dataset\] has_header"),
+        ("[split]\nstratified = maybe\n", r"\[split\] stratified"),
+    ])
+    def test_bad_boolean_names_section_and_key(self, tmp_path, extra, where):
+        path = self.write(tmp_path, "[dataset]\npath = d.csv\n" + extra)
+        with pytest.raises(ConfigError, match=where):
+            ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize("raw, value", [
+        ("1", True), ("Yes", True), ("TRUE", True), ("oN", True),
+        ("0", False), ("nO", False), ("False", False), ("OFF", False),
+    ])
+    def test_boolean_spellings_parse_in_mixed_case(self, tmp_path, raw, value):
+        path = self.write(tmp_path, f"[dataset]\npath = d.csv\nhas_header = {raw}\n"
+                                    f"[split]\nstratified = {raw}\n")
+        cfg = ExperimentConfig.from_file(path)
+        assert cfg.has_header is value and cfg.stratified is value
+
     def test_percent_sign_is_literal(self, tmp_path):
         cfg = ExperimentConfig.from_file(
             self.write(tmp_path, "[dataset]\npath = data/100%.csv\n")

@@ -469,7 +469,7 @@ class TestFusedBackward:
         model = mlp.init(MlpConfig(layer_sizes=SPLIT_SIZES))
         assert len(mlp._row_blocks(model.weights[1])) >= 3
         assert len(mlp._row_blocks(model.weights[2])) >= 2
-        assert len(mlp._spans(60, mlp._HIDDEN_ROWS)) >= 3
+        assert len(mlp.spans(60, mlp._HIDDEN_ROWS)) >= 3
 
     @pytest.mark.parametrize("batch_size, momentum", [(8, 0.9), (30, 0.0), (3, 0.5)])
     def test_train_matches_reference_when_gradient_blocks_split(self, tiny_blocks,
