@@ -153,9 +153,9 @@ def _cmd_selfcheck(args) -> int:
     checks = (
         ("voting rules vs brute-force count", lambda: _check_voting_oracle()),
         ("analytic gradients vs finite differences",
-         lambda: _check_gradients(args.seed or 0)),
+         lambda: _check_gradients(args.seed)),
         ("ensemble variance ratio near 1/n",
-         lambda: _check_variance_ratio(args.seed or 0)),
+         lambda: _check_variance_ratio(args.seed)),
     )
     failures = 0
     for name, check in checks:

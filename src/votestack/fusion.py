@@ -197,19 +197,29 @@ def majority_vote(pm: PredictionMatrix) -> FusionOutcome:
     return FusionOutcome(decisions=decisions)
 
 
-def _level1_features(pm: PredictionMatrix, mode: str = LEVEL1_PROBA) -> np.ndarray:
-    """Per-sample meta-learner inputs.
+def _level1_features(pm: PredictionMatrix, mode: str = LEVEL1_PROBA,
+                     rows=None) -> np.ndarray:
+    """Meta-learner inputs of the samples `rows` (every sample when None).
 
     "proba" concatenates the n probability vectors in learner-major order
     (column j*C + c holds learner j's probability for class c); "label"
-    uses the n hard argmax labels instead. For n = 1 "proba" is a read-only
-    view of pm.probs; callers select rows, which copies.
+    uses the n hard argmax labels instead. The selected rows are built once,
+    as a read-only C-contiguous (columns, samples) block, and returned as its
+    transpose: `boosting.fit` reads that block's rows as its feature columns
+    without another copy.
     """
+    rows = np.arange(pm.n_samples) if rows is None else rows
     if mode == LEVEL1_PROBA:
-        return pm.probs.transpose(1, 0, 2).reshape(pm.n_samples, -1)
-    if mode == LEVEL1_LABEL:
-        return pm.votes().T.astype(np.float64)
-    raise ConfigError(f"unknown level-1 feature mode {mode!r}")
+        C = pm.n_classes
+        block = np.empty((pm.n_learners * C, len(rows)))
+        for j in range(pm.n_learners):
+            np.take(pm.probs[j], rows, axis=0, out=block[j * C:(j + 1) * C].T)
+    elif mode == LEVEL1_LABEL:
+        block = np.take(pm.votes(), rows, axis=1).astype(np.float64)
+    else:
+        raise ConfigError(f"unknown level-1 feature mode {mode!r}")
+    block.setflags(write=False)
+    return block.T
 
 
 @dataclass(frozen=True)
@@ -253,7 +263,7 @@ def fit_filtered(pm_train: PredictionMatrix, train_labels,
             warnings=(f"{reason}; residual test samples fall back to plurality voting",),
         )
     meta = boosting.fit(
-        _level1_features(pm_train, mode)[difficult], hard_labels, config,
+        _level1_features(pm_train, mode, np.flatnonzero(difficult)), hard_labels, config,
         n_classes=pm_train.n_classes,
     )
     return FilteredFusion(
@@ -268,7 +278,7 @@ def apply_filtered(fitted: FilteredFusion, pm_test: PredictionMatrix) -> FusionO
     decisions = np.argmax(counts, axis=1)
     residual = ~confident
     if fitted.meta_model is not None and residual.any():
-        feats = _level1_features(pm_test, fitted.level1_mode)[residual]
+        feats = _level1_features(pm_test, fitted.level1_mode, np.flatnonzero(residual))
         decisions[residual] = boosting.predict_label(fitted.meta_model, feats)
     residual_route = _FALLBACK if fitted.meta_model is None else _META
     return FusionOutcome(

@@ -384,15 +384,17 @@ def _prepare(config: ExperimentConfig, dataset: Dataset | None,
 
 def _learner_predictions(config: ExperimentConfig, train: Dataset, test: Dataset,
                          plan, out: Path | None) -> tuple[PredictionMatrix, PredictionMatrix]:
-    """One train-predict-save job per learner. A job returns only its train and
-    test probabilities, so at most one trained model per worker is alive; one
-    with a non-finite weight or probability raises before it saves its model."""
+    """One train-predict-save job per learner. Every job trains on the run's
+    one read-only train block through its plan's row index, never a copy of
+    its rows. A job returns only its train and test probabilities, so at most
+    one trained model per worker is alive; one with a non-finite weight or
+    probability raises before it saves its model."""
 
     def job(j: int) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.arange(train.n_samples) if plan is None else materialize(plan, j)
+        rows = None if plan is None else materialize(plan, j)
         cfg = config.mlp_config(train.n_features, train.n_classes, config.learner_seed(j))
         with _stage(f"training learner {j}"):
-            model = mlp.train(mlp.init(cfg), train.features[idx], train.labels[idx])
+            model = mlp.train(mlp.init(cfg), train.features, train.labels, rows=rows)
         with _stage("predicting"):
             probs = (mlp.predict_proba(model, train.features),
                      mlp.predict_proba(model, test.features))

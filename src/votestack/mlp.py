@@ -233,13 +233,16 @@ def gradients(model: MlpModel, features, labels):
     return grads[:len(model.weights)], grads[len(model.weights):]
 
 
-def train(model: MlpModel, features, labels) -> MlpModel:
+def train(model: MlpModel, features, labels, rows=None) -> MlpModel:
     """Shuffled mini-batch gradient descent with momentum, in place.
 
-    Runs config.epochs passes, records per-epoch mean loss, and raises
-    TrainingDivergenceError naming the epoch and batch if the loss goes
-    non-finite, before that batch changes any parameter. Deterministic for a
-    fixed config seed.
+    Trains on features[rows] and labels[rows] (every row when rows is None)
+    without copying them: each epoch shuffles the row index, so a batch is
+    one gather from the caller's block, and the result is bit for bit the
+    result on a copy of the selected rows. Runs config.epochs passes, records
+    per-epoch mean loss, and raises TrainingDivergenceError naming the epoch
+    and batch if the loss goes non-finite, before that batch changes any
+    parameter. Deterministic for a fixed config seed.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -250,29 +253,37 @@ def train(model: MlpModel, features, labels) -> MlpModel:
     _check_input_dim(model, X)
     if y.min() < 0 or y.max() >= model.config.n_classes:
         raise ContractError("label index outside the model's output range")
+    if rows is not None:
+        rows = np.asarray(rows)
+        if (rows.ndim != 1 or rows.size == 0 or not np.issubdtype(rows.dtype, np.integer)
+                or rows.min() < 0 or rows.max() >= X.shape[0]):
+            raise ContractError(
+                f"rows must be a non-empty 1-D integer index into {X.shape[0]} rows")
 
     cfg = model.config
     rng = child_rng(cfg.seed, "shuffle")
     params = model.weights + model.biases
     velocity = [np.zeros_like(p) for p in params]
 
-    def step(j, rows, grad):
+    def step(j, part, grad):
         # vel = momentum * vel - learning_rate * grad, without temporaries
-        vel = velocity[j][rows]
+        vel = velocity[j][part]
         vel *= cfg.momentum
         grad *= cfg.learning_rate
         vel -= grad
-        param = params[j][rows]
+        param = params[j][part]
         param += vel
 
-    n = X.shape[0]
-    rows = min(cfg.batch_size, n)
-    buffers = ([np.empty((rows, w.shape[0])) for w in model.weights],
-               [np.empty((rows, w.shape[0])) for w in model.weights[:-1]])
+    n = X.shape[0] if rows is None else rows.size
+    height = min(cfg.batch_size, n)
+    buffers = ([np.empty((height, w.shape[0])) for w in model.weights],
+               [np.empty((height, w.shape[0])) for w in model.weights[:-1]])
     block = _grad_block(model)
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
+        if rows is not None:
+            order = rows[order]
         running = 0.0
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]

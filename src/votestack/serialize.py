@@ -2,7 +2,8 @@
 
 Layout (all integers little-endian):
   8-byte magic tag | u16 format version | u32 header length | header JSON
-  | u32 array count | per array: u8 ndim, ndim x u64 dims, float64 data.
+  | u32 array count | per array: u8 ndim (at most 2), ndim x u64 dims,
+  float64 data.
 
 Both model families (feed-forward nets and boosted trees) share this
 container so round-trips are bit-exact and failures are diagnosable.
@@ -105,10 +106,14 @@ def read_model_file(path: str | Path, magic: bytes,
         arrays = []
         for _ in range(count):
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path))
+            if ndim > 2:
+                raise DataError(f"{path}: {ndim}-D array (model files hold 1-D and 2-D)")
             shape = struct.unpack(
                 "<" + "Q" * ndim, _read_exact(fh, 8 * ndim, path)
             )
-            _check_remaining(fh, 8 * math.prod(shape), path)
+            # One zero dimension makes the product 0, so bound each one too.
+            for n in (*shape, math.prod(shape)):
+                _check_remaining(fh, 8 * n, path)
             arr = np.empty(shape, dtype="<f8")
             if fh.readinto(arr) != arr.nbytes:
                 raise DataError(f"{path}: truncated model file")

@@ -1,12 +1,16 @@
 import os
+import signal
 import struct
 import subprocess
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from votestack import Dataset, PredictionMatrix
 from votestack.serialize import read_model_file, write_model_file
@@ -84,6 +88,8 @@ MALFORMED_MODEL_CASES = (
     "invalid config value",
     "dims 2**31 x 2**31",
     "dims 2**40 x 2**30",
+    "dims 0 x 2**62",
+    "ndim 70, dims (0, 1, ..., 1)",
     pytest.param(_nan_first_entry, id="NaN first entry"),
 )
 
@@ -113,9 +119,58 @@ def write_malformed_model(path, magic, version, case, bad_config):
         header["config"].update(bad_config)
     else:
         dims = {"dims 2**31 x 2**31": (2**31, 2**31),
-                "dims 2**40 x 2**30": (2**40, 2**30)}[case]
+                "dims 2**40 x 2**30": (2**40, 2**30),
+                "dims 0 x 2**62": (0, 2**62),
+                "ndim 70, dims (0, 1, ..., 1)": (0,) + (1,) * 69}[case]
         write_model_file(path, magic, version, header, [])
-        # Replace the trailing array count of 0 with one 2-D array header.
-        path.write_bytes(path.read_bytes()[:-4] + struct.pack("<IBQQ", 1, 2, *dims))
+        # Replace the trailing array count of 0 with one array header.
+        path.write_bytes(path.read_bytes()[:-4]
+                         + struct.pack(f"<IB{len(dims)}Q", 1, len(dims), *dims))
         return
     write_model_file(path, magic, version, header, arrays)
+
+
+# The file fuzz tests share one derandomized profile, so tier-1 stays
+# deterministic; Hypothesis's per-example deadline is off, and `wall_bound`
+# fails a load that hangs instead.
+FUZZ_SETTINGS = settings(derandomize=True, max_examples=400, deadline=None)
+LOAD_WALL_S = 3.0
+
+# One edit of a file: flip one bit, cut the file short, or insert bytes.
+# Positions wrap around the current length.
+_EDIT = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(0, 7)),
+    st.tuples(st.just("truncate"), st.integers(0, 2**16)),
+    st.tuples(st.just("insert"), st.integers(0, 2**16), st.binary(min_size=1, max_size=16)),
+)
+FILE_EDITS = st.lists(_EDIT, min_size=1, max_size=4)
+
+
+def apply_edits(data: bytes, edits) -> bytes:
+    """`data` after each edit of FILE_EDITS in turn."""
+    buf = bytearray(data)
+    for kind, pos, *arg in edits:
+        if kind == "flip" and buf:
+            buf[pos % len(buf)] ^= 1 << arg[0]
+        elif kind == "truncate":
+            del buf[pos % (len(buf) + 1):]
+        elif kind == "insert":
+            at = pos % (len(buf) + 1)
+            buf[at:at] = arg[0]
+    return bytes(buf)
+
+
+@contextmanager
+def wall_bound(seconds: float):
+    """Raise TimeoutError inside the block once it has run `seconds` of wall
+    time, so a reader caught in a loop fails instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -14,15 +14,21 @@ from votestack import (
     BoostedModel,
     ConfigError,
     DataError,
+    VoteStackError,
     boosting,
     gaussian_blobs,
 )
 from votestack.numerics import cross_entropy, softmax
 
 from conftest import (
+    FILE_EDITS,
+    FUZZ_SETTINGS,
+    LOAD_WALL_S,
     MALFORMED_MODEL_CASES,
+    apply_edits,
     fresh_process_minor_faults,
     traced_peak,
+    wall_bound,
     write_malformed_model,
 )
 
@@ -526,3 +532,20 @@ class TestSaveLoad:
                               bad_config={"rounds": 0})
         with pytest.raises(DataError, match=re.escape(str(path))):
             boosting.load(path)
+
+    @FUZZ_SETTINGS
+    @given(edits=FILE_EDITS)
+    def test_mutated_file_loads_or_raises_votestack_error(self, tmp_path_factory, edits):
+        # A model that loads must also predict: every descent of its trees ends.
+        X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
+        model = boosting.fit(X, np.array([0, 1, 2, 1]), BoostConfig(rounds=2, max_depth=2))
+        path = tmp_path_factory.getbasetemp() / "fuzzed.gbt"
+        path.write_bytes(apply_edits(boosting.save(model, path).read_bytes(), edits))
+        with wall_bound(LOAD_WALL_S):
+            try:
+                back = boosting.load(path)
+            except VoteStackError:
+                return
+            probe = np.broadcast_to(0.0, (1, back.n_features))  # allocates no row
+            for tree in (t for r in back.trees for t in r):
+                tree.predict(probe)

@@ -35,7 +35,7 @@ from votestack.fusion import (
     tally,
 )
 
-from conftest import one_hot_pm, random_pm
+from conftest import one_hot_pm, random_pm, traced_peak
 
 CONFIDENT, META, FALLBACK = (ROUTES.index(r)
                              for r in (ROUTE_CONFIDENT, ROUTE_META, ROUTE_FALLBACK))
@@ -262,6 +262,53 @@ class TestLevel1Features:
     def test_unknown_mode_rejected(self, rng):
         with pytest.raises(ConfigError, match="mode"):
             _level1_features(random_pm(rng, 2, 3, 2), mode="logits")
+
+    @pytest.mark.parametrize("mode", ["proba", "label"])
+    def test_selected_rows_are_one_read_only_column_major_block(self, rng, mode):
+        pm = random_pm(rng, 4, 30, 3)
+        rows = np.array([3, 0, 7, 7, 29])
+        feats = _level1_features(pm, mode, rows)
+        np.testing.assert_array_equal(feats, _level1_features(pm, mode)[rows])
+        assert not feats.flags.writeable
+        assert feats.T.flags.c_contiguous
+        # so boosting.fit's column copy is the block itself
+        assert np.shares_memory(np.ascontiguousarray(feats.T), feats)
+
+
+class TestLevel1Block:
+    @pytest.mark.parametrize("mode", ["proba", "label"])
+    def test_fit_on_the_block_matches_fit_on_a_row_major_copy(self, rng, mode):
+        pm = random_pm(rng, 5, 120, 3)
+        labels = rng.integers(0, 3, size=120)
+        rows = np.flatnonzero(rng.random(120) < 0.6)
+        feats = _level1_features(pm, mode, rows)
+        before = feats.copy()
+        got = boosting.fit(feats, labels[rows], FAST_BOOST, n_classes=3)
+        want = boosting.fit(np.ascontiguousarray(feats), labels[rows], FAST_BOOST,
+                            n_classes=3)
+        assert got.loss_trace == want.loss_trace
+        for a, b in zip((t for r in got.trees for t in r), (t for r in want.trees for t in r),
+                        strict=True):
+            np.testing.assert_array_equal(a.to_matrix(), b.to_matrix())
+        assert not feats.flags.writeable
+        assert feats.tobytes() == before.tobytes()
+
+    def test_meta_fit_peak_memory_drops_by_the_level1_bytes(self, rng):
+        # the blobs benchmark's meta fit: 7 learners, 2,400 training rows, 3 classes
+        pm = random_pm(rng, 7, 2400, 3)
+        labels = rng.integers(0, 3, size=2400)
+        config = BoostConfig(rounds=1)
+        difficult = tally(pm).max(axis=1) < 6
+        level1_bytes = int(difficult.sum()) * 7 * 3 * 8
+
+        def row_major_fit():
+            # the difficult rows copied out row-major; boosting.fit copies them
+            # once more into columns
+            X = pm.probs.transpose(1, 0, 2).reshape(2400, -1)[difficult]
+            return boosting.fit(X, labels[difficult], config, n_classes=3)
+
+        saved = traced_peak(row_major_fit) - traced_peak(fit_filtered, pm, labels, config, 6)
+        assert saved >= 0.9 * level1_bytes, f"saved {saved / level1_bytes:.2f}x level-1 bytes"
 
 
 class TestMetaStacking:

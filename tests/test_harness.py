@@ -20,6 +20,7 @@ from votestack import (
     emit_report,
     emit_sweep,
     gaussian_blobs,
+    materialize,
     mlp,
     run_experiment,
     save_csv,
@@ -429,17 +430,36 @@ class TestRunExperiment:
         calls = []
         real_train = mlp.train
 
-        def counting_train(model, features, labels):
+        def counting_train(model, features, labels, rows=None):
             calls.append(model.config.seed)
             if model.config.seed == failing_seed:
                 raise TrainingDivergenceError("diverged")
             time.sleep(0.05)
-            return real_train(model, features, labels)
+            return real_train(model, features, labels, rows)
 
         monkeypatch.setattr(mlp, "train", counting_train)
         with pytest.raises(TrainingDivergenceError, match="training learner 0"):
             run_experiment(config, dataset=DESK_DATA)
         assert len(calls) <= config.workers + 1
+
+    def test_learners_train_on_the_one_read_only_block_through_their_rows(self,
+                                                                         monkeypatch):
+        config = replace(DESK_CONFIG, n_learners=4, epochs=1, strategies=("plurality",))
+        seen = []
+        real_train = mlp.train
+
+        def recording_train(model, features, labels, rows=None):
+            seen.append((features, labels, rows))
+            return real_train(model, features, labels, rows)
+
+        monkeypatch.setattr(mlp, "train", recording_train)
+        run_experiment(config, dataset=DESK_DATA)
+        features, labels, _ = seen[0]
+        assert not features.flags.writeable and not labels.flags.writeable
+        plan = build_plan(len(features), config.n_learners, config.seed)
+        for j, (f, y, rows) in enumerate(seen):
+            assert f is features and y is labels
+            np.testing.assert_array_equal(rows, materialize(plan, j))
 
     def test_report_json_round_trip(self, desk_run):
         _, report, _ = desk_run

@@ -14,16 +14,24 @@ from votestack import (
     MlpConfig,
     PredictionMatrix,
     TrainingDivergenceError,
+    VoteStackError,
+    build_plan,
     child_rng,
     gaussian_blobs,
+    materialize,
     mlp,
 )
 from votestack.numerics import LOG_CLAMP, softmax
 
 from conftest import (
+    FILE_EDITS,
+    FUZZ_SETTINGS,
+    LOAD_WALL_S,
     MALFORMED_MODEL_CASES,
+    apply_edits,
     fresh_process_minor_faults,
     traced_peak,
+    wall_bound,
     write_malformed_model,
 )
 
@@ -411,6 +419,61 @@ class TestInPlaceHotPath:
         assert_bits_equal(y, data.labels)
 
 
+class TestRowIndex:
+    """train(model, X, y, rows) trains on X[rows] and y[rows] without copying them."""
+
+    @pytest.mark.parametrize("n_rows, batch_size", [
+        (90, 8),     # a full-size bootstrap; 90 = 11 x 8 + 2: partial last batch
+        (90, 128),   # one batch holds every row
+        (50, 16),    # fewer rows than the block; 50 = 3 x 16 + 2
+    ])
+    def test_bootstrap_rows_match_training_on_their_copy(self, n_rows, batch_size):
+        data = gaussian_blobs(90, 5, 3, seed=31)
+        X, y = data.features, data.labels
+        assert not X.flags.writeable
+        # a delete-one-segment plan: the kept rows, then bootstrap draws from them
+        idx = materialize(build_plan(90, 7, seed=4), 2)[-n_rows:]
+        assert np.unique(idx).size < idx.size
+        cfg = MlpConfig(layer_sizes=(5, 9, 3), epochs=3, batch_size=batch_size,
+                        learning_rate=0.05, seed=5)
+        assert_same_model(mlp.train(mlp.init(cfg), X, y, rows=idx),
+                          mlp.train(mlp.init(cfg), X[idx], y[idx]))
+        assert_bits_equal(X, data.features)
+
+    @given(problem=training_problems(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_training_on_their_copy_on_small_shapes(self, problem, data):
+        cfg, X, y = problem
+        idx = np.array(data.draw(st.lists(st.integers(0, len(X) - 1), min_size=1,
+                                          max_size=30)))
+        assert_same_model(mlp.train(mlp.init(cfg), X, y, rows=idx),
+                          mlp.train(mlp.init(cfg), X[idx], y[idx]))
+
+    @pytest.mark.parametrize("rows", [
+        np.array([], dtype=np.int64),
+        np.array([[0, 1], [2, 3]]),
+        np.array([0.0, 1.0]),
+        np.array([True, False, True, False, True, False]),
+        np.array([0, 6]),
+        np.array([-1, 0]),
+        3,
+    ], ids=["empty", "2-D", "float", "mask", "past the end", "negative", "scalar"])
+    def test_bad_rows_rejected(self, rows):
+        cfg = MlpConfig(layer_sizes=(2, 4, 2), epochs=1)
+        X, y = np.zeros((6, 2)), np.array([0, 1, 0, 1, 0, 1])
+        with pytest.raises(ContractError, match="rows"):
+            mlp.train(mlp.init(cfg), X, y, rows=rows)
+
+    def test_training_through_rows_holds_no_copy_of_the_rows(self):
+        # the 6000 x 50 block is 2.4 MB; the model, its velocity, one batch and
+        # one epoch's shuffled index together are under 0.1 MB
+        data = gaussian_blobs(6000, 50, 3, seed=7)
+        idx = materialize(build_plan(6000, 7, seed=1), 0)
+        model = mlp.init(MlpConfig(layer_sizes=(50, 16, 3), epochs=1, batch_size=64))
+        peak = traced_peak(mlp.train, model, data.features, data.labels, idx)
+        assert peak < 0.1 * data.features.nbytes, f"peak {peak / 1e6:.2f} MB"
+
+
 def one_block_proba(model, X):
     """predict_proba as one block: every row through each layer at once."""
     a = X
@@ -601,3 +664,17 @@ class TestSaveLoad:
                               bad_config={"layer_sizes": [1, 2]})
         with pytest.raises(DataError, match=re.escape(str(path))):
             mlp.load(path)
+
+    @FUZZ_SETTINGS
+    @given(edits=FILE_EDITS)
+    def test_mutated_file_loads_or_raises_votestack_error(self, tmp_path_factory, edits):
+        # An untrained model's zero biases put runs of zero bytes in the file,
+        # which a misaligned read takes as array dimensions.
+        path = tmp_path_factory.getbasetemp() / "fuzzed.mlp"
+        model = mlp.init(MlpConfig(layer_sizes=(3, 4, 2)))
+        path.write_bytes(apply_edits(mlp.save(model, path).read_bytes(), edits))
+        with wall_bound(LOAD_WALL_S):
+            try:
+                mlp.load(path)
+            except VoteStackError:
+                pass
