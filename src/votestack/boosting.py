@@ -59,15 +59,15 @@ class BoostConfig:
             raise ConfigError("min_child_weight must be non-negative")
 
 
-@dataclass
 class RegressionTree:
-    """Structure-of-arrays binary tree; feature == -1 marks a leaf."""
+    """One tree as the (nodes, 5) float64 table `.gbt` stores: nodes in
+    preorder; columns feature (-1 marks a leaf), threshold, left, right and
+    leaf value."""
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    leaf_value: np.ndarray
+    def __init__(self, table: np.ndarray):
+        self.table = table
+        self.feature, self.left, self.right = (table[:, i].astype(np.int64) for i in (0, 2, 3))
+        self.threshold, self.leaf_value = table[:, 1], table[:, 4]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Unshrunk leaf value for every row (vectorized descent)."""
@@ -80,25 +80,6 @@ class RegressionTree:
             node[rows] = np.where(go_left, self.left[at], self.right[at])
             active = self.feature[node] != _NO_FEATURE
         return self.leaf_value[node]
-
-    def to_matrix(self) -> np.ndarray:
-        return np.column_stack([
-            self.feature.astype(np.float64),
-            self.threshold,
-            self.left.astype(np.float64),
-            self.right.astype(np.float64),
-            self.leaf_value,
-        ])
-
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray) -> "RegressionTree":
-        return cls(
-            feature=mat[:, 0].astype(np.int64),
-            threshold=mat[:, 1].copy(),
-            left=mat[:, 2].astype(np.int64),
-            right=mat[:, 3].astype(np.int64),
-            leaf_value=mat[:, 4].copy(),
-        )
 
 
 @dataclass
@@ -208,64 +189,50 @@ def _partition(node_order: np.ndarray, n_left: int, out: np.ndarray,
     return left.reshape(F, n_left), right.reshape(F, n_right)
 
 
+def _grow_node(nodes: list[list[float]], rows: np.ndarray, node_order: np.ndarray | None,
+               depth: int, columns: np.ndarray, g: np.ndarray, h: np.ndarray,
+               config: BoostConfig, scratch: _Scratch) -> None:
+    """Append the node over rows, then its left subtree, then its right, so
+    nodes are numbered in preorder. rows ascends; row f of node_order holds
+    the same rows sorted by feature f, so the node sums keep the order of
+    g[rows].sum(). Below the root, node_order is a view of
+    scratch.orders[depth - 1] (deeper nodes never write it) or None."""
+    node = [_NO_FEATURE, 0.0, _NO_FEATURE, _NO_FEATURE, 0.0]
+    nodes.append(node)
+    G, H = g[rows].sum(), h[rows].sum()
+    if depth < config.max_depth and rows.size >= 2:
+        found = _best_split(columns, node_order, g, h, G, H, config.l2_lambda,
+                            config.min_child_weight, scratch)
+        # Zero-gain splits are accepted: symmetric patterns (e.g. an
+        # exclusive-or layout at uniform margins) only pay off a level
+        # deeper, and the depth bound caps the cost.
+        if found is not None and found[0] >= 0.0:
+            _, f, thr = found
+            mask = columns[f, rows] < thr
+            if mask.any() and not mask.all():
+                left_order = right_order = None
+                if depth + 1 < config.max_depth:
+                    # Entries outside rows are stale; node_order never reads them.
+                    scratch.in_left[rows] = mask
+                    left_order, right_order = _partition(
+                        node_order, int(mask.sum()), scratch.orders[depth], scratch)
+                node[:3] = f, thr, len(nodes)
+                _grow_node(nodes, rows[mask], left_order, depth + 1, columns, g, h,
+                           config, scratch)
+                node[3] = len(nodes)
+                _grow_node(nodes, rows[~mask], right_order, depth + 1, columns, g, h,
+                           config, scratch)
+                return
+    node[4] = float(-G / (H + config.l2_lambda))
+
+
 def _grow_tree(columns: np.ndarray, order: np.ndarray, g: np.ndarray, h: np.ndarray,
                config: BoostConfig, scratch: _Scratch) -> RegressionTree:
     """Grow one tree on the (F, S) feature columns; row f of order is the
     stable argsort of column f."""
-    S = columns.shape[1]
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    leaf_value: list[float] = []
-    lam = config.l2_lambda
-
-    # Depth first with the left child on top, so nodes are numbered in
-    # preorder; an entry names the parent link (left or right, parent) it
-    # fills. rows ascends; row f of node_order holds the same rows sorted
-    # by feature f, so the node sums keep the order of g[rows].sum(). Below
-    # the root, node_order is a view of scratch.orders[depth - 1] or None.
-    stack = [(np.arange(S), order, 0, None, 0)]
-    while stack:
-        rows, node_order, depth, links, parent = stack.pop()
-        node = len(feature)
-        if links is not None:
-            links[parent] = node
-        feature.append(_NO_FEATURE)
-        threshold.append(0.0)
-        left.append(_NO_FEATURE)
-        right.append(_NO_FEATURE)
-        leaf_value.append(0.0)
-        G, H = g[rows].sum(), h[rows].sum()
-        if depth < config.max_depth and rows.size >= 2:
-            found = _best_split(columns, node_order, g, h, G, H, lam,
-                                config.min_child_weight, scratch)
-            # Zero-gain splits are accepted: symmetric patterns (e.g. an
-            # exclusive-or layout at uniform margins) only pay off a level
-            # deeper, and the depth bound caps the cost.
-            if found is not None and found[0] >= 0.0:
-                _, f, thr = found
-                mask = columns[f, rows] < thr
-                if mask.any() and not mask.all():
-                    feature[node] = f
-                    threshold[node] = thr
-                    left_order = right_order = None
-                    if depth + 1 < config.max_depth:
-                        # Entries outside rows are stale; node_order never reads them.
-                        scratch.in_left[rows] = mask
-                        left_order, right_order = _partition(
-                            node_order, int(mask.sum()), scratch.orders[depth], scratch)
-                    stack.append((rows[~mask], right_order, depth + 1, right, node))
-                    stack.append((rows[mask], left_order, depth + 1, left, node))
-                    continue
-        leaf_value[node] = float(-G / (H + lam))
-    return RegressionTree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        leaf_value=np.asarray(leaf_value, dtype=np.float64),
-    )
+    nodes: list[list[float]] = []
+    _grow_node(nodes, np.arange(columns.shape[1]), order, 0, columns, g, h, config, scratch)
+    return RegressionTree(np.array(nodes, dtype=np.float64))
 
 
 def fit(features: np.ndarray, labels: np.ndarray, config: BoostConfig,
@@ -319,13 +286,8 @@ def fit(features: np.ndarray, labels: np.ndarray, config: BoostConfig,
         probs = softmax(margins)
         loss_trace.append(cross_entropy(probs, y))
 
-    return BoostedModel(
-        config=config,
-        n_features=X.shape[1],
-        n_classes=n_classes,
-        trees=trees,
-        loss_trace=loss_trace,
-    )
+    return BoostedModel(config=config, n_features=X.shape[1], n_classes=n_classes,
+                        trees=trees, loss_trace=loss_trace)
 
 
 def predict_margins(model: BoostedModel, features: np.ndarray) -> np.ndarray:
@@ -356,12 +318,12 @@ def save(model: BoostedModel, path: str | Path) -> Path:
         "rounds": len(model.trees),
         "loss_trace": model.loss_trace,
     }
-    arrays = [tree.to_matrix() for round_trees in model.trees for tree in round_trees]
+    arrays = [tree.table for round_trees in model.trees for tree in round_trees]
     return write_model_file(path, GBT_MAGIC, GBT_FORMAT_VERSION, header, arrays)
 
 
 def _tree_fault(mat: np.ndarray, n_features: int) -> str | None:
-    """Why a stored matrix is not a tree `_grow_tree` could have written, or
+    """Why a stored table is not a tree `_grow_tree` could have written, or
     None. Children numbered after their node keep every descent finite."""
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] != 5:
         return f"shape {mat.shape} is not (nodes, 5)"
@@ -399,14 +361,7 @@ def load(path: str | Path) -> BoostedModel:
         fault = _tree_fault(mat, n_features)
         if fault:
             raise DataError(f"{path}: tree {i}: {fault}")
-    trees = [
-        [RegressionTree.from_matrix(arrays[r * n_classes + c]) for c in range(n_classes)]
-        for r in range(rounds)
-    ]
-    return BoostedModel(
-        config=config,
-        n_features=n_features,
-        n_classes=n_classes,
-        trees=trees,
-        loss_trace=loss_trace,
-    )
+    trees = [[RegressionTree(mat) for mat in arrays[r:r + n_classes]]
+             for r in range(0, len(arrays), n_classes)]
+    return BoostedModel(config=config, n_features=n_features, n_classes=n_classes,
+                        trees=trees, loss_trace=loss_trace)

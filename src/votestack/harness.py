@@ -342,8 +342,8 @@ class SweepReport:
         }
 
 
-def _prepare(config: ExperimentConfig, dataset: Dataset | None,
-             dataset_label: str | None) -> tuple[Dataset, Dataset, str]:
+def _prepare(config: ExperimentConfig,
+             dataset: Dataset | None) -> tuple[Dataset, Dataset, str]:
     """Load, split and z-score the data; returns (train, test, report label).
 
     `dataset` bypasses file loading (the splitter still applies); predefined
@@ -379,7 +379,7 @@ def _prepare(config: ExperimentConfig, dataset: Dataset | None,
         norm = fit_normalizer(train)
         train = apply_normalizer(norm, train)
         test = apply_normalizer(norm, test)
-    return train, test, dataset_label if dataset_label is not None else label
+    return train, test, label
 
 
 def _learner_predictions(config: ExperimentConfig, train: Dataset, test: Dataset,
@@ -414,8 +414,8 @@ def _learner_predictions(config: ExperimentConfig, train: Dataset, test: Dataset
         blocks = [job(j) for j in range(n)]
     train_probs, test_probs = zip(*blocks)
     with _stage("predicting"):
-        return (PredictionMatrix(np.stack(train_probs)),
-                PredictionMatrix(np.stack(test_probs)))
+        # PredictionMatrix stacks the per-learner blocks in its one copy.
+        return PredictionMatrix(train_probs), PredictionMatrix(test_probs)
 
 
 def _learner_weights(config: ExperimentConfig, plan, pm_train: PredictionMatrix,
@@ -424,23 +424,21 @@ def _learner_weights(config: ExperimentConfig, plan, pm_train: PredictionMatrix,
     n = config.n_learners
     if plan is None:
         return fusion.WeightVector.uniform(n)
-    C = pm_train.n_classes
-    accs = np.empty(n)
-    variances = np.empty(n)
+    accuracy = config.weight_mode == "accuracy"
+    classes = np.arange(pm_train.n_classes)
+    stats = np.empty(n)
     for j in range(n):
         oob = out_of_bag(plan, j)
-        probs = pm_train.probs[j, oob]
-        y = train_labels[oob]
-        accs[j] = np.mean(np.argmax(probs, axis=1) == y)
-        onehot = np.eye(C)[y]
-        variances[j] = np.mean((probs - onehot) ** 2)
-    if config.weight_mode == "accuracy":
-        return fusion.weights_from_accuracy(accs)
-    return fusion.weights_from_inverse_variance(variances)
+        probs, y = pm_train.probs[j, oob], train_labels[oob]
+        # The error subtracts the one-hot label as a bool mask, exactly 1.0 or 0.0.
+        stats[j] = (np.mean(np.argmax(probs, axis=1) == y) if accuracy
+                    else np.mean((probs - (y[:, None] == classes)) ** 2))
+    if accuracy:
+        return fusion.weights_from_accuracy(stats)
+    return fusion.weights_from_inverse_variance(stats)
 
 
-def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None,
-                   dataset_label: str | None = None) -> RunReport:
+def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
     """Execute one full experiment; deterministic for a fixed config.
 
     `dataset` bypasses file loading (the 80:20 splitter still applies).
@@ -448,7 +446,7 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None,
     runs, so a failed fusion stage leaves the trained ensemble on disk.
     """
     t_start = time.perf_counter()
-    train, test, label = _prepare(config, dataset, dataset_label)
+    train, test, label = _prepare(config, dataset)
     return _run(config, train, test, label, t_start)
 
 
@@ -531,8 +529,7 @@ def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
 
 
 def sweep(config: ExperimentConfig, max_size: int,
-          dataset: Dataset | None = None,
-          dataset_label: str | None = None) -> SweepReport:
+          dataset: Dataset | None = None) -> SweepReport:
     """Run the experiment at every ensemble size 1..max_size, shared seed.
 
     The data is loaded, split and normalized once and shared by every size.
@@ -545,7 +542,7 @@ def sweep(config: ExperimentConfig, max_size: int,
     if max_size < 1:
         raise ConfigError("sweep max_size must be at least 1")
     t_start = time.perf_counter()
-    train, test, label = _prepare(config, dataset, dataset_label)
+    train, test, label = _prepare(config, dataset)
     reports = []
     for size in range(1, max_size + 1):
         sub_out = (str(Path(config.output_dir) / f"size_{size}")

@@ -86,7 +86,7 @@ def reference_split(X, rows, g, h, cfg):
 
 
 def reference_tree(X, g, h, cfg):
-    """Exact greedy tree from `reference_split`: the rows of `to_matrix`."""
+    """Exact greedy tree from `reference_split`: the rows of `RegressionTree.table`."""
     nodes = []
 
     def build(rows, depth):
@@ -120,7 +120,7 @@ def reference_fit(X, y, cfg, n_classes):
         grad, hess = probs - onehot, probs * (1.0 - probs)
         round_mats = [reference_tree(X, grad[:, c], hess[:, c], cfg) for c in range(n_classes)]
         for c, mat in enumerate(round_mats):
-            margins[:, c] += cfg.learning_rate * boosting.RegressionTree.from_matrix(mat).predict(X)
+            margins[:, c] += cfg.learning_rate * boosting.RegressionTree(mat).predict(X)
         mats.append(round_mats)
         loss_trace.append(cross_entropy(softmax(margins), y))
     return mats, loss_trace
@@ -134,7 +134,7 @@ def assert_fit_matches_reference(X, y, cfg, n_classes):
     assert len(model.trees) == len(mats)
     for round_trees, round_mats in zip(model.trees, mats):
         for tree, mat in zip(round_trees, round_mats, strict=True):
-            np.testing.assert_array_equal(tree.to_matrix(), mat)
+            np.testing.assert_array_equal(tree.table, mat)
 
 
 @st.composite
@@ -469,6 +469,22 @@ class TestSaveLoad:
         np.testing.assert_array_equal(
             boosting.predict_margins(back, X), boosting.predict_margins(model, X)
         )
+
+    @given(seed=st.integers(0, 2**32 - 1), max_depth=st.integers(1, 4),
+           n_classes=st.integers(2, 4), min_child_weight=st.sampled_from([0.0, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_every_grown_tree_is_a_table_load_accepts(self, seed, max_depth, n_classes,
+                                                     min_child_weight):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(n_classes, 60))
+        X = np.column_stack([rng.standard_normal(n), rng.integers(0, 3, n) * 0.5])
+        y = rng.integers(0, n_classes, n)
+        y[:n_classes] = np.arange(n_classes)
+        cfg = BoostConfig(rounds=2, max_depth=max_depth, min_child_weight=min_child_weight)
+        model = boosting.fit(X, y, cfg, n_classes=n_classes)
+        for tree in (t for r in model.trees for t in r):
+            assert tree.table.dtype == np.float64
+            assert boosting._tree_fault(tree.table, X.shape[1]) is None
 
     def test_golden_model_digest(self, tmp_path):
         """Pin the exact `.gbt` bytes of one fixed fit.

@@ -6,22 +6,27 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from votestack import (
     BoostConfig,
     ConfigError,
     DataError,
     ExperimentConfig,
+    PredictionMatrix,
     RunReport,
     TrainingDivergenceError,
+    VoteStackError,
     boosting,
     build_plan,
     derive_seed,
     emit_report,
     emit_sweep,
+    fusion,
     gaussian_blobs,
     materialize,
     mlp,
+    out_of_bag,
     run_experiment,
     save_csv,
     split,
@@ -29,6 +34,15 @@ from votestack import (
 )
 from votestack import harness
 from votestack.harness import ALL_STRATEGIES, _prepare
+
+from conftest import (
+    FILE_EDITS,
+    FUZZ_SETTINGS,
+    LOAD_WALL_S,
+    apply_edits,
+    traced_peak,
+    wall_bound,
+)
 
 DESK_DATA = gaussian_blobs(400, 4, 3, seed=71)
 
@@ -331,6 +345,21 @@ workers = 2
         with pytest.raises(ConfigError, match="not found"):
             ExperimentConfig.from_file(tmp_path / "absent.ini")
 
+    @FUZZ_SETTINGS
+    @given(edits=FILE_EDITS)
+    def test_mutated_file_loads_or_raises_votestack_error(self, tmp_path_factory, edits):
+        text = ("[dataset]\npath = d.csv\nlabel_column = -1\nhas_header = auto\n"
+                "[ensemble]\nn_learners = 5\nstrategies = plurality, filtered\n"
+                "[mlp]\nhidden_sizes = 32 16  # two layers\nlearning_rate = 0.05\n"
+                "[boost]\nrounds = 12\n[run]\nseed = 99\n")
+        path = tmp_path_factory.getbasetemp() / "fuzzed.ini"
+        path.write_bytes(apply_edits(text.encode(), edits))
+        with wall_bound(LOAD_WALL_S):
+            try:
+                ExperimentConfig.from_file(path)
+            except VoteStackError:
+                pass
+
 
 class TestRunExperiment:
     def test_report_invariants(self, desk_run):
@@ -365,7 +394,7 @@ class TestRunExperiment:
 
     def test_persisted_models_reproduce_reported_accuracies(self, desk_run):
         config, report, out = desk_run
-        _, test, _ = _prepare(config, DESK_DATA, None)
+        _, test, _ = _prepare(config, DESK_DATA)
         for j in range(config.n_learners):
             model = mlp.load(out / "models" / f"learner_{j}.mlp")
             labels = np.argmax(mlp.predict_proba(model, test.features), axis=1)
@@ -374,7 +403,7 @@ class TestRunExperiment:
 
     def test_persisted_models_reproduce_average_decisions(self, desk_run):
         config, report, out = desk_run
-        _, test, _ = _prepare(config, DESK_DATA, None)
+        _, test, _ = _prepare(config, DESK_DATA)
         probs = np.stack([
             mlp.predict_proba(mlp.load(out / "models" / f"learner_{j}.mlp"),
                               test.features)
@@ -483,6 +512,19 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert peak < 6 * param_bytes, f"peak {peak / param_bytes:.2f}x parameter bytes"
 
+    def test_prediction_tensors_are_stacked_once(self):
+        # The jobs' blocks, one stacked copy per tensor and its row-sum checks
+        # peak near 2.6x the train and test tensors; stacking them before
+        # PredictionMatrix copies the stack again, about 3.4x.
+        data = gaussian_blobs(3000, 4, 3, seed=5)
+        config = ExperimentConfig(n_learners=7, hidden_sizes=(4,), epochs=1, batch_size=512,
+                                  strategies=("plurality",))
+        train, test, _ = _prepare(config, data)
+        plan = build_plan(train.n_samples, 7, config.seed)
+        tensors = 7 * (train.n_samples + test.n_samples) * 3 * 8
+        peak = traced_peak(harness._learner_predictions, config, train, test, plan, None)
+        assert peak < 3 * tensors, f"peak {peak / tensors:.2f}x the probability tensors"
+
     def test_single_learner_plurality_equals_learner_accuracy(self):
         config = replace(DESK_CONFIG, n_learners=1,
                          strategies=("plurality", "filtered"))
@@ -492,13 +534,33 @@ class TestRunExperiment:
         assert report.strategy_accuracies["plurality"] == report.per_learner_accuracies[0]
         assert report.strategy_accuracies["filtered"] == report.strategy_accuracies["plurality"]
 
-    def test_dataset_label_override_and_variance_weights(self):
+    def test_in_memory_label_and_variance_weights(self):
         config = replace(DESK_CONFIG, epochs=1, n_learners=2,
                          strategies=("weighted_average", "plurality"),
                          weight_mode="inverse_variance")
-        report = run_experiment(config, dataset=DESK_DATA, dataset_label="blobs")
-        assert report.dataset_label == "blobs"
+        report = run_experiment(config, dataset=DESK_DATA)
+        assert report.dataset_label == "in-memory"
         assert 0.0 <= report.strategy_accuracies["weighted_average"] <= 1.0
+
+    @pytest.mark.parametrize("weight_mode", ["accuracy", "inverse_variance"])
+    def test_learner_weights_match_one_hot_statistics(self, rng, weight_mode):
+        # Reference statistics: out-of-bag accuracy, and the mean squared error
+        # against np.eye one-hot labels; the weights must match them bit for bit.
+        config = replace(DESK_CONFIG, weight_mode=weight_mode)
+        n, S, C = config.n_learners, 300, 4
+        pm = PredictionMatrix(rng.dirichlet(np.ones(C), size=(n, S)))
+        labels = rng.integers(0, C, S)
+        plan = build_plan(S, n, config.seed)
+        accs, variances = np.empty(n), np.empty(n)
+        for j in range(n):
+            oob = out_of_bag(plan, j)
+            probs, y = pm.probs[j, oob], labels[oob]
+            accs[j] = np.mean(np.argmax(probs, axis=1) == y)
+            variances[j] = np.mean((probs - np.eye(C)[y]) ** 2)
+        want = (fusion.weights_from_accuracy(accs) if weight_mode == "accuracy"
+                else fusion.weights_from_inverse_variance(variances))
+        got = harness._learner_weights(config, plan, pm, labels)
+        assert got.values.tobytes() == want.values.tobytes()
 
     def test_desk_scale_filtered_beats_mean_individual(self):
         # two-class blob benchmark at reading-desk scale
@@ -592,7 +654,7 @@ class TestSweep:
         config, report, out = small_sweep
         for size, run in zip((1, 2, 3), report.reports):
             sub = replace(config, n_learners=size, threshold=None)
-            _, test, _ = _prepare(sub, DESK_DATA, None)
+            _, test, _ = _prepare(sub, DESK_DATA)
             accs = []
             for j in range(size):
                 model = mlp.load(out / f"size_{size}" / "models" / f"learner_{j}.mlp")
@@ -702,10 +764,10 @@ class TestEmit:
     def test_unused_strategy_columns_left_empty(self, tmp_path):
         config = replace(DESK_CONFIG, epochs=1, n_learners=2,
                          strategies=("average",))
-        report = run_experiment(config, dataset=DESK_DATA, dataset_label="mini")
+        report = run_experiment(config, dataset=DESK_DATA)
         paths = emit_report(report, tmp_path)
         lines = paths["accuracy_table"].read_text(encoding="utf-8").splitlines()
-        assert lines[1] == "mini,,,"
+        assert lines[1] == "in-memory,,,"
 
     def test_sweep_artifacts(self, tmp_path):
         config = replace(DESK_CONFIG, epochs=1, n_learners=2,

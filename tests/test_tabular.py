@@ -8,6 +8,7 @@ from votestack import (
     ContractError,
     DataError,
     Dataset,
+    VoteStackError,
     apply_normalizer,
     fit_normalizer,
     gaussian_blobs,
@@ -16,7 +17,15 @@ from votestack import (
     split,
 )
 
-from conftest import make_dataset, traced_peak
+from conftest import (
+    FILE_EDITS,
+    FUZZ_SETTINGS,
+    LOAD_WALL_S,
+    apply_edits,
+    make_dataset,
+    traced_peak,
+    wall_bound,
+)
 
 
 def write_lines(tmp_path, name, lines):
@@ -104,6 +113,18 @@ class TestLoadCsv:
         path = save_csv(data, tmp_path / "blobs.csv")
         peak = traced_peak(load_csv, path, -1, ",", None)
         assert peak < 3 * data.features.nbytes, f"peak {peak / data.features.nbytes:.1f}x"
+
+    @FUZZ_SETTINGS
+    @given(edits=FILE_EDITS)
+    def test_mutated_file_loads_or_raises_votestack_error(self, tmp_path_factory, edits):
+        text = "x1,x2,label\n1.0,2.0,spam\n0.5,-1.5e3,ham\n3.0,4.0,spam\n"
+        path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
+        path.write_bytes(apply_edits(text.encode(), edits))
+        with wall_bound(LOAD_WALL_S):
+            try:
+                load_csv(path, -1, ",", None)
+            except VoteStackError:
+                pass
 
 
 class TestSaveCsv:
