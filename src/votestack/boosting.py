@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
-from .numerics import cross_entropy, softmax, spans
+from .numerics import all_finite, cross_entropy, softmax, spans
 from .serialize import parsing_header, read_model_file, write_model_file
 
 GBT_MAGIC = b"VSTKGBT\x00"
@@ -327,7 +327,7 @@ def _tree_fault(mat: np.ndarray, n_features: int) -> str | None:
     None. Children numbered after their node keep every descent finite."""
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] != 5:
         return f"shape {mat.shape} is not (nodes, 5)"
-    if not np.isfinite(mat).all():
+    if not all_finite(mat):
         return "non-finite entry"
     feature, _, left, right, _ = mat.T
     links = mat[:, [0, 2, 3]]

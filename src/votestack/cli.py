@@ -25,30 +25,26 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_DIVERGENCE = 3
+# Every error a run's inputs can cause; a ContractError is a bug and keeps its traceback.
+_EXIT_CODES = {ConfigError: EXIT_CONFIG, DataError: EXIT_DATA,
+               TrainingDivergenceError: EXIT_DIVERGENCE}
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["output_dir"] = args.out
-    if args.workers is not None:
-        updates["workers"] = args.workers
-    return replace(config, **updates) if updates else config
-
-
-def _require_output_dir(config: ExperimentConfig) -> str:
+def _load_config(args) -> ExperimentConfig:
+    """The config file with the command-line overrides applied; it must name
+    an output directory."""
+    overrides = {"seed": args.seed, "output_dir": args.out, "workers": args.workers}
+    config = replace(ExperimentConfig.from_file(args.config),
+                     **{k: v for k, v in overrides.items() if v is not None})
     if config.output_dir is None:
         raise ConfigError("no output directory: set [run] output_dir or pass --out")
-    return config.output_dir
+    return config
 
 
 def _cmd_run(args) -> int:
-    config = _apply_overrides(ExperimentConfig.from_file(args.config), args)
-    out = _require_output_dir(config)
+    config = _load_config(args)
     report = run_experiment(config)
-    paths = emit_report(report, out)
+    paths = emit_report(report, config.output_dir)
     print(f"dataset: {report.dataset_label}  "
           f"train {report.n_train} / test {report.n_test}  seed {report.seed}")
     print(f"mean learner accuracy: {report.mean_accuracy:.4f}")
@@ -63,10 +59,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _apply_overrides(ExperimentConfig.from_file(args.config), args)
-    out = _require_output_dir(config)
+    config = _load_config(args)
     report = sweep(config, max_size=args.max_size)
-    paths = emit_sweep(report, out)
+    paths = emit_sweep(report, config.output_dir)
     print("size  filtered  mean_individual")
     for row in report.rows:
         print(f"{row.size:>4}  {row.filtered_accuracy:.4f}    "
@@ -204,15 +199,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except TrainingDivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the toolkit.
 
 The CLI maps these onto process exit codes: ConfigError -> 1,
-DataError -> 2, TrainingDivergenceError -> 3.
+DataError (and its subclasses) -> 2, TrainingDivergenceError -> 3.
+ContractError is a programming error and keeps its traceback.
 """
 
 
@@ -25,9 +26,9 @@ class TrainingDivergenceError(VoteStackError):
     """Training produced a non-finite loss; message names the epoch and batch."""
 
 
-class InsufficientDataError(VoteStackError):
+class InsufficientDataError(DataError):
     """Too few samples for a statistic to be defined."""
 
 
-class DegenerateWeightsError(VoteStackError):
+class DegenerateWeightsError(DataError):
     """Learner weights cannot be normalized (e.g. all accuracies are zero)."""

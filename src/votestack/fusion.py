@@ -22,7 +22,7 @@ from .errors import (
     DegenerateWeightsError,
     InsufficientDataError,
 )
-from .numerics import frozen_copy
+from .numerics import all_finite, frozen_copy
 
 REJECTED = -1
 
@@ -59,7 +59,8 @@ class PredictionMatrix:
         if not (probs.min() >= 0.0 and probs.max() <= 1.0 + 1e-9):
             raise ContractError("probabilities must be finite and lie in [0, 1]")
         sums = probs.sum(axis=2)
-        if np.abs(sums - 1.0).max() > 1e-9:
+        sums -= 1.0
+        if np.abs(sums, out=sums).max() > 1e-9:
             raise ContractError("every probability row must sum to 1 within 1e-9")
         object.__setattr__(self, "probs", probs)
 
@@ -90,7 +91,7 @@ class WeightVector:
         values = frozen_copy(self.values, np.float64)
         if values.ndim != 1:
             raise ContractError("weights must be a vector")
-        if not (np.all(np.isfinite(values)) and np.all(values >= 0)):
+        if not (all_finite(values) and np.all(values >= 0)):
             raise ContractError("weights must be finite and non-negative")
         if abs(values.sum() - 1.0) > 1e-12:
             raise ContractError("weights must sum to 1 within 1e-12")

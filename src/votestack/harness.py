@@ -27,6 +27,7 @@ from .boosting import BoostConfig
 from .diversify import build_plan, materialize, out_of_bag
 from .errors import ConfigError, DataError, TrainingDivergenceError, VoteStackError
 from .fusion import PredictionMatrix
+from .numerics import all_finite
 from .seeding import derive_seed
 from .serialize import atomic_write
 from .tabular import Dataset, apply_normalizer, fit_normalizer, load_csv, split
@@ -398,7 +399,7 @@ def _learner_predictions(config: ExperimentConfig, train: Dataset, test: Dataset
         with _stage("predicting"):
             probs = (mlp.predict_proba(model, train.features),
                      mlp.predict_proba(model, test.features))
-        if not all(np.isfinite(a).all() for a in (*model.weights, *model.biases, *probs)):
+        if not all_finite(*model.weights, *model.biases, *probs):
             raise TrainingDivergenceError(
                 f"learner {j}: non-finite weights or probabilities after training")
         if out is not None:

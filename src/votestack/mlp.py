@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, TrainingDivergenceError
-from .numerics import LOG_CLAMP, cross_entropy, softmax, spans
+from .numerics import LOG_CLAMP, all_finite, cross_entropy, softmax, spans
 from .seeding import child_rng
 from .serialize import parsing_header, read_model_file, write_model_file
 
@@ -325,8 +325,7 @@ def load(path: str | Path) -> MlpModel:
     for i, (fan_in, fan_out) in enumerate(zip(config.layer_sizes, config.layer_sizes[1:])):
         if weights[i].shape != (fan_out, fan_in) or biases[i].shape != (fan_out,):
             raise DataError(f"{path}: parameter shapes do not match the stored config")
-    # min and max are non-finite exactly when some entry is, and copy nothing
-    if not all(np.isfinite([p.min(), p.max()]).all() for p in arrays):
+    if not all_finite(*arrays):
         raise DataError(f"{path}: non-finite weight or bias")
     return MlpModel(
         config=config,

@@ -1,5 +1,5 @@
-"""Shared numerical helpers: frozen array copies, near-equal spans, stable
-softmax and clamped cross-entropy."""
+"""Shared numerical helpers: frozen array copies, a finiteness test, near-equal
+spans, stable softmax and clamped cross-entropy."""
 
 from __future__ import annotations
 
@@ -15,6 +15,12 @@ def frozen_copy(arr, dtype) -> np.ndarray:
         out = out.copy()
     out.setflags(write=False)
     return out
+
+
+def all_finite(*arrays: np.ndarray) -> bool:
+    """No NaN or infinity in any array. The min and max of a non-empty array
+    are non-finite exactly when some entry is, and make no boolean copy."""
+    return all(np.isfinite([a.min(), a.max()]).all() for a in arrays if a.size)
 
 
 def spans(n: int, step: int) -> list[tuple[int, int]]:

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
-from .numerics import frozen_copy
+from .numerics import all_finite, frozen_copy
 
 STD_FLOOR = 1e-12
 
@@ -49,7 +49,7 @@ class Dataset:
             )
         if labels.shape != (feats.shape[0],):
             raise ContractError("labels must be a vector with one entry per row")
-        if not np.all(np.isfinite(feats)):
+        if not all_finite(feats):
             raise DataError("dataset contains non-finite feature values")
         if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
             raise DataError("label index out of range for schema")
@@ -123,10 +123,10 @@ def _resolve_label_column(label_column: int | str, header: list[str] | None,
     return idx
 
 
-def _looks_like_header(row: list[str], label_idx_hint: int | None) -> bool:
+def _looks_like_header(row: list[str], label_idx: int) -> bool:
     # A row is treated as a header when any would-be feature cell fails float parsing.
     for i, cell in enumerate(row):
-        if label_idx_hint is not None and i == label_idx_hint:
+        if i == label_idx:
             continue
         try:
             float(cell)
@@ -171,14 +171,11 @@ def _parse_records(path: Path, records: Iterator[tuple[int, list[str]]],
         raise DataError(f"{path}: file contains no data rows")
     first_row = first[1]
     n_columns = len(first_row)
-    label_hint = None
-    if isinstance(label_column, int):
-        hint = label_column + n_columns if label_column < 0 else label_column
-        if 0 <= hint < n_columns:
-            label_hint = hint
-
+    # A column index is resolved before the header is known; a name needs the header.
+    label_idx = (None if isinstance(label_column, str)
+                 else _resolve_label_column(label_column, None, n_columns))
     if has_header is None:
-        has_header = isinstance(label_column, str) or _looks_like_header(first_row, label_hint)
+        has_header = label_idx is None or _looks_like_header(first_row, label_idx)
 
     header: list[str] | None = None
     if has_header:
@@ -188,7 +185,8 @@ def _parse_records(path: Path, records: Iterator[tuple[int, list[str]]],
             raise DataError(f"{path}: no data rows after header")
     records = itertools.chain([first], records)
 
-    label_idx = _resolve_label_column(label_column, header, n_columns)
+    if label_idx is None:
+        label_idx = _resolve_label_column(label_column, header, n_columns)
 
     if header is not None:
         feature_names = tuple(name for i, name in enumerate(header) if i != label_idx)
@@ -229,17 +227,17 @@ def _parse_records(path: Path, records: Iterator[tuple[int, list[str]]],
                    np.frombuffer(labels, dtype=np.int64), feature_names, ordered)
 
 
-def save_csv(dataset: Dataset, path: str | Path, delimiter: str = ",",
-             label_name: str = "label") -> Path:
-    """Write a Dataset as delimited text with a header row.
+def save_csv(dataset: Dataset, path: str | Path) -> Path:
+    """Write a Dataset as comma-separated text with a header row whose last
+    column, ``label``, holds the class names.
 
     Feature values are written with repr so a reload is bit-exact.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(list(dataset.feature_names) + [label_name])
+        writer = csv.writer(fh)
+        writer.writerow(list(dataset.feature_names) + ["label"])
         names = dataset.class_names
         for row, label in zip(dataset.features, dataset.labels):
             writer.writerow([repr(float(v)) for v in row] + [names[label]])

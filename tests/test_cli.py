@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from votestack import cli, gaussian_blobs, save_csv
+from votestack import DegenerateWeightsError, cli, fusion, gaussian_blobs, save_csv
+from conftest import FILE_EDITS, FUZZ_SETTINGS, apply_edits, wall_bound
 
 BASE_CONFIG = """
 [dataset]
@@ -229,6 +231,21 @@ class TestRun:
         assert (models / "meta.gbt").is_dir()
         assert not [p.name for p in models.iterdir() if p.name.startswith(".")]
 
+    def test_degenerate_weights_exit_2(self, tmp_path, data_csv, capsys, monkeypatch):
+        # all-zero out-of-bag accuracies leave weighted_average no weights
+        def all_zero(accuracies):
+            raise DegenerateWeightsError("all learner accuracies are zero")
+
+        monkeypatch.setattr(fusion, "weights_from_accuracy", all_zero)
+        config = write_config(tmp_path, data_csv)
+        text = config.read_text(encoding="utf-8").replace(
+            "strategies = plurality, filtered", "strategies = weighted_average, plurality")
+        config.write_text(text, encoding="utf-8")
+        rc = cli.main(["run", "--config", str(config)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: fusing: all learner accuracies are zero")
+
     def test_missing_output_dir(self, tmp_path, data_csv, capsys):
         config = tmp_path / "exp.ini"
         config.write_text(f"[dataset]\npath = {data_csv}\n", encoding="utf-8")
@@ -267,3 +284,36 @@ class TestSweep:
         rc = cli.main(["sweep", "--config", str(config), "--max-size", "0"])
         assert rc == 1
         assert "max_size" in capsys.readouterr().err
+
+
+FUZZ_CONFIG = """
+[dataset]
+path = {data}
+[ensemble]
+n_learners = 2
+strategies = weighted_average, plurality, filtered
+[boost]
+rounds = 2
+[mlp]
+hidden_sizes = 4
+epochs = 1
+[run]
+output_dir = {out}
+"""
+
+
+class TestFuzzedRun:
+    @settings(FUZZ_SETTINGS, max_examples=200)
+    @given(edits=FILE_EDITS)
+    def test_mutated_data_file_exits_with_a_code(self, tmp_path_factory, edits):
+        # every error a data file can cause maps to an exit code; none escapes
+        base = tmp_path_factory.getbasetemp() / "fuzzed_run"
+        base.mkdir(exist_ok=True)
+        data = base / "data.csv"
+        clean = save_csv(gaussian_blobs(12, 2, 2, seed=4), data).read_bytes()
+        data.write_bytes(apply_edits(clean, edits))
+        config = base / "exp.ini"
+        config.write_text(FUZZ_CONFIG.format(data=data, out=base / "out"), encoding="utf-8")
+        with wall_bound(10.0):
+            rc = cli.main(["run", "--config", str(config)])
+        assert rc in (0, 1, 2, 3)

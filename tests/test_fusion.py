@@ -92,6 +92,14 @@ class TestPredictionMatrix:
         with pytest.raises(ContractError, match="sum to 1"):
             PredictionMatrix(np.full((1, 1, 2), 0.4))
 
+    def test_validation_holds_one_row_sum_block(self, rng):
+        # the tensor plus one learners x samples block of row sums; taking
+        # abs(sums - 1) out of place holds three such blocks, 2x the tensor
+        blocks = [rng.dirichlet(np.ones(3), size=2400) for _ in range(7)]
+        tensor_bytes = 7 * 2400 * 3 * 8
+        peak = traced_peak(PredictionMatrix, blocks)
+        assert peak < 1.4 * tensor_bytes, f"peak {peak / tensor_bytes:.2f}x tensor bytes"
+
     def test_tensor_is_frozen_copy(self, rng):
         raw = rng.dirichlet(np.ones(3), size=(2, 4))
         pm = PredictionMatrix(raw)

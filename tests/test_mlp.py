@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -678,3 +682,25 @@ class TestSaveLoad:
                 mlp.load(path)
             except VoteStackError:
                 pass
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: at paper width, model bytes depend on "
+                          "the BLAS thread count")
+def test_paper_width_model_bytes_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys\n"
+            "from votestack import MlpConfig, gaussian_blobs, mlp\n"
+            "data = gaussian_blobs(1200, 57, 2, seed=3)\n"
+            "cfg = MlpConfig(layer_sizes=(57, 1200, 800, 2), epochs=1, batch_size=32)\n"
+            "mlp.save(mlp.train(mlp.init(cfg), data.features, data.labels), sys.argv[1])\n")
+    models = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        path = tmp_path / f"threads_{threads}.mlp"
+        subprocess.run([sys.executable, "-c", code, str(path)], env=env, timeout=300,
+                       check=True)
+        models.append(path.read_bytes())
+    assert models[0] == models[1]
