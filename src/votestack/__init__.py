@@ -9,8 +9,6 @@ from .errors import (
     ConfigError,
     ContractError,
     DataError,
-    DegenerateWeightsError,
-    InsufficientDataError,
     TrainingDivergenceError,
     VoteStackError,
 )
@@ -57,8 +55,8 @@ __all__ = [
     "__version__",
     "BoostConfig", "BoostedModel", "boosting", "mlp",
     "ResamplePlan", "build_plan", "materialize", "out_of_bag",
-    "ConfigError", "ContractError", "DataError", "DegenerateWeightsError",
-    "InsufficientDataError", "TrainingDivergenceError", "VoteStackError",
+    "ConfigError", "ContractError", "DataError", "TrainingDivergenceError",
+    "VoteStackError",
     "REJECTED", "FilteredFusion", "FusionOutcome", "PredictionMatrix",
     "VarianceReport", "WeightVector", "apply_filtered",
     "fit_filtered", "majority_vote",

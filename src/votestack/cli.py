@@ -2,8 +2,8 @@
 
 Subcommands: `run` executes one experiment from a config file, `sweep`
 repeats it over ensemble sizes 1..K, `selfcheck` runs fast built-in
-invariant checks with no data files. Exit codes: 0 success, 1 config
-error, 2 data error, 3 training divergence.
+invariant checks with no data files. Exit code 0 is success; an error
+exits with the code of its type, by the rule in `errors`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_DIVERGENCE = 3
-# Every error a run's inputs can cause; a ContractError is a bug and keeps its traceback.
+# A ContractError is a bug and is left out, so it keeps its traceback.
 _EXIT_CODES = {ConfigError: EXIT_CONFIG, DataError: EXIT_DATA,
                TrainingDivergenceError: EXIT_DIVERGENCE}
 

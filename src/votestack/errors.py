@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto process exit codes: ConfigError -> 1,
-DataError (and its subclasses) -> 2, TrainingDivergenceError -> 3.
-ContractError is a programming error and keeps its traceback.
+Each error names its cause, and the CLI maps the cause to an exit code:
+ConfigError (the config) -> 1, DataError (an input file or the data in
+it) -> 2, TrainingDivergenceError (training) -> 3. ContractError is a
+caller's bug and keeps its traceback.
 """
 
 
@@ -15,7 +16,8 @@ class ConfigError(VoteStackError):
 
 
 class DataError(VoteStackError):
-    """Malformed input data: bad CSV rows, corrupt model files, unloadable paths."""
+    """Malformed or unusable input: bad CSV rows, corrupt model files,
+    unloadable paths, data too degenerate for a split or statistic."""
 
 
 class ContractError(VoteStackError):
@@ -24,11 +26,3 @@ class ContractError(VoteStackError):
 
 class TrainingDivergenceError(VoteStackError):
     """Training produced a non-finite loss; message names the epoch and batch."""
-
-
-class InsufficientDataError(DataError):
-    """Too few samples for a statistic to be defined."""
-
-
-class DegenerateWeightsError(DataError):
-    """Learner weights cannot be normalized (e.g. all accuracies are zero)."""

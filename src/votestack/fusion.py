@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boosting
-from .errors import (
-    ConfigError,
-    ContractError,
-    DegenerateWeightsError,
-    InsufficientDataError,
-)
+from .errors import ConfigError, ContractError, DataError
 from .numerics import all_finite, frozen_copy
 
 REJECTED = -1
@@ -174,7 +169,7 @@ def weights_from_accuracy(accuracies) -> WeightVector:
         raise ContractError("accuracies must be finite and lie in [0, 1]")
     total = acc.sum()
     if total <= 0:
-        raise DegenerateWeightsError("all learner accuracies are zero")
+        raise DataError("all learner accuracies are zero")
     return WeightVector(acc / total)
 
 
@@ -302,7 +297,7 @@ def variance_report(outputs) -> VarianceReport:
     if arr.ndim != 3:
         raise ContractError("expected (learners, samples[, outputs]) array")
     if arr.shape[1] < 2:
-        raise InsufficientDataError("variance needs at least 2 samples")
+        raise DataError("variance needs at least 2 samples")
     mean_individual = float(arr.var(axis=1).mean())
     ensemble = float(arr.mean(axis=0).var(axis=0).mean())
     ratio = 1.0 if mean_individual == 0.0 else ensemble / mean_individual

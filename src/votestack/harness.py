@@ -75,9 +75,9 @@ def _as_str_tuple(raw: str) -> tuple[str, ...]:
 
 # The config file schema: section -> key -> parser of the raw INI string.
 # A key names the ExperimentConfig field it sets, except [dataset] path
-# (field dataset_path); [boost] keys name BoostConfig fields. Defaults live
-# only on the dataclass fields, the [mlp] and [boost] ones on MlpConfig and
-# BoostConfig.
+# (field dataset_path); [boost] is BoostConfig's fields, each parsed by the
+# type of its default. Defaults live only on the dataclass fields, the [mlp]
+# and [boost] ones on MlpConfig and BoostConfig.
 _CONFIG_SCHEMA = {
     "dataset": {"path": str, "train_path": str, "test_path": str,
                 "label_column": _as_label_column, "delimiter": str,
@@ -88,8 +88,7 @@ _CONFIG_SCHEMA = {
                  "level1_mode": str},
     "mlp": {"hidden_sizes": _as_int_tuple, "epochs": int, "batch_size": int,
             "learning_rate": float, "momentum": float},
-    "boost": {"rounds": int, "max_depth": int, "learning_rate": float,
-              "l2_lambda": float, "min_child_weight": float},
+    "boost": {f.name: type(f.default) for f in fields(BoostConfig)},
     "run": {"seed": int, "output_dir": str, "workers": int},
 }
 _FIELD_OF_KEY = {"path": "dataset_path"}
@@ -142,6 +141,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if len(self.delimiter) != 1:
+            raise ConfigError(f"[dataset] delimiter must be one character, got {self.delimiter!r}")
         if self.n_learners < 1:
             raise ConfigError("[ensemble] n_learners must be at least 1")
         if self.threshold is not None and not 1 <= self.threshold <= self.n_learners:

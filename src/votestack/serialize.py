@@ -86,7 +86,11 @@ def read_model_file(path: str | Path, magic: bytes,
     path = Path(path)
     if not path.exists():
         raise DataError(f"model file not found: {path}")
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    with fh:
         tag = _read_exact(fh, MAGIC_LEN, path)
         if tag != magic:
             raise DataError(f"{path}: not a {magic!r} model file (magic {tag!r})")

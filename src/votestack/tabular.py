@@ -257,7 +257,7 @@ def split(dataset: Dataset, train_fraction: float, stratified: bool,
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     S = dataset.n_samples
     if S < 2:
-        raise ConfigError("cannot split fewer than 2 samples")
+        raise DataError("cannot split fewer than 2 samples")
     groups = ([np.flatnonzero(dataset.labels == c) for c in range(dataset.n_classes)]
               if stratified else [np.arange(S)])
     rng = np.random.default_rng(seed)
@@ -265,7 +265,7 @@ def split(dataset: Dataset, train_fraction: float, stratified: bool,
     test_parts = []
     for c, members in enumerate(groups):
         if members.size < 2:
-            raise ConfigError(
+            raise DataError(
                 f"class {dataset.class_names[c]!r} has {members.size} sample(s); "
                 "stratified splitting needs at least 2 per class"
             )

@@ -81,6 +81,14 @@ def _nan_first_entry(arrays):
     arrays[0].flat[0] = np.nan
 
 
+def _drop_last_array(arrays):
+    arrays.pop()
+
+
+def _transpose_first_array(arrays):
+    arrays[0] = arrays[0].T
+
+
 MALFORMED_MODEL_CASES = (
     "header without config",
     "JSON list header",
@@ -91,6 +99,8 @@ MALFORMED_MODEL_CASES = (
     "dims 0 x 2**62",
     "ndim 70, dims (0, 1, ..., 1)",
     pytest.param(_nan_first_entry, id="NaN first entry"),
+    pytest.param(_drop_last_array, id="last array dropped"),
+    pytest.param(_transpose_first_array, id="first array transposed"),
 )
 
 

@@ -519,6 +519,14 @@ class TestSaveLoad:
         with pytest.raises(DataError, match="format version 1 unsupported"):
             boosting.load(path)
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_path_is_data_error_naming_it(self, tmp_path, kind):
+        path = tmp_path / "m.gbt"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            boosting.load(path)
+
     @pytest.mark.parametrize("case", MALFORMED_MODEL_CASES + (
         # Counts below 1, with the tree count their round/class grid implies.
         pytest.param(({"n_features": -3}, 2), id="n_features -3"),

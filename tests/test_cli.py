@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from votestack import DegenerateWeightsError, cli, fusion, gaussian_blobs, save_csv
+from votestack import DataError, cli, errors, fusion, gaussian_blobs, save_csv
 from conftest import FILE_EDITS, FUZZ_SETTINGS, apply_edits, wall_bound
 
 BASE_CONFIG = """
@@ -47,6 +47,21 @@ def write_config(tmp_path, data_csv, extra="", out="{out}"):
     path = tmp_path / "exp.ini"
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def write_minimal_config(tmp_path, data, extra=""):
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[dataset]\npath = {data}\n{extra}"
+                    f"[run]\noutput_dir = {tmp_path / 'o'}\n", encoding="utf-8")
+    return path
+
+
+def test_every_error_but_a_contract_error_has_an_exit_code():
+    kinds = {c for c in vars(errors).values()
+             if isinstance(c, type) and issubclass(c, errors.VoteStackError)}
+    for kind in kinds - {errors.VoteStackError, errors.ContractError}:
+        assert any(issubclass(kind, mapped) for mapped in cli._EXIT_CODES), kind
+    assert not issubclass(errors.ContractError, tuple(cli._EXIT_CODES))
 
 
 class TestSelfcheck:
@@ -177,6 +192,40 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(data) in err
 
+    def test_one_row_class_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,label\n0,1,x\n1,2,x\n2,3,x\n3,4,y\n", encoding="utf-8")
+        rc = cli.main(["run", "--config", str(write_minimal_config(tmp_path, data))])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: loading data: class 'y' has 1 sample(s)")
+
+    @pytest.mark.parametrize("label_column", ["nosuch", "9"])
+    def test_unresolvable_label_column_exits_2(self, tmp_path, data_csv, capsys, label_column):
+        config = write_minimal_config(tmp_path, data_csv, f"label_column = {label_column}\n")
+        rc = cli.main(["run", "--config", str(config)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "label column" in err
+
+    def test_comment_character_delimiter_exits_1(self, tmp_path, data_csv, capsys):
+        config = write_minimal_config(tmp_path, data_csv, "delimiter = ;\n")
+        rc = cli.main(["run", "--config", str(config)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "[dataset] delimiter" in err
+
+    def test_majority_rejections_reported(self, tmp_path, data_csv, capsys):
+        config = write_config(tmp_path, data_csv)
+        text = config.read_text(encoding="utf-8").replace(
+            "strategies = plurality, filtered", "strategies = plurality, majority")
+        config.write_text(text, encoding="utf-8")
+        assert cli.main(["run", "--config", str(config)]) == 0
+        rejected = json.loads((tmp_path / "out" / "report.json").read_text(
+            encoding="utf-8"))["rejected_count"]
+        assert rejected > 0
+        assert f"strict majority rejected {rejected} sample(s)" in capsys.readouterr().out
+
     def test_config_file_not_utf8(self, tmp_path, data_csv, capsys):
         config = tmp_path / "exp.ini"
         config.write_bytes(f"[dataset]\npath = {data_csv}\n# caf\xe9\n".encode("latin-1"))
@@ -234,7 +283,7 @@ class TestRun:
     def test_degenerate_weights_exit_2(self, tmp_path, data_csv, capsys, monkeypatch):
         # all-zero out-of-bag accuracies leave weighted_average no weights
         def all_zero(accuracies):
-            raise DegenerateWeightsError("all learner accuracies are zero")
+            raise DataError("all learner accuracies are zero")
 
         monkeypatch.setattr(fusion, "weights_from_accuracy", all_zero)
         config = write_config(tmp_path, data_csv)

@@ -9,9 +9,8 @@ from votestack import (
     BoostConfig,
     ConfigError,
     ContractError,
-    DegenerateWeightsError,
+    DataError,
     FusionOutcome,
-    InsufficientDataError,
     PredictionMatrix,
     REJECTED,
     WeightVector,
@@ -152,7 +151,7 @@ class TestWeights:
         assert w.values[0] > 0.999999
 
     def test_all_zero_accuracies_rejected(self):
-        with pytest.raises(DegenerateWeightsError):
+        with pytest.raises(DataError, match="all learner accuracies are zero"):
             weights_from_accuracy([0.0, 0.0, 0.0])
 
     def test_out_of_range_accuracy_rejected(self):
@@ -493,7 +492,7 @@ class TestVarianceReport:
         assert report.ratio > 0
 
     def test_too_few_samples_rejected(self, rng):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DataError, match="variance needs at least 2 samples"):
             variance_report(rng.standard_normal((3, 1)))
 
 

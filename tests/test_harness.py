@@ -341,6 +341,14 @@ workers = 2
         )
         assert cfg.label_column == -1
 
+    @pytest.mark.parametrize("raw", [";", "#", "", ";;", r"\t"])
+    def test_delimiter_must_be_one_character(self, tmp_path, raw):
+        # ";" and "#" start inline comments and blanks are stripped, so the
+        # first four read as an empty value; "\t" is two characters.
+        path = self.write(tmp_path, f"[dataset]\npath = d.csv\ndelimiter = {raw}\n")
+        with pytest.raises(ConfigError, match=r"\[dataset\] delimiter"):
+            ExperimentConfig.from_file(path)
+
     def test_config_file_not_found(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             ExperimentConfig.from_file(tmp_path / "absent.ini")
@@ -533,6 +541,15 @@ class TestRunExperiment:
         assert report.threshold == 1
         assert report.strategy_accuracies["plurality"] == report.per_learner_accuracies[0]
         assert report.strategy_accuracies["filtered"] == report.strategy_accuracies["plurality"]
+
+    def test_single_learner_weighted_average_equals_plurality(self):
+        # One learner trains on every row, with no plan, so its weight is 1.
+        config = replace(DESK_CONFIG, n_learners=1,
+                         strategies=("weighted_average", "plurality"))
+        report = run_experiment(config, dataset=DESK_DATA)
+        assert report.decisions["weighted_average"] == report.decisions["plurality"]
+        assert (report.strategy_accuracies["weighted_average"]
+                == report.per_learner_accuracies[0])
 
     def test_in_memory_label_and_variance_weights(self):
         config = replace(DESK_CONFIG, epochs=1, n_learners=2,

@@ -661,6 +661,14 @@ class TestSaveLoad:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.mlp"]
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_path_is_data_error_naming_it(self, tmp_path, kind):
+        path = tmp_path / "m.mlp"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            mlp.load(path)
+
     @pytest.mark.parametrize("case", MALFORMED_MODEL_CASES)
     def test_malformed_file_is_data_error_naming_path(self, tmp_path, case):
         path = mlp.save(mlp.init(MlpConfig(layer_sizes=(2, 3, 2))), tmp_path / "m.mlp")

@@ -80,6 +80,16 @@ class TestLoadCsv:
         with pytest.raises(ConfigError, match="header"):
             load_csv(path, "y", ",", False)
 
+    @pytest.mark.parametrize("label_column, message", [
+        ("nosuch", "'nosuch' not found in header"),
+        (3, "index 3 out of range for 3 columns"),
+        (-4, "index -4 out of range for 3 columns"),
+    ])
+    def test_unresolvable_label_column_is_data_error(self, tmp_path, label_column, message):
+        path = write_lines(tmp_path, "h.csv", ["a,b,y", "1,2,0", "3,4,1"])
+        with pytest.raises(DataError, match=message):
+            load_csv(path, label_column, ",", None)
+
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_csv(tmp_path / "absent.csv", -1, ",", None)
@@ -200,7 +210,7 @@ class TestSplit:
     def test_stratified_single_member_class_rejected(self):
         labels = np.array([0] * 9 + [1])
         ds = make_dataset(np.arange(20.0).reshape(10, 2), labels)
-        with pytest.raises(ConfigError, match="at least 2"):
+        with pytest.raises(DataError, match="at least 2"):
             split(ds, 0.8, True, 0)
 
     def test_unstratified_indices_pinned(self):
