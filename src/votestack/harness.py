@@ -12,13 +12,15 @@ scheduling cannot change them.
 from __future__ import annotations
 
 import configparser
+import inspect
 import json
 import time
+import types
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -103,14 +105,31 @@ def _plain(value):
     return value
 
 
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value has a field's type: a list stands for a tuple and
+    an int for a float, but a bool is no int."""
+    if isinstance(hint, types.UnionType):
+        return any(_conforms(value, h) for h in get_args(hint))
+    if get_origin(hint) is tuple:
+        return (isinstance(value, (list, tuple))
+                and all(_conforms(v, get_args(hint)[0]) for v in value))
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+
+
 @contextmanager
-def _stage(name: str):
-    # Re-raise module errors with the pipeline stage prepended, same type
-    # so exit-code mapping is preserved.
+def _stage(name: str, spans: list):
+    """Run one pipeline stage: append (name, start, end) to the run's spans
+    (list.append is atomic, so worker threads share one list) and re-raise a
+    module error with the stage name prepended, same type so exit-code
+    mapping is preserved."""
+    start = time.perf_counter()
     try:
         yield
     except VoteStackError as exc:
         raise type(exc)(f"{name}: {exc}") from exc
+    spans.append((name, start, time.perf_counter()))
 
 
 @dataclass(frozen=True)
@@ -212,13 +231,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Inverse of to_dict; absent sections and keys keep their defaults."""
+        """Inverse of to_dict; absent sections and keys keep their defaults.
+        Each value must have the type of the field it sets."""
         for section, values in d.items():
             if section not in _CONFIG_SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")
-            for key in values:
+            if not isinstance(values, dict):
+                raise ConfigError(f"[{section}] must be a table of keys, got {values!r}")
+            hints = get_type_hints(BoostConfig if section == "boost" else cls)
+            for key, value in values.items():
                 if key not in _CONFIG_SCHEMA[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
+                hint = hints[_FIELD_OF_KEY.get(key, key)]
+                if not _conforms(value, hint):
+                    raise ConfigError(f"[{section}] {key} must be "
+                                      f"{inspect.formatannotation(hint)}, got {value!r}")
         kwargs = {_FIELD_OF_KEY.get(key, key): value
                   for section, values in d.items() if section != "boost"
                   for key, value in values.items()}
@@ -344,14 +371,14 @@ class SweepReport:
         }
 
 
-def _prepare(config: ExperimentConfig,
-             dataset: Dataset | None) -> tuple[Dataset, Dataset, str]:
+def _prepare(config: ExperimentConfig, dataset: Dataset | None,
+             spans: list) -> tuple[Dataset, Dataset, str]:
     """Load, split and z-score the data; returns (train, test, report label).
 
     `dataset` bypasses file loading (the splitter still applies); predefined
     train/test files skip the splitter. The normalizer is fitted on train.
     """
-    with _stage("loading data"):
+    with _stage("loading data", spans):
         if dataset is not None or config.dataset_path is not None:
             label = "in-memory"
             if dataset is None:
@@ -377,15 +404,15 @@ def _prepare(config: ExperimentConfig,
                 "missing dataset location: set [dataset] path, or "
                 "[dataset] train_path and test_path"
             )
-    with _stage("normalizing"):
+    with _stage("normalizing", spans):
         norm = fit_normalizer(train)
         train = apply_normalizer(norm, train)
         test = apply_normalizer(norm, test)
     return train, test, label
 
 
-def _learner_predictions(config: ExperimentConfig, train: Dataset, test: Dataset,
-                         plan, out: Path | None) -> tuple[PredictionMatrix, PredictionMatrix]:
+def _learner_predictions(config: ExperimentConfig, train: Dataset, test: Dataset, plan,
+                         out: Path | None, spans: list) -> tuple[PredictionMatrix, PredictionMatrix]:
     """One train-predict-save job per learner. Every job trains on the run's
     one read-only train block through its plan's row index, never a copy of
     its rows. A job returns only its train and test probabilities, so at most
@@ -395,16 +422,17 @@ def _learner_predictions(config: ExperimentConfig, train: Dataset, test: Dataset
     def job(j: int) -> tuple[np.ndarray, np.ndarray]:
         rows = None if plan is None else materialize(plan, j)
         cfg = config.mlp_config(train.n_features, train.n_classes, config.learner_seed(j))
-        with _stage(f"training learner {j}"):
+        with _stage(f"training learner {j}", spans):
             model = mlp.train(mlp.init(cfg), train.features, train.labels, rows=rows)
-        with _stage("predicting"):
+        with _stage("predicting", spans):
             probs = (mlp.predict_proba(model, train.features),
                      mlp.predict_proba(model, test.features))
         if not all_finite(*model.weights, *model.biases, *probs):
             raise TrainingDivergenceError(
                 f"learner {j}: non-finite weights or probabilities after training")
         if out is not None:
-            mlp.save(model, out / "models" / f"learner_{j}.mlp")
+            with _stage(f"training learner {j}", spans):
+                mlp.save(model, out / "models" / f"learner_{j}.mlp")
         return probs
 
     n = config.n_learners
@@ -415,7 +443,7 @@ def _learner_predictions(config: ExperimentConfig, train: Dataset, test: Dataset
     else:
         blocks = [job(j) for j in range(n)]
     train_probs, test_probs = zip(*blocks)
-    with _stage("predicting"):
+    with _stage("predicting", spans):
         # PredictionMatrix stacks the per-learner blocks in its one copy.
         return PredictionMatrix(train_probs), PredictionMatrix(test_probs)
 
@@ -447,25 +475,22 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
     Model binaries are persisted to <output_dir>/models before any fusion
     runs, so a failed fusion stage leaves the trained ensemble on disk.
     """
-    t_start = time.perf_counter()
-    train, test, label = _prepare(config, dataset)
-    return _run(config, train, test, label, t_start)
+    spans: list = []
+    train, test, label = _prepare(config, dataset, spans)
+    return _run(config, train, test, label, spans)
 
 
 def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
-         t_start: float) -> RunReport:
-    """Plan, train, predict and fuse on prepared data; the timings start at
-    t_start, so load_seconds is the time since then."""
-    t_loaded = time.perf_counter()
-
+         spans: list) -> RunReport:
+    """Plan, train, predict and fuse on prepared data; the timings sum each
+    stage's spans, those already in `spans` included."""
     n = config.n_learners
     out = Path(config.output_dir) if config.output_dir else None
     # A single learner has no segment to delete; it trains on the full set.
-    with _stage("planning resamples"):
+    with _stage("planning resamples", spans):
         plan = build_plan(train.n_samples, n, config.seed) if n > 1 else None
 
-    pm_train, pm_test = _learner_predictions(config, train, test, plan, out)
-    t_trained = time.perf_counter()
+    pm_train, pm_test = _learner_predictions(config, train, test, plan, out, spans)
 
     test_votes = pm_test.votes()
     per_learner = tuple(
@@ -474,7 +499,7 @@ def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
     mean_accuracy = sum(per_learner) / n
 
     outcomes: dict[str, fusion.FusionOutcome] = {}
-    with _stage("fusing"):
+    with _stage("fusing", spans):
         if STRATEGY_AVERAGE in config.strategies:
             outcomes[STRATEGY_AVERAGE] = fusion.model_average(pm_test)
         if STRATEGY_WEIGHTED in config.strategies:
@@ -484,18 +509,22 @@ def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
             outcomes[STRATEGY_PLURALITY] = fusion.plurality_vote(pm_test)
         if STRATEGY_MAJORITY in config.strategies:
             outcomes[STRATEGY_MAJORITY] = fusion.majority_vote(pm_test)
-        # Plain stacking is the vote filter at n+1, where no vote is confident.
-        for name, threshold, model_file in (
-                (STRATEGY_META, n + 1, "meta.gbt"),
-                (STRATEGY_FILTERED, config.effective_threshold, "filtered_meta.gbt")):
-            if name not in config.strategies:
-                continue
+    # Plain stacking is the vote filter at n+1, where no vote is confident.
+    for name, threshold, model_file in (
+            (STRATEGY_META, n + 1, "meta.gbt"),
+            (STRATEGY_FILTERED, config.effective_threshold, "filtered_meta.gbt")):
+        if name not in config.strategies:
+            continue
+        with _stage(f"stacking {name}", spans):
             fitted = fusion.fit_filtered(pm_train, train.labels, config.boost,
                                          threshold, config.level1_mode)
             if out is not None and fitted.meta_model is not None:
                 boosting.save(fitted.meta_model, out / "models" / model_file)
             outcomes[name] = fusion.apply_filtered(fitted, pm_test)
-    t_done = time.perf_counter()
+    timings: dict[str, float] = {}
+    for name, start, end in spans:
+        timings[name] = timings.get(name, 0.0) + end - start
+    timings["total_seconds"] = max(span[2] for span in spans) - min(span[1] for span in spans)
 
     majority = outcomes.get(STRATEGY_MAJORITY)
     filtered = outcomes.get(STRATEGY_FILTERED)
@@ -520,12 +549,7 @@ def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
                        else [fusion.ROUTES[c] for c in o.routes.tolist()])
                 for name, o in outcomes.items()},
         config=config.to_dict(),
-        timings={
-            "load_seconds": t_loaded - t_start,
-            "train_seconds": t_trained - t_loaded,
-            "fusion_seconds": t_done - t_trained,
-            "total_seconds": t_done - t_start,
-        },
+        timings=timings,
         plan_manifest=plan.to_manifest() if plan is not None else None,
     )
 
@@ -534,17 +558,15 @@ def sweep(config: ExperimentConfig, max_size: int,
           dataset: Dataset | None = None) -> SweepReport:
     """Run the experiment at every ensemble size 1..max_size, shared seed.
 
-    The data is loaded, split and normalized once and shared by every size.
-    Each size uses its own default filter threshold (size-1, floored at 1)
-    and, when an output directory is set, its own size_<k> subdirectory.
-    The per-size timings tile the sweep: size 1's load_seconds holds the
-    shared preparation, later sizes read about 0, and the total_seconds of
-    all sizes sum to the sweep's wall time.
+    The data is loaded, split and normalized once and shared by every size;
+    those stages' spans go to size 1's timings. Each size uses its own
+    default filter threshold (size-1, floored at 1) and, when an output
+    directory is set, its own size_<k> subdirectory.
     """
     if max_size < 1:
         raise ConfigError("sweep max_size must be at least 1")
-    t_start = time.perf_counter()
-    train, test, label = _prepare(config, dataset)
+    spans: list = []
+    train, test, label = _prepare(config, dataset, spans)
     reports = []
     for size in range(1, max_size + 1):
         sub_out = (str(Path(config.output_dir) / f"size_{size}")
@@ -552,8 +574,7 @@ def sweep(config: ExperimentConfig, max_size: int,
         sub = replace(config, n_learners=size, threshold=None,
                       strategies=(*config.strategies, STRATEGY_FILTERED),
                       output_dir=sub_out)
-        reports.append(_run(sub, train, test, label, t_start))
-        t_start = time.perf_counter()
+        reports.append(_run(sub, train, test, label, spans if size == 1 else []))
     return SweepReport(tuple(reports))
 
 

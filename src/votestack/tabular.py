@@ -104,8 +104,8 @@ def _parse_feature(cell: str, line_no: int, col_name: str) -> float:
     return value
 
 
-def _resolve_label_column(label_column: int | str, header: list[str] | None,
-                          n_columns: int) -> int:
+def _resolve_label_column(path: Path, label_column: int | str,
+                          header: list[str] | None, n_columns: int) -> int:
     if isinstance(label_column, str):
         if header is None:
             raise ConfigError(
@@ -114,12 +114,13 @@ def _resolve_label_column(label_column: int | str, header: list[str] | None,
         try:
             return header.index(label_column)
         except ValueError:
-            raise DataError(f"label column {label_column!r} not found in header") from None
+            raise DataError(f"{path}: label column {label_column!r} not found in header") from None
     idx = label_column
     if idx < 0:
         idx += n_columns
     if not (0 <= idx < n_columns):
-        raise DataError(f"label column index {label_column} out of range for {n_columns} columns")
+        raise DataError(
+            f"{path}: label column index {label_column} out of range for {n_columns} columns")
     return idx
 
 
@@ -173,7 +174,7 @@ def _parse_records(path: Path, records: Iterator[tuple[int, list[str]]],
     n_columns = len(first_row)
     # A column index is resolved before the header is known; a name needs the header.
     label_idx = (None if isinstance(label_column, str)
-                 else _resolve_label_column(label_column, None, n_columns))
+                 else _resolve_label_column(path, label_column, None, n_columns))
     if has_header is None:
         has_header = label_idx is None or _looks_like_header(first_row, label_idx)
 
@@ -186,7 +187,7 @@ def _parse_records(path: Path, records: Iterator[tuple[int, list[str]]],
     records = itertools.chain([first], records)
 
     if label_idx is None:
-        label_idx = _resolve_label_column(label_column, header, n_columns)
+        label_idx = _resolve_label_column(path, label_column, header, n_columns)
 
     if header is not None:
         feature_names = tuple(name for i, name in enumerate(header) if i != label_idx)

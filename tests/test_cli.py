@@ -208,6 +208,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "label column" in err
 
+    def test_label_column_missing_from_the_test_file_names_it(self, tmp_path, capsys):
+        rows = ["0,1,x", "1,2,y", "2,3,x", "3,4,y"]
+        (tmp_path / "tr.csv").write_text("\n".join(["a,b,label", *rows]) + "\n",
+                                         encoding="utf-8")
+        (tmp_path / "te.csv").write_text("\n".join(["a,b,lab", *rows]) + "\n",
+                                         encoding="utf-8")
+        config = tmp_path / "exp.ini"
+        config.write_text(f"[dataset]\ntrain_path = {tmp_path / 'tr.csv'}\n"
+                          f"test_path = {tmp_path / 'te.csv'}\nlabel_column = label\n"
+                          f"[run]\noutput_dir = {tmp_path / 'o'}\n", encoding="utf-8")
+        rc = cli.main(["run", "--config", str(config)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: loading data: {tmp_path / 'te.csv'}: "
+            "label column 'label' not found in header\n")
+
     def test_comment_character_delimiter_exits_1(self, tmp_path, data_csv, capsys):
         config = write_minimal_config(tmp_path, data_csv, "delimiter = ;\n")
         rc = cli.main(["run", "--config", str(config)])
