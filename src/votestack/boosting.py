@@ -20,6 +20,7 @@ per node; `np.compress`'s internal index is one block's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -51,12 +52,13 @@ class BoostConfig:
             raise ConfigError("rounds must be at least 1")
         if self.max_depth < 1:
             raise ConfigError("max_depth must be at least 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.l2_lambda < 0:
-            raise ConfigError("l2_lambda must be non-negative")
-        if self.min_child_weight < 0:
-            raise ConfigError("min_child_weight must be non-negative")
+        # Stated so that NaN, which fails every comparison, fails each check.
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
+        if not 0 <= self.l2_lambda < math.inf:
+            raise ConfigError("l2_lambda must be non-negative and finite")
+        if not 0 <= self.min_child_weight < math.inf:
+            raise ConfigError("min_child_weight must be non-negative and finite")
 
 
 class RegressionTree:

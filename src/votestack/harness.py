@@ -18,7 +18,7 @@ import time
 import types
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
@@ -52,49 +52,6 @@ ALL_STRATEGIES = (
 
 WEIGHT_MODES = ("accuracy", "inverse_variance")
 
-def _as_bool(raw: str) -> bool:
-    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-
-
-def _as_tribool(raw: str) -> bool | None:
-    return None if raw.lower() == "auto" else _as_bool(raw)
-
-
-def _as_label_column(raw: str) -> int | str:
-    try:
-        return int(raw)
-    except ValueError:
-        return raw
-
-
-def _as_int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in raw.replace(",", " ").split())
-
-
-def _as_str_tuple(raw: str) -> tuple[str, ...]:
-    return tuple(raw.replace(",", " ").split())
-
-
-# The config file schema: section -> key -> parser of the raw INI string.
-# A key names the ExperimentConfig field it sets, except [dataset] path
-# (field dataset_path); [boost] is BoostConfig's fields, each parsed by the
-# type of its default. Defaults live only on the dataclass fields, the [mlp]
-# and [boost] ones on MlpConfig and BoostConfig.
-_CONFIG_SCHEMA = {
-    "dataset": {"path": str, "train_path": str, "test_path": str,
-                "label_column": _as_label_column, "delimiter": str,
-                "has_header": _as_tribool},
-    "split": {"train_fraction": float, "stratified": _as_bool},
-    "ensemble": {"n_learners": int, "threshold": int,
-                 "strategies": _as_str_tuple, "weight_mode": str,
-                 "level1_mode": str},
-    "mlp": {"hidden_sizes": _as_int_tuple, "epochs": int, "batch_size": int,
-            "learning_rate": float, "momentum": float},
-    "boost": {f.name: type(f.default) for f in fields(BoostConfig)},
-    "run": {"seed": int, "output_dir": str, "workers": int},
-}
-_FIELD_OF_KEY = {"path": "dataset_path"}
-
 
 def _plain(value):
     """Deep copy in JSON shape: tuples become lists."""
@@ -118,6 +75,31 @@ def _conforms(value, hint) -> bool:
     return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 
+def _from_ini(raw: str, hint):
+    """Parse an INI string as a field's type: a union tries its arms in order,
+    None is spelled auto, a tuple is a comma or space list and a bool takes
+    the ConfigParser spellings."""
+    if isinstance(hint, types.UnionType):
+        for arm in get_args(hint):
+            try:
+                return _from_ini(raw, arm)
+            except (KeyError, ValueError):
+                pass
+        raise ValueError(raw)
+    if hint is types.NoneType:
+        return {"auto": None}[raw.lower()]
+    if get_origin(hint) is tuple:
+        return tuple(_from_ini(p, get_args(hint)[0]) for p in raw.replace(",", " ").split())
+    if hint is bool:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    return hint(raw)
+
+
+def _in(section: str, default, key: str | None = None):
+    """A config field set by the INI key `key` (default: the field's name) in `section`."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
 @contextmanager
 def _stage(name: str, spans: list):
     """Run one pipeline stage: append (name, start, end) to the run's spans
@@ -136,28 +118,28 @@ def _stage(name: str, spans: list):
 class ExperimentConfig:
     """Everything a run needs; the defaults mirror the reference setup."""
 
-    dataset_path: str | None = None
-    train_path: str | None = None
-    test_path: str | None = None
-    label_column: int | str = -1
-    delimiter: str = ","
-    has_header: bool | None = None
-    train_fraction: float = 0.8
-    stratified: bool = True
-    n_learners: int = 7
-    threshold: int | None = None
-    strategies: tuple[str, ...] = ALL_STRATEGIES
-    weight_mode: str = "accuracy"
-    level1_mode: str = fusion.LEVEL1_PROBA
-    hidden_sizes: tuple[int, ...] = (1200, 800)
-    epochs: int = mlp.MlpConfig.epochs
-    batch_size: int = mlp.MlpConfig.batch_size
-    learning_rate: float = mlp.MlpConfig.learning_rate
-    momentum: float = mlp.MlpConfig.momentum
-    boost: BoostConfig = field(default_factory=BoostConfig)
-    seed: int = 0
-    output_dir: str | None = None
-    workers: int = 1
+    dataset_path: str | None = _in("dataset", None, key="path")
+    train_path: str | None = _in("dataset", None)
+    test_path: str | None = _in("dataset", None)
+    label_column: int | str = _in("dataset", -1)
+    delimiter: str = _in("dataset", ",")
+    has_header: bool | None = _in("dataset", None)
+    train_fraction: float = _in("split", 0.8)
+    stratified: bool = _in("split", True)
+    n_learners: int = _in("ensemble", 7)
+    threshold: int | None = _in("ensemble", None)
+    strategies: tuple[str, ...] = _in("ensemble", ALL_STRATEGIES)
+    weight_mode: str = _in("ensemble", "accuracy")
+    level1_mode: str = _in("ensemble", fusion.LEVEL1_PROBA)
+    hidden_sizes: tuple[int, ...] = _in("mlp", (1200, 800))
+    epochs: int = _in("mlp", mlp.MlpConfig.epochs)
+    batch_size: int = _in("mlp", mlp.MlpConfig.batch_size)
+    learning_rate: float = _in("mlp", mlp.MlpConfig.learning_rate)
+    momentum: float = _in("mlp", mlp.MlpConfig.momentum)
+    boost: BoostConfig = field(default_factory=BoostConfig, metadata={"section": "boost"})
+    seed: int = _in("run", 0)
+    output_dir: str | None = _in("run", None)
+    workers: int = _in("run", 1)
 
     def __post_init__(self):
         if len(self.delimiter) != 1:
@@ -223,34 +205,34 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        out = {section: {key: _plain(getattr(self, _FIELD_OF_KEY.get(key, key)))
-                         for key in keys}
-               for section, keys in _CONFIG_SCHEMA.items() if section != "boost"}
-        out["boost"] = asdict(self.boost)
-        return out
+        return {section: {key: _plain(getattr(self.boost if section == "boost" else self, name))
+                          for key, (name, _) in keys.items()}
+                for section, keys in _SCHEMA.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Inverse of to_dict; absent sections and keys keep their defaults.
         Each value must have the type of the field it sets."""
         for section, values in d.items():
-            if section not in _CONFIG_SCHEMA:
+            if section not in _SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")
             if not isinstance(values, dict):
                 raise ConfigError(f"[{section}] must be a table of keys, got {values!r}")
-            hints = get_type_hints(BoostConfig if section == "boost" else cls)
             for key, value in values.items():
-                if key not in _CONFIG_SCHEMA[section]:
+                if key not in _SCHEMA[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                hint = hints[_FIELD_OF_KEY.get(key, key)]
+                hint = _SCHEMA[section][key][1]
                 if not _conforms(value, hint):
                     raise ConfigError(f"[{section}] {key} must be "
                                       f"{inspect.formatannotation(hint)}, got {value!r}")
-        kwargs = {_FIELD_OF_KEY.get(key, key): value
+        kwargs = {_SCHEMA[section][key][0]: value
                   for section, values in d.items() if section != "boost"
                   for key, value in values.items()}
         if d.get("boost"):
-            kwargs["boost"] = BoostConfig(**d["boost"])
+            try:
+                kwargs["boost"] = BoostConfig(**d["boost"])
+            except ConfigError as exc:
+                raise ConfigError(f"[boost] {exc}") from None
         return cls(**kwargs)
 
     @classmethod
@@ -274,12 +256,12 @@ class ExperimentConfig:
         # Unknown sections and keys pass through unparsed for from_dict to reject.
         d: dict = {}
         for section in parser.sections():
-            parsers = _CONFIG_SCHEMA.get(section, {})
+            keys = _SCHEMA.get(section, {})
             d[section] = {}
             for key, raw in parser[section].items():
                 raw = raw.strip()
                 try:
-                    d[section][key] = parsers.get(key, str)(raw)
+                    d[section][key] = _from_ini(raw, keys[key][1]) if key in keys else raw
                 except (KeyError, ValueError, TypeError) as exc:
                     raise ConfigError(
                         f"{path}: [{section}] {key}: cannot parse {raw!r}"
@@ -294,6 +276,23 @@ class ExperimentConfig:
                 "[dataset] train_path and test_path"
             )
         return config
+
+
+def _schema() -> dict[str, dict[str, tuple[str, object]]]:
+    """The config file schema, section -> key -> (field name, type hint), read from
+    ExperimentConfig's fields; [boost] is BoostConfig's fields."""
+    schema: dict = {}
+    hints = get_type_hints(ExperimentConfig)
+    for f in fields(ExperimentConfig):
+        keys = schema.setdefault(f.metadata["section"], {})
+        if f.name == "boost":
+            keys.update((name, (name, hint)) for name, hint in get_type_hints(BoostConfig).items())
+        else:
+            keys[f.metadata["key"] or f.name] = (f.name, hints[f.name])
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 @dataclass(frozen=True)

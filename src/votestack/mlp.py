@@ -23,6 +23,7 @@ shape and the probabilities keep their bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -70,8 +71,8 @@ class MlpConfig:
             raise ConfigError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigError("momentum must lie in [0, 1)")
 
@@ -159,15 +160,6 @@ def predict_proba(model: MlpModel, features) -> np.ndarray:
         logits = top[:len(block)] @ model.weights[-1].T + model.biases[-1]
         probs[start:start + len(block)] = softmax(logits)
     return probs
-
-
-def loss(model: MlpModel, features, labels) -> float:
-    """Mean clamped cross-entropy over a batch."""
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if len(y) == 0:
-        raise ContractError("loss needs a non-empty batch")
-    return cross_entropy(predict_proba(model, X), y)
 
 
 def _row_blocks(W: np.ndarray) -> list[tuple[int, int]]:

@@ -202,24 +202,27 @@ def _parse_records(path: Path, records: Iterator[tuple[int, list[str]]],
         class_index = {name: i for i, name in enumerate(class_names)}
 
     features, labels = array("d"), array("q")
-    for line_no, row in records:
-        if len(row) != n_columns:
-            raise DataError(
-                f"line {line_no}: expected {n_columns} cells, got {len(row)}"
-            )
-        label_cell = row[label_idx].strip()
-        if not label_cell:
-            raise DataError(f"line {line_no}: empty label")
-        if label_cell not in class_index:
-            if class_names is not None:
+    try:
+        for line_no, row in records:
+            if len(row) != n_columns:
                 raise DataError(
-                    f"line {line_no}: label {label_cell!r} not among the expected classes"
+                    f"line {line_no}: expected {n_columns} cells, got {len(row)}"
                 )
-            class_index[label_cell] = len(class_index)
-        labels.append(class_index[label_cell])
-        del row[label_idx]
-        for name, cell in zip(feature_names, row):
-            features.append(_parse_feature(cell.strip(), line_no, name))
+            label_cell = row[label_idx].strip()
+            if not label_cell:
+                raise DataError(f"line {line_no}: empty label")
+            if label_cell not in class_index:
+                if class_names is not None:
+                    raise DataError(
+                        f"line {line_no}: label {label_cell!r} not among the expected classes"
+                    )
+                class_index[label_cell] = len(class_index)
+            labels.append(class_index[label_cell])
+            del row[label_idx]
+            for name, cell in zip(feature_names, row):
+                features.append(_parse_feature(cell.strip(), line_no, name))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
     ordered = tuple(class_names) if class_names is not None else tuple(class_index)
     if len(ordered) < 2:

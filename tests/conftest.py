@@ -12,7 +12,8 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from votestack import Dataset, PredictionMatrix
+from votestack import Dataset, PredictionMatrix, mlp
+from votestack.numerics import cross_entropy
 from votestack.serialize import read_model_file, write_model_file
 
 
@@ -41,6 +42,12 @@ def fresh_process_minor_faults(setup: str, statement: str) -> int:
                           timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout.split()[-1])
+
+
+def mlp_loss(model, X, y):
+    """Mean clamped cross-entropy of a model's probabilities on a batch: the
+    loss whose gradient `mlp.gradients` computes."""
+    return cross_entropy(mlp.predict_proba(model, X), y)
 
 
 def make_dataset(features, labels, n_classes=None):

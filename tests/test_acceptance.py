@@ -33,6 +33,8 @@ from votestack import (
     sweep,
 )
 
+from conftest import mlp_loss
+
 BENCH_SEEDS = (0, 1, 2, 3, 4)
 
 
@@ -111,9 +113,9 @@ def test_02_analytic_gradients_match_finite_differences(capsys):
             for i in range(flat.size):
                 keep = flat[i]
                 flat[i] = keep + step
-                hi_loss = mlp.loss(model, X, y)
+                hi_loss = mlp_loss(model, X, y)
                 flat[i] = keep - step
-                lo_loss = mlp.loss(model, X, y)
+                lo_loss = mlp_loss(model, X, y)
                 flat[i] = keep
                 numeric = (hi_loss - lo_loss) / (2 * step)
                 denom = max(abs(numeric), abs(gflat[i]), 1e-8)

@@ -65,15 +65,12 @@ def test_every_error_but_a_contract_error_has_an_exit_code():
 
 
 class TestSelfcheck:
-    def test_passes_with_default_seed(self, capsys):
-        assert cli.main(["selfcheck"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("ok:") == 3
-        assert "FAIL" not in out
-
-    def test_passes_with_other_seeds(self, capsys):
-        assert cli.main(["selfcheck", "--seed", "11"]) == 0
-        assert cli.main(["selfcheck", "--seed", "12345"]) == 0
+    # The subcommand is gone: acceptance 01-03 check its three properties.
+    def test_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["selfcheck"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_module_entry_point(self, tmp_path):
         # The child runs outside the checkout, so give it the absolute src path.
@@ -82,11 +79,11 @@ class TestSelfcheck:
                "PYTHONPATH": os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
-            [sys.executable, "-m", "votestack.cli", "selfcheck"],
+            [sys.executable, "-m", "votestack.cli", "--version"],
             capture_output=True, text=True, cwd=tmp_path, timeout=120, env=env,
         )
         assert proc.returncode == 0
-        assert proc.stdout.count("ok:") == 3
+        assert "votestack" in proc.stdout
 
 
 class TestVersion:
@@ -223,6 +220,31 @@ class TestRun:
         assert capsys.readouterr().err == (
             f"error: loading data: {tmp_path / 'te.csv'}: "
             "label column 'label' not found in header\n")
+
+    def test_short_row_in_the_test_file_names_it(self, tmp_path, capsys):
+        rows = ["0,1,x", "1,2,y", "2,3,x", "3,4,y"]
+        (tmp_path / "tr.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        (tmp_path / "te.csv").write_text("\n".join([rows[0], rows[1], "2,x", rows[3]]) + "\n",
+                                         encoding="utf-8")
+        config = tmp_path / "exp.ini"
+        config.write_text(f"[dataset]\ntrain_path = {tmp_path / 'tr.csv'}\n"
+                          f"test_path = {tmp_path / 'te.csv'}\n"
+                          f"[run]\noutput_dir = {tmp_path / 'o'}\n", encoding="utf-8")
+        rc = cli.main(["run", "--config", str(config)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: loading data: {tmp_path / 'te.csv'}: line 3: expected 3 cells, got 2\n")
+
+    @pytest.mark.parametrize("section, key", [
+        ("boost", "l2_lambda"), ("boost", "learning_rate"), ("mlp", "learning_rate"),
+    ])
+    def test_nan_setting_exits_1_naming_it_before_any_model_is_written(
+            self, tmp_path, data_csv, capsys, section, key):
+        config = write_minimal_config(tmp_path, data_csv, f"[{section}]\n{key} = nan\n")
+        rc = cli.main(["run", "--config", str(config)])
+        assert rc == 1
+        assert f"[{section}] {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_comment_character_delimiter_exits_1(self, tmp_path, data_csv, capsys):
         config = write_minimal_config(tmp_path, data_csv, "delimiter = ;\n")

@@ -1,6 +1,8 @@
 import ast
+import configparser
 import hashlib
 import json
+import math
 import time
 import tracemalloc
 from dataclasses import replace
@@ -193,6 +195,22 @@ class TestExperimentConfig:
     def test_mlp_settings_checked_when_built(self, field, value, message):
         with pytest.raises(ConfigError, match=rf"^\[mlp\] .*{message}"):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field, section", [
+        ("learning_rate", "mlp"), ("momentum", "mlp"), ("train_fraction", "split"),
+    ])
+    def test_float_settings_must_be_finite(self, field, section, value):
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {field}"):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["learning_rate", "l2_lambda", "min_child_weight"])
+    def test_boost_float_settings_must_be_finite(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field} must be .*finite"):
+            BoostConfig(**{field: value})
+        with pytest.raises(ConfigError, match=rf"^\[boost\] {field} must be "):
+            ExperimentConfig.from_dict({"boost": {field: value}})
 
     def test_learner_seeds_are_stable_hashes(self):
         cfg = ExperimentConfig(seed=42)
@@ -401,6 +419,50 @@ workers = 2
     def test_config_file_not_found(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             ExperimentConfig.from_file(tmp_path / "absent.ini")
+
+    @pytest.mark.parametrize("location", [
+        {"dataset_path": "data/a.csv"},
+        {"train_path": "data/tr.csv", "test_path": "data/te.csv"},
+    ])
+    def test_every_field_round_trips_through_ini_text(self, tmp_path, location):
+        cfg = ExperimentConfig(
+            **location, label_column="target", delimiter="|", has_header=False,
+            train_fraction=0.6, stratified=False, n_learners=5, threshold=3,
+            strategies=("plurality", "filtered"), weight_mode="inverse_variance",
+            level1_mode="label", hidden_sizes=(16, 8), epochs=4, batch_size=8,
+            learning_rate=0.05, momentum=0.5,
+            boost=BoostConfig(rounds=7, max_depth=2, learning_rate=0.2, l2_lambda=0.5,
+                              min_child_weight=2.0),
+            seed=5, output_dir="out/x", workers=2,
+        )
+        defaults = ExperimentConfig().to_dict()
+        lines = []
+        for section, values in cfg.to_dict().items():
+            lines.append(f"[{section}]")
+            for key, value in values.items():
+                if value is not None:  # an unset path is left out
+                    assert value != defaults[section][key], (section, key)
+                    text = ", ".join(map(str, value)) if isinstance(value, list) else value
+                    lines.append(f"{key} = {text}")
+        assert ExperimentConfig.from_file(self.write(tmp_path, "\n".join(lines))) == cfg
+
+    def test_readme_config_block_documents_every_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("A complete config file", 1)[1].split("```ini\n", 1)[1]
+        block = block.split("```", 1)[0]
+        ExperimentConfig.from_file(self.write(tmp_path, block))
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read_string(block)
+        documented = {(s, k) for s in parser.sections() for k in parser[s]}
+        documented |= {("dataset", "train_path"), ("dataset", "test_path")}
+        schema = {(s, k) for s, keys in ExperimentConfig().to_dict().items() for k in keys}
+        assert documented == schema
+
+    def test_auto_spells_none_but_not_in_a_path(self, tmp_path):
+        cfg = ExperimentConfig.from_file(self.write(
+            tmp_path, "[dataset]\npath = auto\nhas_header = AUTO\n"
+                      "[ensemble]\nthreshold = auto\n"))
+        assert (cfg.dataset_path, cfg.has_header, cfg.threshold) == ("auto", None, None)
 
     @FUZZ_SETTINGS
     @given(edits=FILE_EDITS)

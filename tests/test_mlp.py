@@ -34,6 +34,7 @@ from conftest import (
     MALFORMED_MODEL_CASES,
     apply_edits,
     fresh_process_minor_faults,
+    mlp_loss,
     traced_peak,
     wall_bound,
     write_malformed_model,
@@ -249,17 +250,17 @@ class TestPredictLabel:
 class TestLoss:
     def test_perfect_prediction_loss_zero(self):
         model = pass_through_model([1.0, 0.0], [0.0, 0.0])
-        assert mlp.loss(model, np.array([[1000.0]]), np.array([0])) == 0.0
+        assert mlp_loss(model, np.array([[1000.0]]), np.array([0])) == 0.0
 
     def test_uniform_prediction_loss_is_log_c(self):
         model = zero_model((4, 3, 3))
-        got = mlp.loss(model, np.ones((5, 4)), np.array([0, 1, 2, 0, 1]))
+        got = mlp_loss(model, np.ones((5, 4)), np.array([0, 1, 2, 0, 1]))
         assert abs(got - math.log(3)) < 1e-12
 
     def test_clamp_keeps_loss_finite(self):
         model = pass_through_model([1.0, 0.0], [0.0, 0.0])
         # true class probability underflows to zero at this logit gap
-        got = mlp.loss(model, np.array([[1000.0]]), np.array([1]))
+        got = mlp_loss(model, np.array([[1000.0]]), np.array([1]))
         assert math.isfinite(got)
         assert abs(got - (-math.log(1e-12))) < 1e-9
 
@@ -287,9 +288,9 @@ class TestGradients:
                 for k in range(flat.size):
                     orig = flat[k]
                     flat[k] = orig + step
-                    up = mlp.loss(model, X, y)
+                    up = mlp_loss(model, X, y)
                     flat[k] = orig - step
-                    down = mlp.loss(model, X, y)
+                    down = mlp_loss(model, X, y)
                     flat[k] = orig
                     numeric = (up - down) / (2 * step)
                     denom = max(abs(numeric), abs(gflat[k]), 1e-8)
