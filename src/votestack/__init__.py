@@ -17,7 +17,6 @@ from .fusion import (
     FilteredFusion,
     FusionOutcome,
     PredictionMatrix,
-    VarianceReport,
     WeightVector,
     apply_filtered,
     fit_filtered,
@@ -25,7 +24,6 @@ from .fusion import (
     model_average,
     outcome_accuracy,
     plurality_vote,
-    variance_report,
     weights_from_accuracy,
     weights_from_inverse_variance,
 )
@@ -58,10 +56,10 @@ __all__ = [
     "ConfigError", "ContractError", "DataError", "TrainingDivergenceError",
     "VoteStackError",
     "REJECTED", "FilteredFusion", "FusionOutcome", "PredictionMatrix",
-    "VarianceReport", "WeightVector", "apply_filtered",
+    "WeightVector", "apply_filtered",
     "fit_filtered", "majority_vote",
     "model_average", "outcome_accuracy",
-    "plurality_vote", "variance_report", "weights_from_accuracy",
+    "plurality_vote", "weights_from_accuracy",
     "weights_from_inverse_variance",
     "ExperimentConfig", "RunReport", "SweepReport", "emit_report",
     "emit_sweep", "run_experiment", "sweep",

@@ -133,16 +133,6 @@ class FusionOutcome:
         return dict(zip(ROUTES, np.bincount(codes, minlength=len(ROUTES)).tolist()))
 
 
-@dataclass(frozen=True)
-class VarianceReport:
-    """Spread of individual learner outputs versus the ensemble mean output."""
-
-    mean_individual_variance: float
-    ensemble_variance: float
-    ratio: float
-    n_learners: int
-
-
 def tally(pm: PredictionMatrix) -> np.ndarray:
     """Per-sample label counts, shape (n_samples, n_classes); rows sum to n."""
     return (pm.votes()[:, :, None] == np.arange(pm.n_classes)).sum(axis=0)
@@ -280,32 +270,6 @@ def apply_filtered(fitted: FilteredFusion, pm_test: PredictionMatrix) -> FusionO
     return FusionOutcome(
         decisions=decisions, routes=np.where(confident, _CONFIDENT, residual_route),
         warnings=fitted.warnings,
-    )
-
-
-def variance_report(outputs) -> VarianceReport:
-    """Mean per-learner output variance vs. variance of the ensemble mean.
-
-    Accepts a PredictionMatrix or a raw (n_learners, n_samples[, n_outputs])
-    array of synthetic learner outputs. Variances are taken across samples
-    and averaged over output coordinates.
-    """
-    arr = outputs.probs if isinstance(outputs, PredictionMatrix) else np.asarray(
-        outputs, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
-    if arr.ndim != 3:
-        raise ContractError("expected (learners, samples[, outputs]) array")
-    if arr.shape[1] < 2:
-        raise DataError("variance needs at least 2 samples")
-    mean_individual = float(arr.var(axis=1).mean())
-    ensemble = float(arr.mean(axis=0).var(axis=0).mean())
-    ratio = 1.0 if mean_individual == 0.0 else ensemble / mean_individual
-    return VarianceReport(
-        mean_individual_variance=mean_individual,
-        ensemble_variance=ensemble,
-        ratio=ratio,
-        n_learners=arr.shape[0],
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import inspect
 import json
+import re
 import time
 import types
 from concurrent.futures import ThreadPoolExecutor
@@ -249,7 +250,7 @@ class ExperimentConfig:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                            interpolation=None)
         try:
-            parser.read_string(path.read_text(encoding="utf-8"))
+            parser.read_string(path.read_text(encoding="utf-8-sig"))
         except (configparser.Error, OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
@@ -489,6 +490,13 @@ def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
     with _stage("planning resamples", spans):
         plan = build_plan(train.n_samples, n, config.seed) if n > 1 else None
 
+    if out is not None:  # this run's models replace, never sit beside, an earlier run's
+        for old in (out / "models").glob("*"):
+            if re.fullmatch(r"learner_\d+\.mlp|(filtered_)?meta\.gbt", old.name) and old.is_file():
+                try:
+                    old.unlink()
+                except OSError as exc:
+                    raise ConfigError(f"cannot remove {old}: {exc}") from exc
     pm_train, pm_test = _learner_predictions(config, train, test, plan, out, spans)
 
     test_votes = pm_test.votes()

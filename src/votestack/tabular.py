@@ -155,11 +155,11 @@ def load_csv(
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             records = ((line_no, row) for line_no, row
                        in enumerate(csv.reader(fh, delimiter=delimiter), 1) if row)
             return _parse_records(path, records, label_column, has_header, class_names)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 

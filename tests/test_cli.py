@@ -173,13 +173,16 @@ class TestRun:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["directory", "latin1"])
+    @pytest.mark.parametrize("kind", ["directory", "latin1", "oversized cell"])
     def test_unreadable_data_file(self, tmp_path, capsys, kind):
         data = tmp_path / "data"
         if kind == "directory":
             data.mkdir()
-        else:
+        elif kind == "latin1":
             data.write_bytes("1.0,2.0,caf\xe9\n3.0,4.0,caf\xe9\n".encode("latin-1"))
+        else:  # past the csv module's 131,072-character field limit
+            data.write_text("1.0,2.0,a\n" + "1" * 140_000 + ",2.0,b\n3.0,4.0,a\n4.0,5.0,b\n",
+                            encoding="utf-8")
         config = tmp_path / "exp.ini"
         config.write_text(
             f"[dataset]\npath = {data}\n[run]\noutput_dir = {tmp_path / 'o'}\n",
@@ -317,6 +320,38 @@ class TestRun:
         assert "cannot write" in err and "meta.gbt" in err
         assert (models / "meta.gbt").is_dir()
         assert not [p.name for p in models.iterdir() if p.name.startswith(".")]
+
+    def test_rerun_replaces_the_earlier_runs_models(self, tmp_path, data_csv):
+        config = write_config(tmp_path, data_csv)
+        text = config.read_text(encoding="utf-8")
+        config.write_text(text.replace("n_learners = 3", "n_learners = 4").replace(
+            "strategies = plurality, filtered", "strategies = plurality, filtered, meta"),
+            encoding="utf-8")
+        assert cli.main(["run", "--config", str(config)]) == 0
+        models = tmp_path / "out" / "models"
+        assert {p.name for p in models.iterdir()} == {
+            "learner_0.mlp", "learner_1.mlp", "learner_2.mlp", "learner_3.mlp",
+            "meta.gbt", "filtered_meta.gbt"}
+        (models / "notes.txt").write_text("not a model\n", encoding="utf-8")
+        config.write_text(text.replace("n_learners = 3", "n_learners = 2"), encoding="utf-8")
+        assert cli.main(["run", "--config", str(config)]) == 0
+        assert sorted(p.name for p in models.iterdir()) == [
+            "learner_0.mlp", "learner_1.mlp", "notes.txt"]
+
+    def test_stale_model_that_cannot_be_removed_exits_1(self, tmp_path, data_csv, capsys,
+                                                         monkeypatch):
+        stale = tmp_path / "out" / "models" / "learner_5.mlp"
+        stale.parent.mkdir(parents=True)
+        stale.write_bytes(b"")
+
+        def refuse(path, missing_ok=False):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "unlink", refuse)
+        rc = cli.main(["run", "--config", str(write_config(tmp_path, data_csv))])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"cannot remove {stale}" in err
 
     def test_degenerate_weights_exit_2(self, tmp_path, data_csv, capsys, monkeypatch):
         # all-zero out-of-bag accuracies leave weighted_average no weights

@@ -21,7 +21,6 @@ from votestack import (
     model_average,
     outcome_accuracy,
     plurality_vote,
-    variance_report,
     weights_from_accuracy,
     weights_from_inverse_variance,
 )
@@ -462,38 +461,6 @@ class TestFilteredFusion:
             fitted = fit_filtered(pm_train, labels, FAST_BOOST, threshold=thr)
             expected = int(np.sum(tally(pm_train).max(axis=1) < thr))
             assert fitted.n_difficult == expected
-
-
-class TestVarianceReport:
-    def test_identical_learners_ratio_one(self, rng):
-        row = rng.standard_normal(50)
-        arr = np.tile(row, (5, 1))
-        report = variance_report(arr)
-        assert report.ratio == pytest.approx(1.0, rel=1e-12)
-        assert report.n_learners == 5
-
-    def test_single_learner_ratio_one(self, rng):
-        report = variance_report(rng.standard_normal((1, 40)))
-        assert report.ratio == 1.0
-
-    def test_independent_noise_ratio_near_one_over_n(self, rng):
-        arr = rng.standard_normal((7, 5000))
-        report = variance_report(arr)
-        assert 0.8 / 7 < report.ratio < 1.2 / 7
-
-    def test_constant_outputs_define_ratio_one(self):
-        report = variance_report(np.ones((3, 10)))
-        assert report.mean_individual_variance == 0.0
-        assert report.ratio == 1.0
-
-    def test_accepts_prediction_matrix(self, rng):
-        report = variance_report(random_pm(rng, 4, 30, 3))
-        assert report.n_learners == 4
-        assert report.ratio > 0
-
-    def test_too_few_samples_rejected(self, rng):
-        with pytest.raises(DataError, match="variance needs at least 2 samples"):
-            variance_report(rng.standard_normal((3, 1)))
 
 
 class TestOutcomeAccuracy:

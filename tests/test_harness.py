@@ -396,6 +396,11 @@ workers = 2
         cfg = ExperimentConfig.from_file(path)
         assert cfg.has_header is value and cfg.stratified is value
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_bytes(b"\xef\xbb\xbf[dataset]\npath = d.csv\n")
+        assert ExperimentConfig.from_file(path).dataset_path == "d.csv"
+
     def test_percent_sign_is_literal(self, tmp_path):
         cfg = ExperimentConfig.from_file(
             self.write(tmp_path, "[dataset]\npath = data/100%.csv\n")

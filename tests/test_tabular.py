@@ -69,6 +69,21 @@ class TestLoadCsv:
         assert ds.feature_names == ("f0", "f1")
         assert ds.class_names == ("0", "1")
 
+    def test_byte_order_mark_does_not_turn_the_first_row_into_a_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5,2.0,a\n3,4,b\n5,6,a\n7,8,b\n")
+        ds = load_csv(path, -1, ",", None)
+        assert ds.n_samples == 4
+        assert ds.feature_names == ("f0", "f1")
+        assert ds.features[0].tolist() == [1.5, 2.0]
+
+    def test_byte_order_mark_before_a_first_column_label_name(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfclass,a,b\nyes,1,2\nno,3,4\n")
+        ds = load_csv(path, "class", ",", None)
+        assert ds.class_names == ("yes", "no")
+        assert ds.feature_names == ("a", "b")
+
     def test_label_column_by_name(self, tmp_path):
         path = write_lines(tmp_path, "named.csv", ["y,a,b", "yes,1,2", "no,3,4"])
         ds = load_csv(path, "y", ",", None)
