@@ -61,37 +61,33 @@ class BoostConfig:
             raise ConfigError("min_child_weight must be non-negative and finite")
 
 
-class RegressionTree:
-    """One tree as the (nodes, 5) float64 table `.gbt` stores: nodes in
+def _leaf_values(table: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Unshrunk leaf value of the tree `table` for every row of X (vectorized
+    descent). A tree is the (nodes, 5) float64 table `.gbt` stores: nodes in
     preorder; columns feature (-1 marks a leaf), threshold, left, right and
     leaf value."""
-
-    def __init__(self, table: np.ndarray):
-        self.table = table
-        self.feature, self.left, self.right = (table[:, i].astype(np.int64) for i in (0, 2, 3))
-        self.threshold, self.leaf_value = table[:, 1], table[:, 4]
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Unshrunk leaf value for every row (vectorized descent)."""
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.feature[node] != _NO_FEATURE
-        while active.any():
-            rows = np.flatnonzero(active)
-            at = node[rows]
-            go_left = X[rows, self.feature[at]] < self.threshold[at]
-            node[rows] = np.where(go_left, self.left[at], self.right[at])
-            active = self.feature[node] != _NO_FEATURE
-        return self.leaf_value[node]
+    feature, left, right = table[:, [0, 2, 3]].astype(np.int64).T
+    threshold, leaf = table[:, 1], table[:, 4]
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    active = feature[node] != _NO_FEATURE
+    while active.any():
+        rows = np.flatnonzero(active)
+        at = node[rows]
+        go_left = X[rows, feature[at]] < threshold[at]
+        node[rows] = np.where(go_left, left[at], right[at])
+        active = feature[node] != _NO_FEATURE
+    return leaf[node]
 
 
 @dataclass
 class BoostedModel:
-    """rounds x n_classes trees plus the training-loss trace."""
+    """rounds x n_classes trees, each the (nodes, 5) table `.gbt` stores (see
+    `_leaf_values`), plus the training-loss trace."""
 
     config: BoostConfig
     n_features: int
     n_classes: int
-    trees: list[list[RegressionTree]]
+    trees: list[list[np.ndarray]]
     loss_trace: list[float] = field(default_factory=list)
 
 
@@ -229,12 +225,12 @@ def _grow_node(nodes: list[list[float]], rows: np.ndarray, node_order: np.ndarra
 
 
 def _grow_tree(columns: np.ndarray, order: np.ndarray, g: np.ndarray, h: np.ndarray,
-               config: BoostConfig, scratch: _Scratch) -> RegressionTree:
+               config: BoostConfig, scratch: _Scratch) -> np.ndarray:
     """Grow one tree on the (F, S) feature columns; row f of order is the
     stable argsort of column f."""
     nodes: list[list[float]] = []
     _grow_node(nodes, np.arange(columns.shape[1]), order, 0, columns, g, h, config, scratch)
-    return RegressionTree(np.array(nodes, dtype=np.float64))
+    return np.array(nodes, dtype=np.float64)
 
 
 def fit(features: np.ndarray, labels: np.ndarray, config: BoostConfig,
@@ -272,7 +268,7 @@ def fit(features: np.ndarray, labels: np.ndarray, config: BoostConfig,
     columns = np.ascontiguousarray(X.T)
     order = np.argsort(columns, axis=1, kind="stable")
     scratch = _Scratch(*columns.shape, config.max_depth)
-    trees: list[list[RegressionTree]] = []
+    trees: list[list[np.ndarray]] = []
     probs = softmax(margins)
     loss_trace = [cross_entropy(probs, y)]
     for _ in range(config.rounds):
@@ -283,7 +279,7 @@ def fit(features: np.ndarray, labels: np.ndarray, config: BoostConfig,
             for c in range(n_classes)
         ]
         for c, tree in enumerate(round_trees):
-            margins[:, c] += config.learning_rate * tree.predict(X)
+            margins[:, c] += config.learning_rate * _leaf_values(tree, X)
         trees.append(round_trees)
         probs = softmax(margins)
         loss_trace.append(cross_entropy(probs, y))
@@ -302,7 +298,7 @@ def predict_margins(model: BoostedModel, features: np.ndarray) -> np.ndarray:
     margins = np.zeros((X.shape[0], model.n_classes))
     for round_trees in model.trees:
         for c, tree in enumerate(round_trees):
-            margins[:, c] += model.config.learning_rate * tree.predict(X)
+            margins[:, c] += model.config.learning_rate * _leaf_values(tree, X)
     return margins
 
 
@@ -320,7 +316,7 @@ def save(model: BoostedModel, path: str | Path) -> Path:
         "rounds": len(model.trees),
         "loss_trace": model.loss_trace,
     }
-    arrays = [tree.table for round_trees in model.trees for tree in round_trees]
+    arrays = [tree for round_trees in model.trees for tree in round_trees]
     return write_model_file(path, GBT_MAGIC, GBT_FORMAT_VERSION, header, arrays)
 
 
@@ -363,7 +359,6 @@ def load(path: str | Path) -> BoostedModel:
         fault = _tree_fault(mat, n_features)
         if fault:
             raise DataError(f"{path}: tree {i}: {fault}")
-    trees = [[RegressionTree(mat) for mat in arrays[r:r + n_classes]]
-             for r in range(0, len(arrays), n_classes)]
+    trees = [arrays[r:r + n_classes] for r in range(0, len(arrays), n_classes)]
     return BoostedModel(config=config, n_features=n_features, n_classes=n_classes,
                         trees=trees, loss_trace=loss_trace)

@@ -12,7 +12,9 @@ scheduling cannot change them.
 from __future__ import annotations
 
 import configparser
+import csv
 import inspect
+import io
 import json
 import re
 import time
@@ -615,11 +617,15 @@ def emit_report(report: RunReport, directory: str | Path) -> dict[str, Path]:
         acc = report.strategy_accuracies.get(name)
         return repr(acc) if acc is not None else ""
 
-    table = "dataset,plurality,meta,filtered\n" + ",".join(
+    # Quoted as csv does, so a label holding a comma, quote or line break
+    # stays one cell.
+    table = io.StringIO()
+    csv.writer(table, lineterminator="\n").writerows([
+        ["dataset", "plurality", "meta", "filtered"],
         [report.dataset_label, cell(STRATEGY_PLURALITY), cell(STRATEGY_META),
-         cell(STRATEGY_FILTERED)]
-    ) + "\n"
-    _write_text(paths["accuracy_table"], table)
+         cell(STRATEGY_FILTERED)],
+    ])
+    _write_text(paths["accuracy_table"], table.getvalue())
 
     lines = ["strategy,sample_id,decision,route"]
     for name, strategy_decisions in report.decisions.items():

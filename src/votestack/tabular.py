@@ -282,18 +282,34 @@ def split(dataset: Dataset, train_fraction: float, stratified: bool,
             dataset.take(np.sort(np.concatenate(test_parts))))
 
 
+def _check_columns(finite: np.ndarray, dataset: Dataset, what: str) -> None:
+    """DataError naming every feature column whose entry of finite is False."""
+    if not finite.all():
+        names = ", ".join(repr(dataset.feature_names[i]) for i in np.flatnonzero(~finite))
+        raise DataError(f"{what} overflows float64 in feature column(s) {names}")
+
+
 def fit_normalizer(train: Dataset) -> NormalizerState:
-    """Per-feature mean/std from the training portion; std floored at 1e-12."""
+    """Per-feature mean/std from the training portion; std floored at 1e-12.
+    A mean or std past float64's range is a DataError naming its column."""
     if train.n_samples == 0:
         raise ConfigError("cannot fit a normalizer on an empty dataset")
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.features.mean(axis=0)
+        std = train.features.std(axis=0)
+    _check_columns(np.isfinite(mean) & np.isfinite(std), train, "mean or standard deviation")
     return NormalizerState(mean=mean, std=np.maximum(std, STD_FLOOR))
 
 
 def apply_normalizer(state: NormalizerState, dataset: Dataset) -> Dataset:
+    """Features z-scored with the fitted statistics; a standardized value past
+    float64's range is a DataError naming its column."""
     if state.mean.shape[0] != dataset.n_features:
         raise ContractError(
             f"normalizer fitted for {state.mean.shape[0]} features, dataset has {dataset.n_features}"
         )
-    return replace(dataset, features=(dataset.features - state.mean) / state.std)
+    with np.errstate(over="ignore"):
+        features = (dataset.features - state.mean) / state.std
+    if not all_finite(features):
+        _check_columns(np.isfinite(features).all(axis=0), dataset, "standardized value")
+    return replace(dataset, features=features)

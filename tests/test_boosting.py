@@ -34,18 +34,20 @@ from conftest import (
 
 
 def walk(tree, x):
-    """Reference single-row tree descent."""
+    """Reference single-row descent of a tree table."""
+    feature, threshold, left, right, leaf = tree.T
     i = 0
-    while tree.feature[i] != -1:
-        i = tree.left[i] if x[tree.feature[i]] < tree.threshold[i] else tree.right[i]
-    return tree.leaf_value[i]
+    while feature[i] != -1:
+        i = int(left[i] if x[int(feature[i])] < threshold[i] else right[i])
+    return leaf[i]
 
 
 def depth(tree, node=0):
     """Longest root-to-leaf edge count, by traversal."""
-    if tree.feature[node] == -1:
+    feature, _, left, right, _ = tree.T
+    if feature[node] == -1:
         return 0
-    return 1 + max(depth(tree, tree.left[node]), depth(tree, tree.right[node]))
+    return 1 + max(depth(tree, int(left[node])), depth(tree, int(right[node])))
 
 
 def presort(X):
@@ -86,7 +88,7 @@ def reference_split(X, rows, g, h, cfg):
 
 
 def reference_tree(X, g, h, cfg):
-    """Exact greedy tree from `reference_split`: the rows of `RegressionTree.table`."""
+    """Exact greedy tree from `reference_split`, as the table `boosting.fit` grows."""
     nodes = []
 
     def build(rows, depth):
@@ -120,7 +122,7 @@ def reference_fit(X, y, cfg, n_classes):
         grad, hess = probs - onehot, probs * (1.0 - probs)
         round_mats = [reference_tree(X, grad[:, c], hess[:, c], cfg) for c in range(n_classes)]
         for c, mat in enumerate(round_mats):
-            margins[:, c] += cfg.learning_rate * boosting.RegressionTree(mat).predict(X)
+            margins[:, c] += cfg.learning_rate * boosting._leaf_values(mat, X)
         mats.append(round_mats)
         loss_trace.append(cross_entropy(softmax(margins), y))
     return mats, loss_trace
@@ -134,7 +136,7 @@ def assert_fit_matches_reference(X, y, cfg, n_classes):
     assert len(model.trees) == len(mats)
     for round_trees, round_mats in zip(model.trees, mats):
         for tree, mat in zip(round_trees, round_mats, strict=True):
-            np.testing.assert_array_equal(tree.table, mat)
+            np.testing.assert_array_equal(tree, mat)
 
 
 @st.composite
@@ -207,8 +209,9 @@ class TestLeafWeights:
     def test_newton_step_with_unit_regularizer(self):
         # one row forces a leaf; gradient 2, hessian 1, lambda 1 -> -2/(1+1)
         tree = grow(np.array([[0.0]]), np.array([2.0]), np.array([1.0]), BoostConfig())
-        assert tree.leaf_value[0] == -1.0
-        assert tree.feature[0] == -1
+        feature, _, _, _, leaf = tree.T
+        assert leaf[0] == -1.0
+        assert feature[0] == -1
 
     def test_zero_hessian_side_without_lambda_is_skipped(self):
         # With lambda 0, cutting after the first row leaves a left side of
@@ -218,10 +221,10 @@ class TestLeafWeights:
         g = np.array([0.0, -1.0, 1.0, 1.0])
         h = np.array([0.0, 1.0, 1.0, 1.0])
         cfg = BoostConfig(max_depth=1, l2_lambda=0.0, min_child_weight=0.0)
-        tree = grow(X, g, h, cfg)
-        assert (tree.feature[0], tree.threshold[0]) == (0, 1.5)
-        assert tree.leaf_value[tree.left[0]] == 1.0
-        assert tree.leaf_value[tree.right[0]] == -1.0
+        feature, threshold, left, right, leaf = grow(X, g, h, cfg).T
+        assert (feature[0], threshold[0]) == (0, 1.5)
+        assert leaf[int(left[0])] == 1.0
+        assert leaf[int(right[0])] == -1.0
 
     def test_child_at_exactly_min_child_weight_is_allowed(self):
         # At zero margins every hessian is 0.25, so the cut at 1.5 leaves
@@ -229,7 +232,7 @@ class TestLeafWeights:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         cfg = BoostConfig(rounds=1, max_depth=1, min_child_weight=0.5)
         tree = boosting.fit(X, np.array([0, 0, 1, 1]), cfg).trees[0][0]
-        assert (tree.feature[0], tree.threshold[0]) == (0, 1.5)
+        assert (tree[0, 0], tree[0, 1]) == (0, 1.5)
 
     def test_two_point_stump_hand_computed(self):
         # At zero margins both classes sit at p = 0.5, so for the class-0
@@ -239,11 +242,11 @@ class TestLeafWeights:
         X = np.array([[0.0], [1.0]])
         y = np.array([0, 1])
         model = boosting.fit(X, y, TWO_POINT_CONFIG)
-        tree = model.trees[0][0]
-        assert tree.feature[0] == 0
-        assert tree.threshold[0] == 0.5
-        assert tree.leaf_value[tree.left[0]] == pytest.approx(0.4, abs=1e-15)
-        assert tree.leaf_value[tree.right[0]] == pytest.approx(-0.4, abs=1e-15)
+        feature, threshold, left, right, leaf = model.trees[0][0].T
+        assert feature[0] == 0
+        assert threshold[0] == 0.5
+        assert leaf[int(left[0])] == pytest.approx(0.4, abs=1e-15)
+        assert leaf[int(right[0])] == pytest.approx(-0.4, abs=1e-15)
         margins = boosting.predict_margins(model, X)
         np.testing.assert_allclose(
             margins, [[0.12, -0.12], [-0.12, 0.12]], atol=1e-15
@@ -483,8 +486,8 @@ class TestSaveLoad:
         cfg = BoostConfig(rounds=2, max_depth=max_depth, min_child_weight=min_child_weight)
         model = boosting.fit(X, y, cfg, n_classes=n_classes)
         for tree in (t for r in model.trees for t in r):
-            assert tree.table.dtype == np.float64
-            assert boosting._tree_fault(tree.table, X.shape[1]) is None
+            assert tree.dtype == np.float64
+            assert boosting._tree_fault(tree, X.shape[1]) is None
 
     def test_golden_model_digest(self, tmp_path):
         """Pin the exact `.gbt` bytes of one fixed fit.
@@ -572,4 +575,4 @@ class TestSaveLoad:
                 return
             probe = np.broadcast_to(0.0, (1, back.n_features))  # allocates no row
             for tree in (t for r in back.trees for t in r):
-                tree.predict(probe)
+                boosting._leaf_values(tree, probe)

@@ -238,6 +238,16 @@ class TestRun:
         assert capsys.readouterr().err == (
             f"error: loading data: {tmp_path / 'te.csv'}: line 3: expected 3 cells, got 2\n")
 
+    def test_finite_column_overflowing_the_normalizer_exits_2_naming_it(self, tmp_path, capsys):
+        rows = [f"{i},{(-1) ** i * 1e308!r},{'xy'[i % 2]}" for i in range(20)]
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(["a,big,label", *rows]) + "\n", encoding="utf-8")
+        rc = cli.main(["run", "--config", str(write_minimal_config(tmp_path, data))])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: normalizing: mean or standard deviation overflows float64 "
+            "in feature column(s) 'big'\n")
+
     @pytest.mark.parametrize("section, key", [
         ("boost", "l2_lambda"), ("boost", "learning_rate"), ("mlp", "learning_rate"),
     ])

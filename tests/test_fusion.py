@@ -295,7 +295,7 @@ class TestLevel1Block:
         assert got.loss_trace == want.loss_trace
         for a, b in zip((t for r in got.trees for t in r), (t for r in want.trees for t in r),
                         strict=True):
-            np.testing.assert_array_equal(a.table, b.table)
+            np.testing.assert_array_equal(a, b)
         assert not feats.flags.writeable
         assert feats.tobytes() == before.tobytes()
 
@@ -360,8 +360,8 @@ class TestMetaStacking:
                                  FAST_BOOST, n_classes=3)
         assert fitted.n_difficult == 80
         assert fitted.warnings == ()
-        got = [t.table for r in fitted.meta_model.trees for t in r]
-        want = [t.table for r in reference.trees for t in r]
+        got = [t for r in fitted.meta_model.trees for t in r]
+        want = [t for r in reference.trees for t in r]
         assert len(got) == len(want)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)

@@ -1,5 +1,6 @@
 import ast
 import configparser
+import csv
 import hashlib
 import json
 import math
@@ -906,6 +907,17 @@ class TestEmit:
         assert manifest["plan"] == report.plan_manifest
         assert manifest["config"] == report.config
         assert manifest["tool"] == "votestack"
+
+    @pytest.mark.parametrize("label", ["spam,v2", '"quoted" label', "two\nlines"])
+    def test_dataset_label_reads_back_as_one_cell(self, desk_run, tmp_path, label):
+        _, report, _ = desk_run
+        paths = emit_report(replace(report, dataset_label=label), tmp_path)
+        with open(paths["accuracy_table"], newline="", encoding="utf-8") as fh:
+            header, row = csv.reader(fh)
+        assert header == ["dataset", "plurality", "meta", "filtered"]
+        assert row[0] == label
+        assert [float(v) for v in row[1:]] == [
+            report.strategy_accuracies[name] for name in header[1:]]
 
     def test_golden_artifact_digests(self, tmp_path):
         """Pin the exact bytes of every run artifact for one fixed config.

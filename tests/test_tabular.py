@@ -284,6 +284,30 @@ class TestNormalizer:
         np.testing.assert_allclose(out.features.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.features.std(axis=0), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("column", [
+        np.random.default_rng(3).standard_normal(100) * 1e200,  # std overflows
+        np.tile([1e308, -1e308], 50),                           # deviations overflow
+        np.full(100, 1e308),                                    # the sum overflows
+    ])
+    def test_train_statistic_overflow_names_the_column(self, column):
+        ds = Dataset(np.column_stack([np.arange(100.0), column]), np.arange(100) % 2,
+                     feature_names=("ok", "huge"), class_names=("a", "b"))
+        with pytest.raises(DataError, match=r"overflows float64 in feature column\(s\) 'huge'$"):
+            fit_normalizer(ds)
+
+    def test_standardized_overflow_names_the_column(self):
+        names = {"feature_names": ("flat", "ok"), "class_names": ("a", "b")}
+        train = Dataset([[1.0, 0.0], [1.0, 1.0]], [0, 1], **names)
+        test = Dataset([[1e300, 0.0], [1.0, 1.0]], [0, 1], **names)
+        with pytest.raises(DataError, match=r"standardized value .* column\(s\) 'flat'$"):
+            apply_normalizer(fit_normalizer(train), test)
+
+    def test_every_overflowing_column_is_named(self):
+        big = np.tile([1e200, -1e200], 2)
+        ds = make_dataset(np.column_stack([big, np.arange(4.0), big]), [0, 1, 0, 1])
+        with pytest.raises(DataError, match=r"column\(s\) 'f0', 'f2'$"):
+            fit_normalizer(ds)
+
     def test_feature_count_mismatch_rejected(self):
         state = fit_normalizer(make_dataset([[1.0], [2.0]], [0, 1]))
         other = make_dataset([[1.0, 2.0], [3.0, 4.0]], [0, 1])
