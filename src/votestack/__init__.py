@@ -2,7 +2,6 @@
 fused by averaging, voting, stacking, or vote-filtered stacking."""
 
 from .__about__ import __version__
-from . import boosting, mlp
 from .boosting import BoostConfig, BoostedModel
 from .diversify import ResamplePlan, build_plan, materialize, out_of_bag
 from .errors import (
@@ -49,23 +48,4 @@ from .tabular import (
     split,
 )
 
-__all__ = [
-    "__version__",
-    "BoostConfig", "BoostedModel", "boosting", "mlp",
-    "ResamplePlan", "build_plan", "materialize", "out_of_bag",
-    "ConfigError", "ContractError", "DataError", "TrainingDivergenceError",
-    "VoteStackError",
-    "REJECTED", "FilteredFusion", "FusionOutcome", "PredictionMatrix",
-    "WeightVector", "apply_filtered",
-    "fit_filtered", "majority_vote",
-    "model_average", "outcome_accuracy",
-    "plurality_vote", "weights_from_accuracy",
-    "weights_from_inverse_variance",
-    "ExperimentConfig", "RunReport", "SweepReport", "emit_report",
-    "emit_sweep", "run_experiment", "sweep",
-    "MlpConfig", "MlpModel",
-    "child_rng", "derive_seed",
-    "gaussian_blobs",
-    "Dataset", "NormalizerState",
-    "apply_normalizer", "fit_normalizer", "load_csv", "save_csv", "split",
-]
+__all__ = ["__version__", *(name for name in dir() if not name.startswith("_"))]

@@ -300,7 +300,7 @@ _SCHEMA = _schema()
 
 @dataclass(frozen=True)
 class RunReport:
-    """Complete result of one experiment; JSON round-trips exactly.
+    """Complete result of one experiment; report.json holds its to_dict().
 
     Timings are wall-clock measurements and hence the one field excluded
     from determinism comparisons between repeated runs.
@@ -325,21 +325,8 @@ class RunReport:
     timings: dict[str, float]
     plan_manifest: dict | None
 
-    def __post_init__(self):
-        for name in ("learner_seeds", "per_learner_accuracies", "warnings"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "decisions",
-                           {k: tuple(v) for k, v in self.decisions.items()})
-        object.__setattr__(self, "routes",
-                           {k: (tuple(v) if v is not None else None)
-                            for k, v in self.routes.items()})
-
     def to_dict(self) -> dict:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunReport":
-        return cls(**{f.name: _plain(d[f.name]) for f in fields(cls)})
 
 
 class SweepRow(NamedTuple):
@@ -552,10 +539,10 @@ def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
         rejected_count=majority.rejected_count if majority is not None else 0,
         route_counts=filtered.route_counts() if filtered is not None else {},
         warnings=tuple(w for o in outcomes.values() for w in o.warnings),
-        decisions={name: o.decisions.tolist() for name, o in outcomes.items()},
+        decisions={name: tuple(o.decisions.tolist()) for name, o in outcomes.items()},
         # The one place route codes become the names artifacts carry.
         routes={name: (None if o.routes is None
-                       else [fusion.ROUTES[c] for c in o.routes.tolist()])
+                       else tuple(fusion.ROUTES[c] for c in o.routes.tolist()))
                 for name, o in outcomes.items()},
         config=config.to_dict(),
         timings=timings,

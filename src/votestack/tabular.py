@@ -290,15 +290,28 @@ def _check_columns(finite: np.ndarray, dataset: Dataset, what: str) -> None:
 
 
 def fit_normalizer(train: Dataset) -> NormalizerState:
-    """Per-feature mean/std from the training portion; std floored at 1e-12.
-    A mean or std past float64's range is a DataError naming its column."""
+    """Per-feature mean/std from the training portion. A column whose train
+    values are all equal has that value as its mean and 1e-12 as its std, so
+    it maps to 0; every other column keeps its own std, however small. A mean
+    or std past float64's range is a DataError naming its column."""
     if train.n_samples == 0:
         raise ConfigError("cannot fit a normalizer on an empty dataset")
+    features = train.features
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = train.features.mean(axis=0)
-        std = train.features.std(axis=0)
+        mean = features.mean(axis=0)
+        std = features.std(axis=0)
     _check_columns(np.isfinite(mean) & np.isfinite(std), train, "mean or standard deviation")
-    return NormalizerState(mean=mean, std=np.maximum(std, STD_FLOOR))
+    varies = (features != features[0]).any(axis=0)
+    # Squared deviations at 1e-200 scale underflow, so a varying column below
+    # the floor has its std taken at unit scale; a subnormal column's std can
+    # round to zero there, hence the least positive float64 as its bound.
+    small = np.flatnonzero(varies & (std < STD_FLOOR))
+    scale = np.abs(features[:, small]).max(axis=0)
+    std[small] = np.maximum(scale * (features[:, small] / scale).std(axis=0),
+                            np.finfo(np.float64).smallest_subnormal)
+    # Summed in float64, a constant column's mean can miss its value.
+    return NormalizerState(mean=np.where(varies, mean, features[0]),
+                           std=np.where(varies, std, STD_FLOOR))
 
 
 def apply_normalizer(state: NormalizerState, dataset: Dataset) -> Dataset:

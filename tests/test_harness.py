@@ -20,7 +20,6 @@ from votestack import (
     DataError,
     ExperimentConfig,
     PredictionMatrix,
-    RunReport,
     TrainingDivergenceError,
     VoteStackError,
     boosting,
@@ -617,8 +616,7 @@ class TestRunExperiment:
 
     def test_report_json_round_trip(self, desk_run):
         _, report, _ = desk_run
-        back = RunReport.from_dict(json.loads(json.dumps(report.to_dict())))
-        assert back == report
+        assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
 
     def test_peak_memory_holds_one_trained_model_at_a_time(self):
         # Five models alive together would put the peak near 8.5x one model.
@@ -887,7 +885,7 @@ class TestEmit:
             assert p.exists()
 
         loaded = json.loads(paths["report"].read_text(encoding="utf-8"))
-        assert RunReport.from_dict(loaded) == report
+        assert loaded == report.to_dict()
 
         lines = paths["accuracy_table"].read_text(encoding="utf-8").splitlines()
         assert lines[0] == "dataset,plurality,meta,filtered"

@@ -16,6 +16,27 @@ def test_star_import_matches_all():
     assert bound <= set(votestack.__all__)
 
 
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    src = Path(votestack.__file__).parent
+    paths = [*sorted(src.glob("*.py")), *sorted((src.parents[1] / "bench").glob("*.py"))]
+    defined, uses = set(), []
+    for path in paths:
+        if path == src / "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if (path.parent == src and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                owner = (path, stmt.name)
+                defined.add(owner)
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+            uses.append((owner, names))
+    unused = sorted(f"{path.name}: {name}" for path, name in defined
+                    if not any(name in names and owner != (path, name) for owner, names in uses))
+    assert unused == []
+
+
 def test_numpy_is_the_only_runtime_dependency():
     allowed = sys.stdlib_module_names | {"numpy"}
     outside = []

@@ -271,6 +271,30 @@ class TestNormalizer:
         out = apply_normalizer(fit_normalizer(ds), ds)
         np.testing.assert_array_equal(out.features[:, 0], [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("value", [0.1, 123456.789, 1e6 + 0.3])
+    def test_constant_feature_whose_mean_rounds_maps_to_zero(self, value):
+        # Summed down the column, the mean misses the value by up to ~1e-10.
+        ds = make_dataset(np.column_stack([np.full(100, value), np.arange(100.0)]),
+                          np.arange(100) % 2)
+        out = apply_normalizer(fit_normalizer(ds), ds)
+        np.testing.assert_array_equal(out.features[:, 0], np.zeros(100))
+
+    @pytest.mark.parametrize("scale", [1e-14, 1e-100, 1e-200])
+    def test_informative_tiny_column_normalizes_to_unit_std(self, scale):
+        # At 1e-200 the squared deviations underflow to zero.
+        column = np.random.default_rng(5).standard_normal(100) * scale
+        ds = make_dataset(np.column_stack([np.arange(100.0), column]), (column > 0).astype(int))
+        out = apply_normalizer(fit_normalizer(ds), ds)
+        np.testing.assert_allclose(out.features.mean(axis=0), 0.0, atol=1e-9)
+        np.testing.assert_allclose(out.features.std(axis=0), 1.0, atol=1e-9)
+
+    def test_subnormal_column_keeps_a_positive_std(self):
+        # Its std, 0.5 * 5e-324, rounds to zero in float64.
+        ds = make_dataset(np.column_stack([np.arange(4.0), np.tile([0.0, 5e-324], 2)]),
+                          [0, 1, 0, 1])
+        out = apply_normalizer(fit_normalizer(ds), ds)
+        np.testing.assert_array_equal(out.features[:, 1], [0.0, 1.0, 0.0, 1.0])
+
     def test_train_statistics_reused_on_test(self):
         train = make_dataset([[0.0], [10.0]], [0, 1])
         test = make_dataset([[5.0], [20.0]], [0, 1])
