@@ -16,15 +16,11 @@ from .fusion import (
     FilteredFusion,
     FusionOutcome,
     PredictionMatrix,
-    WeightVector,
     apply_filtered,
     fit_filtered,
     majority_vote,
     model_average,
-    outcome_accuracy,
     plurality_vote,
-    weights_from_accuracy,
-    weights_from_inverse_variance,
 )
 from .harness import (
     ExperimentConfig,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boosting
-from .errors import ConfigError, ContractError, DataError
-from .numerics import all_finite, frozen_copy
+from .errors import ConfigError, ContractError
+from .numerics import frozen_copy
 
 REJECTED = -1
 
@@ -27,8 +27,6 @@ ROUTE_FALLBACK = "fallback"
 # FusionOutcome.routes holds int8 codes: code k is the route named ROUTES[k].
 ROUTES = (ROUTE_CONFIDENT, ROUTE_META, ROUTE_FALLBACK)
 _CONFIDENT, _META, _FALLBACK = range(len(ROUTES))
-
-VARIANCE_FLOOR = 1e-12
 
 LEVEL1_PROBA = "proba"
 LEVEL1_LABEL = "label"
@@ -77,27 +75,6 @@ class PredictionMatrix:
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Non-negative learner weights normalized to sum 1."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = frozen_copy(self.values, np.float64)
-        if values.ndim != 1:
-            raise ContractError("weights must be a vector")
-        if not (all_finite(values) and np.all(values >= 0)):
-            raise ContractError("weights must be finite and non-negative")
-        if abs(values.sum() - 1.0) > 1e-12:
-            raise ContractError("weights must sum to 1 within 1e-12")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def uniform(cls, n: int) -> "WeightVector":
-        return cls(np.full(n, 1.0 / n))
-
-
-@dataclass(frozen=True)
 class FusionOutcome:
     """Per-sample fused decisions (REJECTED (-1) only from strict majority);
     the stacking strategies add one route code per sample, indexing ROUTES."""
@@ -138,36 +115,15 @@ def tally(pm: PredictionMatrix) -> np.ndarray:
     return (pm.votes()[:, :, None] == np.arange(pm.n_classes)).sum(axis=0)
 
 
-def model_average(pm: PredictionMatrix,
-                  weights: WeightVector | None = None) -> FusionOutcome:
-    """Argmax of the (weighted) sum of predicted probabilities per sample."""
-    if weights is None:
-        weights = WeightVector.uniform(pm.n_learners)
-    w = weights.values
-    if w.shape != (pm.n_learners,):
-        raise ContractError(
-            f"expected {pm.n_learners} weights, got shape {w.shape}"
-        )
+def model_average(pm: PredictionMatrix, weights: np.ndarray | None = None) -> FusionOutcome:
+    """Argmax of the weighted sum of predicted probabilities per sample;
+    `weights` holds one weight per learner, uniform when None."""
+    n = pm.n_learners
+    w = np.full(n, 1.0 / n) if weights is None else weights
+    if w.shape != (n,):
+        raise ContractError(f"expected {n} weights, got shape {w.shape}")
     fused = np.tensordot(w, pm.probs, axes=(0, 0))
     return FusionOutcome(decisions=np.argmax(fused, axis=1))
-
-
-def weights_from_accuracy(accuracies) -> WeightVector:
-    """Weights proportional to per-learner accuracies."""
-    acc = np.asarray(accuracies, dtype=np.float64)
-    if not np.all((acc >= 0) & (acc <= 1)):
-        raise ContractError("accuracies must be finite and lie in [0, 1]")
-    total = acc.sum()
-    if total <= 0:
-        raise DataError("all learner accuracies are zero")
-    return WeightVector(acc / total)
-
-
-def weights_from_inverse_variance(variances) -> WeightVector:
-    """Weights proportional to 1/variance, variances floored at 1e-12."""
-    var = np.maximum(np.asarray(variances, dtype=np.float64), VARIANCE_FLOOR)
-    inv = 1.0 / var
-    return WeightVector(inv / inv.sum())
 
 
 def plurality_vote(pm: PredictionMatrix) -> FusionOutcome:
@@ -272,10 +228,3 @@ def apply_filtered(fitted: FilteredFusion, pm_test: PredictionMatrix) -> FusionO
         warnings=fitted.warnings,
     )
 
-
-def outcome_accuracy(outcome: FusionOutcome, labels) -> float:
-    """Fraction of correct decisions; Rejected samples count as errors."""
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != outcome.decisions.shape:
-        raise ContractError("labels must match decision count")
-    return float(np.mean(outcome.decisions == y))

@@ -438,11 +438,13 @@ def _learner_predictions(config: ExperimentConfig, train: Dataset, test: Dataset
 
 
 def _learner_weights(config: ExperimentConfig, plan, pm_train: PredictionMatrix,
-                     train_labels: np.ndarray) -> fusion.WeightVector:
-    """Out-of-bag accuracy or error-variance weights for weighted averaging."""
-    n = config.n_learners
+                     train_labels: np.ndarray) -> np.ndarray | None:
+    """weighted_average's learner weights, normalized to sum 1: each learner's
+    out-of-bag accuracy, or the inverse of its out-of-bag squared error floored
+    at 1e-12. None, for uniform weights, when a lone learner has no plan."""
     if plan is None:
-        return fusion.WeightVector.uniform(n)
+        return None
+    n = config.n_learners
     accuracy = config.weight_mode == "accuracy"
     classes = np.arange(pm_train.n_classes)
     stats = np.empty(n)
@@ -452,9 +454,21 @@ def _learner_weights(config: ExperimentConfig, plan, pm_train: PredictionMatrix,
         # The error subtracts the one-hot label as a bool mask, exactly 1.0 or 0.0.
         stats[j] = (np.mean(np.argmax(probs, axis=1) == y) if accuracy
                     else np.mean((probs - (y[:, None] == classes)) ** 2))
-    if accuracy:
-        return fusion.weights_from_accuracy(stats)
-    return fusion.weights_from_inverse_variance(stats)
+    if not accuracy:
+        stats = 1.0 / np.maximum(stats, 1e-12)
+    elif stats.sum() <= 0:
+        raise DataError("all learner accuracies are zero")
+    return stats / stats.sum()
+
+
+def _remove_models(out: Path) -> None:
+    """Delete the model files an earlier run left in <out>/models; other files stay."""
+    for old in (out / "models").glob("*"):
+        if re.fullmatch(r"learner_\d+\.mlp|(filtered_)?meta\.gbt", old.name) and old.is_file():
+            try:
+                old.unlink()
+            except OSError as exc:
+                raise ConfigError(f"cannot remove {old}: {exc}") from exc
 
 
 def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
@@ -480,12 +494,7 @@ def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
         plan = build_plan(train.n_samples, n, config.seed) if n > 1 else None
 
     if out is not None:  # this run's models replace, never sit beside, an earlier run's
-        for old in (out / "models").glob("*"):
-            if re.fullmatch(r"learner_\d+\.mlp|(filtered_)?meta\.gbt", old.name) and old.is_file():
-                try:
-                    old.unlink()
-                except OSError as exc:
-                    raise ConfigError(f"cannot remove {old}: {exc}") from exc
+        _remove_models(out)
     pm_train, pm_test = _learner_predictions(config, train, test, plan, out, spans)
 
     test_votes = pm_test.votes()
@@ -534,7 +543,7 @@ def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
         learner_seeds=tuple(config.learner_seed(j) for j in range(n)),
         per_learner_accuracies=per_learner,
         mean_accuracy=mean_accuracy,
-        strategy_accuracies={name: fusion.outcome_accuracy(o, test.labels)
+        strategy_accuracies={name: float(np.mean(o.decisions == test.labels))
                              for name, o in outcomes.items()},
         rejected_count=majority.rejected_count if majority is not None else 0,
         route_counts=filtered.route_counts() if filtered is not None else {},
@@ -557,12 +566,23 @@ def sweep(config: ExperimentConfig, max_size: int,
     The data is loaded, split and normalized once and shared by every size;
     those stages' spans go to size 1's timings. Each size uses its own
     default filter threshold (size-1, floored at 1) and, when an output
-    directory is set, its own size_<k> subdirectory.
+    directory is set, its own size_<k> subdirectory; an earlier sweep's
+    models in size_<k> for k > max_size are deleted. The largest plan is
+    built first, so a train set too small for max_size fails before any
+    size trains.
     """
     if max_size < 1:
         raise ConfigError("sweep max_size must be at least 1")
     spans: list = []
     train, test, label = _prepare(config, dataset, spans)
+    if max_size > 1:
+        with _stage("planning resamples", []):
+            build_plan(train.n_samples, max_size, config.seed)
+    if config.output_dir:
+        for old in Path(config.output_dir).glob("size_*"):
+            match = re.fullmatch(r"size_(\d+)", old.name)
+            if match and int(match[1]) > max_size:
+                _remove_models(old)
     reports = []
     for size in range(1, max_size + 1):
         sub_out = (str(Path(config.output_dir) / f"size_{size}")

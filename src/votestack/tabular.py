@@ -291,9 +291,10 @@ def _check_columns(finite: np.ndarray, dataset: Dataset, what: str) -> None:
 
 def fit_normalizer(train: Dataset) -> NormalizerState:
     """Per-feature mean/std from the training portion. A column whose train
-    values are all equal has that value as its mean and 1e-12 as its std, so
-    it maps to 0; every other column keeps its own std, however small. A mean
-    or std past float64's range is a DataError naming its column."""
+    values are all equal has that value as its mean and an infinite std, so
+    it maps to 0 on train and test alike; every other column keeps its own
+    std, however small. A mean or std past float64's range is a DataError
+    naming its column."""
     if train.n_samples == 0:
         raise ConfigError("cannot fit a normalizer on an empty dataset")
     features = train.features
@@ -311,7 +312,7 @@ def fit_normalizer(train: Dataset) -> NormalizerState:
                             np.finfo(np.float64).smallest_subnormal)
     # Summed in float64, a constant column's mean can miss its value.
     return NormalizerState(mean=np.where(varies, mean, features[0]),
-                           std=np.where(varies, std, STD_FLOOR))
+                           std=np.where(varies, std, np.inf))
 
 
 def apply_normalizer(state: NormalizerState, dataset: Dataset) -> Dataset:
@@ -321,7 +322,9 @@ def apply_normalizer(state: NormalizerState, dataset: Dataset) -> Dataset:
         raise ContractError(
             f"normalizer fitted for {state.mean.shape[0]} features, dataset has {dataset.n_features}"
         )
-    with np.errstate(over="ignore"):
+    # A difference past float64's range is inf, and over a train-constant
+    # column's infinite std that is NaN; both are reported as overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
         features = (dataset.features - state.mean) / state.std
     if not all_finite(features):
         _check_columns(np.isfinite(features).all(axis=0), dataset, "standardized value")

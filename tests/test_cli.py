@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from votestack import DataError, cli, errors, fusion, gaussian_blobs, save_csv
+from votestack import DataError, cli, errors, gaussian_blobs, harness, save_csv
 from conftest import FILE_EDITS, FUZZ_SETTINGS, apply_edits, wall_bound
 
 BASE_CONFIG = """
@@ -365,10 +365,10 @@ class TestRun:
 
     def test_degenerate_weights_exit_2(self, tmp_path, data_csv, capsys, monkeypatch):
         # all-zero out-of-bag accuracies leave weighted_average no weights
-        def all_zero(accuracies):
+        def all_zero(config, plan, pm_train, train_labels):
             raise DataError("all learner accuracies are zero")
 
-        monkeypatch.setattr(fusion, "weights_from_accuracy", all_zero)
+        monkeypatch.setattr(harness, "_learner_weights", all_zero)
         config = write_config(tmp_path, data_csv)
         text = config.read_text(encoding="utf-8").replace(
             "strategies = plurality, filtered", "strategies = weighted_average, plurality")

@@ -10,19 +10,19 @@ from votestack import (
     ConfigError,
     ContractError,
     DataError,
+    ExperimentConfig,
     FusionOutcome,
     PredictionMatrix,
     REJECTED,
-    WeightVector,
     apply_filtered,
     boosting,
+    build_plan,
     fit_filtered,
+    harness,
     majority_vote,
     model_average,
-    outcome_accuracy,
+    out_of_bag,
     plurality_vote,
-    weights_from_accuracy,
-    weights_from_inverse_variance,
 )
 from votestack.fusion import (
     ROUTE_CONFIDENT,
@@ -45,6 +45,19 @@ def plain_stacking(pm_train, labels, pm_test, mode="proba"):
     """Stacking without a confident vote: the filter at threshold n+1."""
     fitted = fit_filtered(pm_train, labels, FAST_BOOST, pm_train.n_learners + 1, mode)
     return fitted, apply_filtered(fitted, pm_test)
+
+
+def oob_weights(correct, weight_mode="accuracy"):
+    """weighted_average's weights from harness._learner_weights, for one-hot
+    two-class votes where learner j is right on correct[j] of its 10
+    out-of-bag rows: OOB accuracy correct[j] / 10, OOB squared error 1 - that."""
+    n = len(correct)
+    plan = build_plan(10 * n, n, seed=0)
+    votes = np.ones((n, 10 * n), dtype=np.int64)
+    for j, k in enumerate(correct):
+        votes[j, out_of_bag(plan, j)[:k]] = 0
+    config = ExperimentConfig(n_learners=n, weight_mode=weight_mode)
+    return harness._learner_weights(config, plan, one_hot_pm(votes, 2), np.zeros(10 * n, int))
 
 
 def reference_plurality(votes, n_classes):
@@ -121,73 +134,64 @@ class TestModelAverage:
 
     def test_weighted_average_matches_manual_loop(self, rng):
         pm = random_pm(rng, 5, 10, 3)
-        weights = weights_from_accuracy(rng.uniform(0.1, 1.0, size=5))
+        weights = rng.uniform(0.1, 1.0, size=5)
+        weights /= weights.sum()
         outcome = model_average(pm, weights)
         for i in range(10):
             fused = np.zeros(3)
             for j in range(5):
-                fused += weights.values[j] * pm.probs[j, i]
+                fused += weights[j] * pm.probs[j, i]
             assert outcome.decisions[i] == np.argmax(fused)
 
     def test_weight_count_mismatch_rejected(self, rng):
         pm = random_pm(rng, 3, 2, 2)
         with pytest.raises(ContractError, match="weights"):
-            model_average(pm, WeightVector.uniform(4))
+            model_average(pm, np.full(4, 0.25))
 
 
 class TestWeights:
     def test_accuracy_weights_normalize(self):
-        w = weights_from_accuracy([0.9, 0.8])
-        np.testing.assert_allclose(w.values, [9 / 17, 8 / 17], atol=1e-15)
+        np.testing.assert_allclose(oob_weights([9, 8]), [9 / 17, 8 / 17], atol=1e-15)
 
     def test_inverse_variance_weights(self):
-        w = weights_from_inverse_variance([1.0, 3.0])
-        np.testing.assert_allclose(w.values, [0.75, 0.25], atol=1e-15)
+        # squared errors 0.1 and 0.3
+        w = oob_weights([9, 7], "inverse_variance")
+        np.testing.assert_allclose(w, [0.75, 0.25], atol=1e-15)
 
     def test_zero_variance_is_floored_not_infinite(self):
-        w = weights_from_inverse_variance([0.0, 1.0])
-        assert np.all(np.isfinite(w.values))
-        assert w.values[0] > 0.999999
+        w = oob_weights([10, 0], "inverse_variance")
+        assert np.all(np.isfinite(w))
+        assert w[0] > 0.999999
 
     def test_all_zero_accuracies_rejected(self):
         with pytest.raises(DataError, match="all learner accuracies are zero"):
-            weights_from_accuracy([0.0, 0.0, 0.0])
+            oob_weights([0, 0, 0])
 
-    def test_out_of_range_accuracy_rejected(self):
-        with pytest.raises(ContractError):
-            weights_from_accuracy([0.5, 1.2])
-        with pytest.raises(ContractError, match="finite"):
-            weights_from_accuracy([np.nan, 0.5])
-
-    def test_uniform_weights(self):
-        np.testing.assert_array_equal(WeightVector.uniform(4).values, 0.25)
-
-    def test_invalid_weight_vectors_rejected(self):
-        with pytest.raises(ContractError, match="non-negative"):
-            WeightVector(np.array([-0.5, 1.5]))
-        with pytest.raises(ContractError, match="sum to 1"):
-            WeightVector(np.array([0.5, 0.6]))
-        with pytest.raises(ContractError, match="finite"):
-            WeightVector(np.array([np.nan, np.nan]))
-        with pytest.raises(ContractError, match="finite"):
-            weights_from_inverse_variance([np.nan, 1.0])
+    def test_uniform_weights(self, rng):
+        # A lone learner has no plan and gets None, which model_average reads as uniform.
+        pm = random_pm(rng, 1, 6, 3)
+        assert harness._learner_weights(ExperimentConfig(n_learners=1), None, pm,
+                                        np.zeros(6, int)) is None
+        pm = random_pm(rng, 4, 50, 3)
+        assert (model_average(pm).decisions.tolist()
+                == model_average(pm, np.full(4, 0.25)).decisions.tolist())
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            n=st.integers(min_value=2, max_value=9))
     @settings(max_examples=50, deadline=None)
     def test_better_accuracy_never_gets_less_weight(self, seed, n):
-        accs = np.random.default_rng(seed).uniform(0.01, 1.0, size=n)
-        w = weights_from_accuracy(accs).values
-        order = np.argsort(accs)
+        correct = np.random.default_rng(seed).integers(1, 11, size=n)
+        w = oob_weights(correct)
+        order = np.argsort(correct)
         assert np.all(np.diff(w[order]) >= -1e-15)
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            n=st.integers(min_value=2, max_value=9))
     @settings(max_examples=50, deadline=None)
     def test_higher_variance_never_gets_more_weight(self, seed, n):
-        variances = np.random.default_rng(seed).uniform(1e-6, 5.0, size=n)
-        w = weights_from_inverse_variance(variances).values
-        order = np.argsort(variances)
+        correct = np.random.default_rng(seed).integers(0, 11, size=n)
+        w = oob_weights(correct, "inverse_variance")
+        order = np.argsort(10 - correct)  # squared errors 1 - correct / 10
         assert np.all(np.diff(w[order]) <= 1e-15)
 
 
@@ -322,7 +326,7 @@ class TestMetaStacking:
         labels = rng.integers(0, 3, size=60)
         pm = one_hot_pm(np.tile(labels, (4, 1)), 3)
         _, outcome = plain_stacking(pm, labels, pm)
-        assert outcome_accuracy(outcome, labels) == 1.0
+        np.testing.assert_array_equal(outcome.decisions, labels)
         assert outcome.routes.dtype == np.int8
         np.testing.assert_array_equal(outcome.routes, META)
 
@@ -338,8 +342,8 @@ class TestMetaStacking:
 
         pm_train, y_train = build(11)
         pm_test, y_test = build(12)
-        meta_acc = outcome_accuracy(plain_stacking(pm_train, y_train, pm_test)[1], y_test)
-        plain_acc = outcome_accuracy(plurality_vote(pm_test), y_test)
+        meta_acc = np.mean(plain_stacking(pm_train, y_train, pm_test)[1].decisions == y_test)
+        plain_acc = np.mean(plurality_vote(pm_test).decisions == y_test)
         assert meta_acc > plain_acc
         assert meta_acc > 0.95
 
@@ -464,15 +468,6 @@ class TestFilteredFusion:
 
 
 class TestOutcomeAccuracy:
-    def test_rejections_count_as_errors(self):
-        outcome = FusionOutcome(decisions=np.array([0, REJECTED, 1]))
-        assert outcome_accuracy(outcome, [0, 0, 1]) == pytest.approx(2 / 3)
-
-    def test_label_shape_mismatch_rejected(self):
-        outcome = FusionOutcome(decisions=np.array([0, 1]))
-        with pytest.raises(ContractError):
-            outcome_accuracy(outcome, [0, 1, 1])
-
     def test_route_tag_length_enforced(self):
         # Also rejected: codes outside ROUTES, and codes that are not integers.
         for bad in ([CONFIDENT], [0, len(ROUTES)], [-1, 0], [0.0, 1.0],

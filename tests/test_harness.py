@@ -20,6 +20,7 @@ from votestack import (
     DataError,
     ExperimentConfig,
     PredictionMatrix,
+    REJECTED,
     TrainingDivergenceError,
     VoteStackError,
     boosting,
@@ -676,23 +677,45 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("weight_mode", ["accuracy", "inverse_variance"])
     def test_learner_weights_match_one_hot_statistics(self, rng, weight_mode):
-        # Reference statistics: out-of-bag accuracy, and the mean squared error
-        # against np.eye one-hot labels; the weights must match them bit for bit.
+        # Reference: out-of-bag accuracy, or the inverse of the mean squared error
+        # against np.eye one-hot labels floored at 1e-12, normalized; the weights
+        # must match it bit for bit. Learner 0 is sure and right everywhere, so
+        # its error is 0 and takes the floor.
         config = replace(DESK_CONFIG, weight_mode=weight_mode)
         n, S, C = config.n_learners, 300, 4
-        pm = PredictionMatrix(rng.dirichlet(np.ones(C), size=(n, S)))
         labels = rng.integers(0, C, S)
+        probs = rng.dirichlet(np.ones(C), size=(n, S))
+        probs[0] = np.eye(C)[labels]
+        pm = PredictionMatrix(probs)
         plan = build_plan(S, n, config.seed)
-        accs, variances = np.empty(n), np.empty(n)
+        stats = np.empty(n)
         for j in range(n):
             oob = out_of_bag(plan, j)
-            probs, y = pm.probs[j, oob], labels[oob]
-            accs[j] = np.mean(np.argmax(probs, axis=1) == y)
-            variances[j] = np.mean((probs - np.eye(C)[y]) ** 2)
-        want = (fusion.weights_from_accuracy(accs) if weight_mode == "accuracy"
-                else fusion.weights_from_inverse_variance(variances))
+            p, y = pm.probs[j, oob], labels[oob]
+            stats[j] = (np.mean(np.argmax(p, axis=1) == y) if weight_mode == "accuracy"
+                        else 1.0 / max(np.mean((p - np.eye(C)[y]) ** 2), 1e-12))
         got = harness._learner_weights(config, plan, pm, labels)
-        assert got.values.tobytes() == want.values.tobytes()
+        assert got.tobytes() == (stats / stats.sum()).tobytes()
+        # Every out-of-bag vote wrong: no accuracy weights, equal variance weights.
+        wrong = PredictionMatrix(np.tile(np.eye(C)[(labels + 1) % C], (n, 1, 1)))
+        if weight_mode == "accuracy":
+            with pytest.raises(DataError, match="all learner accuracies are zero"):
+                harness._learner_weights(config, plan, wrong, labels)
+        else:
+            np.testing.assert_allclose(harness._learner_weights(config, plan, wrong, labels),
+                                       1 / n, rtol=1e-15)
+
+    def test_majority_rejections_count_as_errors(self):
+        # Two learners reject every sample they disagree on; a rejection is wrong.
+        config = replace(DESK_CONFIG, epochs=1, n_learners=2,
+                         strategies=("majority",))
+        report = run_experiment(config, dataset=DESK_DATA)
+        _, test, _ = _prepare(config, DESK_DATA, [])
+        decisions = np.array(report.decisions["majority"])
+        accepted = decisions != REJECTED
+        assert report.rejected_count == np.sum(~accepted) > 0
+        assert (report.strategy_accuracies["majority"]
+                == np.sum(decisions[accepted] == test.labels[accepted]) / test.n_samples)
 
     def test_desk_scale_filtered_beats_mean_individual(self):
         # two-class blob benchmark at reading-desk scale
@@ -801,6 +824,28 @@ class TestSweep:
     def test_invalid_max_size(self):
         with pytest.raises(ConfigError, match="max_size"):
             sweep(DESK_CONFIG, max_size=0, dataset=DESK_DATA)
+
+    def test_max_size_beyond_the_train_rows_fails_before_training(self, tmp_path,
+                                                                 monkeypatch):
+        # 48 train rows hold 2 rows per learner for 24 learners, not 30.
+        calls = []
+        monkeypatch.setattr(mlp, "train", lambda *args, **kwargs: calls.append(args))
+        config = replace(DESK_CONFIG, output_dir=str(tmp_path / "sw"))
+        with pytest.raises(ConfigError, match="^planning resamples: train_size 48 too "
+                                              "small for 30 learners"):
+            sweep(config, max_size=30, dataset=gaussian_blobs(60, 4, 2, seed=1))
+        assert calls == []
+        assert not (tmp_path / "sw").exists()
+
+    def test_smaller_rerun_removes_the_larger_sizes_models(self, tmp_path):
+        config = replace(DESK_CONFIG, epochs=1, strategies=("plurality",),
+                         output_dir=str(tmp_path))
+        sweep(config, max_size=3, dataset=DESK_DATA)
+        (tmp_path / "size_3" / "models" / "notes.txt").write_text("kept\n", encoding="utf-8")
+        sweep(config, max_size=1, dataset=DESK_DATA)
+        assert [p.name for p in (tmp_path / "size_1" / "models").iterdir()] == ["learner_0.mlp"]
+        assert list((tmp_path / "size_2" / "models").iterdir()) == []
+        assert [p.name for p in (tmp_path / "size_3" / "models").iterdir()] == ["notes.txt"]
 
     def test_data_loaded_once_per_sweep(self, tmp_path, monkeypatch):
         save_csv(DESK_DATA, tmp_path / "blobs.csv")

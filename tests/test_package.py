@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import sys
 from pathlib import Path
@@ -51,3 +52,12 @@ def test_numpy_is_the_only_runtime_dependency():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert outside == []
+
+
+def test_benchmark_modules_import_and_every_traced_name_resolves(monkeypatch):
+    # A package change that breaks the benchmark fails here, not in a benchmark run.
+    monkeypatch.syspath_prepend(str(Path(votestack.__file__).parents[2] / "bench"))
+    for name in ("checks", "micro", "workloads"):
+        importlib.import_module(name)
+    targets = list(importlib.import_module("spans")._targets())
+    assert targets and all(callable(fn) for fn, _, _ in targets)

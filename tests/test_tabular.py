@@ -320,9 +320,23 @@ class TestNormalizer:
             fit_normalizer(ds)
 
     def test_standardized_overflow_names_the_column(self):
-        names = {"feature_names": ("flat", "ok"), "class_names": ("a", "b")}
-        train = Dataset([[1.0, 0.0], [1.0, 1.0]], [0, 1], **names)
+        # The tiny column's std is 5e-301, so 1e300 standardizes past float64.
+        names = {"feature_names": ("tiny", "ok"), "class_names": ("a", "b")}
+        train = Dataset([[0.0, 0.0], [1e-300, 1.0]], [0, 1], **names)
         test = Dataset([[1e300, 0.0], [1.0, 1.0]], [0, 1], **names)
+        with pytest.raises(DataError, match=r"standardized value .* column\(s\) 'tiny'$"):
+            apply_normalizer(fit_normalizer(train), test)
+
+    def test_train_constant_column_maps_test_values_to_zero(self):
+        train = make_dataset([[123456.789, 0.0], [123456.789, 1.0]], [0, 1])
+        test = make_dataset([[123457.0, 0.0], [1e300, 1.0], [-1e300, 0.0]], [0, 1, 0])
+        out = apply_normalizer(fit_normalizer(train), test)
+        np.testing.assert_array_equal(out.features[:, 0], [0.0, 0.0, 0.0])
+
+    def test_train_constant_column_difference_past_float64_names_the_column(self):
+        names = {"feature_names": ("flat", "ok"), "class_names": ("a", "b")}
+        train = Dataset([[8e307, 0.0], [8e307, 1.0]], [0, 1], **names)
+        test = Dataset([[-1e308, 0.0], [1.0, 1.0]], [0, 1], **names)
         with pytest.raises(DataError, match=r"standardized value .* column\(s\) 'flat'$"):
             apply_normalizer(fit_normalizer(train), test)
 
