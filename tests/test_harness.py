@@ -821,6 +821,20 @@ class TestSweep:
         _, report, _ = small_sweep
         assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_size_reports_what_a_run_of_that_size_reports(self, workers):
+        config = replace(DESK_CONFIG, epochs=2, strategies=("plurality", "weighted_average"),
+                         workers=workers)
+        swept = sweep(config, max_size=3, dataset=DESK_DATA)
+        for k, report in enumerate(swept.reports, 1):
+            run = run_experiment(replace(config, n_learners=k, threshold=None,
+                                         strategies=(*config.strategies, "filtered")),
+                                 dataset=DESK_DATA)
+            a, b = report.to_dict(), run.to_dict()
+            a.pop("timings")
+            b.pop("timings")
+            assert a == b, f"size {k}"
+
     def test_invalid_max_size(self):
         with pytest.raises(ConfigError, match="max_size"):
             sweep(DESK_CONFIG, max_size=0, dataset=DESK_DATA)
