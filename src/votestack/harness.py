@@ -1,12 +1,12 @@
 """End-to-end experiment orchestration, reporting, and the ensemble-size sweep.
 
-A run is: load data, split (or use predefined train/test files), z-score
-normalize on the train side, build the segment-deletion plan, run one job
-per network (train, predict on train and test, save; optionally in parallel
-threads), apply the configured fusion strategies, and report. Every number
-in the result is fixed by (config, master seed): per-learner seeds are
-stable hashes of the master seed and the learner index, so thread
-scheduling cannot change them.
+A run loads its data, splits it (or takes predefined train/test files) and
+z-scores it on the train side; a sweep does so once for all its sizes. One
+job list then trains every learner of the run, or of every size, one job per
+(run, learner) serially or in threads, and fuses and reports each run from
+its own jobs' blocks. Every number in the result is fixed by (config, master
+seed): per-learner seeds are stable hashes of the master seed and the
+learner index, so thread scheduling cannot change them.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import types
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
@@ -105,10 +106,9 @@ def _in(section: str, default, key: str | None = None):
 
 @contextmanager
 def _stage(name: str, spans: list):
-    """Run one pipeline stage: append (name, start, end) to the run's spans
-    (list.append is atomic, so worker threads share one list) and re-raise a
-    module error with the stage name prepended, same type so exit-code
-    mapping is preserved."""
+    """Run one pipeline stage: append (name, start, end) to `spans`, which one
+    job or one run's fusion owns, and re-raise a module error with the stage
+    name prepended, same type so exit-code mapping is preserved."""
     start = time.perf_counter()
     try:
         yield
@@ -400,43 +400,6 @@ def _prepare(config: ExperimentConfig, dataset: Dataset | None,
     return train, test, label
 
 
-def _learner_predictions(config: ExperimentConfig, train: Dataset, test: Dataset, plan,
-                         out: Path | None, spans: list) -> tuple[PredictionMatrix, PredictionMatrix]:
-    """One train-predict-save job per learner. Every job trains on the run's
-    one read-only train block through its plan's row index, never a copy of
-    its rows. A job returns only its train and test probabilities, so at most
-    one trained model per worker is alive; one with a non-finite weight or
-    probability raises before it saves its model."""
-
-    def job(j: int) -> tuple[np.ndarray, np.ndarray]:
-        rows = None if plan is None else materialize(plan, j)
-        cfg = config.mlp_config(train.n_features, train.n_classes, config.learner_seed(j))
-        with _stage(f"training learner {j}", spans):
-            model = mlp.train(mlp.init(cfg), train.features, train.labels, rows=rows)
-        with _stage("predicting", spans):
-            probs = (mlp.predict_proba(model, train.features),
-                     mlp.predict_proba(model, test.features))
-        if not all_finite(*model.weights, *model.biases, *probs):
-            raise TrainingDivergenceError(
-                f"learner {j}: non-finite weights or probabilities after training")
-        if out is not None:
-            with _stage(f"training learner {j}", spans):
-                mlp.save(model, out / "models" / f"learner_{j}.mlp")
-        return probs
-
-    n = config.n_learners
-    if config.workers > 1 and n > 1:
-        # map cancels the jobs not yet started once one raises.
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            blocks = list(pool.map(job, range(n)))
-    else:
-        blocks = [job(j) for j in range(n)]
-    train_probs, test_probs = zip(*blocks)
-    with _stage("predicting", spans):
-        # PredictionMatrix stacks the per-learner blocks in its one copy.
-        return PredictionMatrix(train_probs), PredictionMatrix(test_probs)
-
-
 def _learner_weights(config: ExperimentConfig, plan, pm_train: PredictionMatrix,
                      train_labels: np.ndarray) -> np.ndarray | None:
     """weighted_average's learner weights, normalized to sum 1: each learner's
@@ -461,16 +424,6 @@ def _learner_weights(config: ExperimentConfig, plan, pm_train: PredictionMatrix,
     return stats / stats.sum()
 
 
-def _remove_models(out: Path) -> None:
-    """Delete the model files an earlier run left in <out>/models; other files stay."""
-    for old in (out / "models").glob("*"):
-        if re.fullmatch(r"learner_\d+\.mlp|(filtered_)?meta\.gbt", old.name) and old.is_file():
-            try:
-                old.unlink()
-            except OSError as exc:
-                raise ConfigError(f"cannot remove {old}: {exc}") from exc
-
-
 def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
     """Execute one full experiment; deterministic for a fixed config.
 
@@ -480,22 +433,79 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
     """
     spans: list = []
     train, test, label = _prepare(config, dataset, spans)
-    return _run(config, train, test, label, spans)
+    return _run_all([config], train, test, label, spans)[0]
+
+
+def _plan(config: ExperimentConfig, n_samples: int):
+    """The run's segment-deletion plan; a lone learner has none and trains on every row."""
+    return build_plan(n_samples, config.n_learners, config.seed) if config.n_learners > 1 else None
+
+
+def _run_all(configs: list[ExperimentConfig], train: Dataset, test: Dataset, label: str,
+             spans: list, stale: tuple[Path, ...] = ()) -> list[RunReport]:
+    """The one job list of a run or a sweep: every (run, learner) job through
+    one map, then each run fused from its own jobs' blocks, the first with
+    `spans`. The largest plan is checked before any model is removed or job
+    starts; an exception leaving here cancels every job not yet started."""
+    with _stage("planning resamples", []):
+        _plan(max(configs, key=lambda c: c.n_learners), train.n_samples)
+    # Each run's models replace, never sit beside, an earlier run's; other files stay.
+    for out in (*stale, *(Path(c.output_dir) for c in configs if c.output_dir)):
+        for old in (out / "models").glob("*"):
+            if re.fullmatch(r"learner_\d+\.mlp|(filtered_)?meta\.gbt", old.name) and old.is_file():
+                try:
+                    old.unlink()
+                except OSError as exc:
+                    raise ConfigError(f"cannot remove {old}: {exc}") from exc
+
+    def job(task: tuple[ExperimentConfig, int]) -> tuple[np.ndarray, np.ndarray, list]:
+        """Train, predict and save learner j of `config` through its plan's row
+        index into the one read-only train block; returns its probabilities and
+        its own spans. A non-finite weight or probability raises before saving."""
+        config, j = task
+        job_spans: list = []
+        plan = _plan(config, train.n_samples)
+        rows = None if plan is None else materialize(plan, j)
+        cfg = config.mlp_config(train.n_features, train.n_classes, config.learner_seed(j))
+        with _stage(f"training learner {j}", job_spans):
+            model = mlp.train(mlp.init(cfg), train.features, train.labels, rows=rows)
+        with _stage("predicting", job_spans):
+            probs = (mlp.predict_proba(model, train.features),
+                     mlp.predict_proba(model, test.features))
+        if not all_finite(*model.weights, *model.biases, *probs):
+            raise TrainingDivergenceError(
+                f"learner {j}: non-finite weights or probabilities after training")
+        if config.output_dir:
+            with _stage(f"training learner {j}", job_spans):
+                mlp.save(model, Path(config.output_dir) / "models" / f"learner_{j}.mlp")
+        return (*probs, job_spans)
+
+    workers = configs[0].workers
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        blocks = (pool.map if pool else map)(
+            job, [(c, j) for c in configs for j in range(c.n_learners)])
+        return [_run(config, train, test, label, spans if i == 0 else [],
+                     list(islice(blocks, config.n_learners)))
+                for i, config in enumerate(configs)]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
-         spans: list) -> RunReport:
-    """Plan, train, predict and fuse on prepared data; the timings sum each
-    stage's spans, those already in `spans` included."""
+         spans: list, blocks: list) -> RunReport:
+    """Fuse one run's learner blocks, each a job's (train probabilities, test
+    probabilities, spans), and report; the timings sum each stage's spans,
+    the jobs' and those already in `spans` included."""
     n = config.n_learners
-    out = Path(config.output_dir) if config.output_dir else None
-    # A single learner has no segment to delete; it trains on the full set.
     with _stage("planning resamples", spans):
-        plan = build_plan(train.n_samples, n, config.seed) if n > 1 else None
-
-    if out is not None:  # this run's models replace, never sit beside, an earlier run's
-        _remove_models(out)
-    pm_train, pm_test = _learner_predictions(config, train, test, plan, out, spans)
+        plan = _plan(config, train.n_samples)
+    spans.extend(span for _, _, job_spans in blocks for span in job_spans)
+    with _stage("predicting", spans):
+        # PredictionMatrix stacks the per-learner blocks in its one copy.
+        pm_train, pm_test = (PredictionMatrix([b[k] for b in blocks]) for k in (0, 1))
+    blocks.clear()  # only the stacked copies outlive this stage
 
     test_votes = pm_test.votes()
     per_learner = tuple(
@@ -523,8 +533,8 @@ def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
         with _stage(f"stacking {name}", spans):
             fitted = fusion.fit_filtered(pm_train, train.labels, config.boost,
                                          threshold, config.level1_mode)
-            if out is not None and fitted.meta_model is not None:
-                boosting.save(fitted.meta_model, out / "models" / model_file)
+            if config.output_dir and fitted.meta_model is not None:
+                boosting.save(fitted.meta_model, Path(config.output_dir) / "models" / model_file)
             outcomes[name] = fusion.apply_filtered(fitted, pm_test)
     timings: dict[str, float] = {}
     for name, start, end in spans:
@@ -567,31 +577,21 @@ def sweep(config: ExperimentConfig, max_size: int,
     those stages' spans go to size 1's timings. Each size uses its own
     default filter threshold (size-1, floored at 1) and, when an output
     directory is set, its own size_<k> subdirectory; an earlier sweep's
-    models in size_<k> for k > max_size are deleted. The largest plan is
-    built first, so a train set too small for max_size fails before any
-    size trains.
+    models in size_<k> for k > max_size are deleted.
     """
     if max_size < 1:
         raise ConfigError("sweep max_size must be at least 1")
     spans: list = []
     train, test, label = _prepare(config, dataset, spans)
-    if max_size > 1:
-        with _stage("planning resamples", []):
-            build_plan(train.n_samples, max_size, config.seed)
-    if config.output_dir:
-        for old in Path(config.output_dir).glob("size_*"):
-            match = re.fullmatch(r"size_(\d+)", old.name)
-            if match and int(match[1]) > max_size:
-                _remove_models(old)
-    reports = []
-    for size in range(1, max_size + 1):
-        sub_out = (str(Path(config.output_dir) / f"size_{size}")
-                   if config.output_dir else None)
-        sub = replace(config, n_learners=size, threshold=None,
-                      strategies=(*config.strategies, STRATEGY_FILTERED),
-                      output_dir=sub_out)
-        reports.append(_run(sub, train, test, label, spans if size == 1 else []))
-    return SweepReport(tuple(reports))
+    out = Path(config.output_dir) if config.output_dir else None
+    stale = tuple(old for old in (out.glob("size_*") if out else ())
+                  if re.fullmatch(r"size_\d+", old.name)
+                  and int(old.name.removeprefix("size_")) > max_size)
+    configs = [replace(config, n_learners=size, threshold=None,
+                       strategies=(*config.strategies, STRATEGY_FILTERED),
+                       output_dir=str(out / f"size_{size}") if out else None)
+               for size in range(1, max_size + 1)]
+    return SweepReport(tuple(_run_all(configs, train, test, label, spans, stale)))
 
 
 def _write_text(path: Path, text: str) -> None:

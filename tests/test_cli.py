@@ -411,6 +411,17 @@ class TestSweep:
         assert [r["config"]["run"] for r in reports] == [
             {"seed": 7, "workers": 2, "output_dir": str(out / f"size_{k}")} for k in (1, 2)]
 
+    def test_sweep_bytes_match_across_workers(self, tmp_path, data_csv):
+        config = write_config(tmp_path, data_csv)
+        outs = [tmp_path / "w1", tmp_path / "w2"]
+        for out, workers in zip(outs, ("1", "2")):
+            assert cli.main(["sweep", "--config", str(config), "--max-size", "3",
+                             "--workers", workers, "--out", str(out)]) == 0
+        files = [sorted(p.relative_to(out) for p in out.glob("size_*/models/*")) for out in outs]
+        assert files[0] == files[1] and files[0]
+        for name in (Path("sweep.csv"), *files[0]):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_invalid_max_size(self, tmp_path, data_csv, capsys):
         config = write_config(tmp_path, data_csv)
         rc = cli.main(["sweep", "--config", str(config), "--max-size", "0"])

@@ -578,23 +578,29 @@ class TestRunExperiment:
         assert a == b
 
     def test_failing_learner_cancels_queued_jobs(self, monkeypatch):
+        # A run's learner 0 fails, or a sweep's size-1 learner: every size's
+        # learner 0 has its seed, but only size 1's trains on every row.
         config = replace(DESK_CONFIG, n_learners=7, epochs=1, workers=2,
                          strategies=("plurality",))
         failing_seed = config.learner_seed(0)
-        calls = []
         real_train = mlp.train
+        for max_size in (None, 6):
+            calls = []
 
-        def counting_train(model, features, labels, rows=None):
-            calls.append(model.config.seed)
-            if model.config.seed == failing_seed:
-                raise TrainingDivergenceError("diverged")
-            time.sleep(0.05)
-            return real_train(model, features, labels, rows)
+            def counting_train(model, features, labels, rows=None):
+                calls.append(model.config.seed)
+                if model.config.seed == failing_seed and (max_size is None or rows is None):
+                    raise TrainingDivergenceError("diverged")
+                time.sleep(0.05)
+                return real_train(model, features, labels, rows)
 
-        monkeypatch.setattr(mlp, "train", counting_train)
-        with pytest.raises(TrainingDivergenceError, match="training learner 0"):
-            run_experiment(config, dataset=DESK_DATA)
-        assert len(calls) <= config.workers + 1
+            monkeypatch.setattr(mlp, "train", counting_train)
+            with pytest.raises(TrainingDivergenceError, match="training learner 0"):
+                if max_size is None:
+                    run_experiment(config, dataset=DESK_DATA)
+                else:
+                    sweep(config, max_size, dataset=DESK_DATA)
+            assert len(calls) <= config.workers + 1, max_size
 
     def test_learners_train_on_the_one_read_only_block_through_their_rows(self,
                                                                          monkeypatch):
@@ -644,9 +650,8 @@ class TestRunExperiment:
         config = ExperimentConfig(n_learners=7, hidden_sizes=(4,), epochs=1, batch_size=512,
                                   strategies=("plurality",))
         train, test, _ = _prepare(config, data, [])
-        plan = build_plan(train.n_samples, 7, config.seed)
         tensors = 7 * (train.n_samples + test.n_samples) * 3 * 8
-        peak = traced_peak(harness._learner_predictions, config, train, test, plan, None, [])
+        peak = traced_peak(harness._run_all, [config], train, test, "in-memory", [])
         assert peak < 3 * tensors, f"peak {peak / tensors:.2f}x the probability tensors"
 
     def test_single_learner_plurality_equals_learner_accuracy(self):
@@ -905,22 +910,54 @@ class TestStageTimings:
         assert learners <= serial["total_seconds"]
 
     def test_sweep_size_one_holds_the_shared_preparation(self, small_sweep):
-        _, report, _ = small_sweep
-        for size, run in enumerate(report.reports, 1):
-            expected = run_stages(size, "filtered")
-            if size > 1:
-                expected -= {"loading data", "normalizing"}
-            assert set(run.timings) == expected
+        # Under workers the jobs of several sizes overlap; each size must still
+        # hold its own learners' spans and no other's.
+        config, report, _ = small_sweep
+        threaded = sweep(replace(config, epochs=1, workers=2, output_dir=None), max_size=3,
+                         dataset=DESK_DATA)
+        for sweep_report in (report, threaded):
+            for size, run in enumerate(sweep_report.reports, 1):
+                expected = run_stages(size, "filtered")
+                if size > 1:
+                    expected -= {"loading data", "normalizing"}
+                assert set(run.timings) == expected
 
     def test_stacking_error_names_its_stage(self, monkeypatch):
+        # In a sweep size 1 fails while two workers train size 2; the sizes
+        # still queued must not start.
         def broken(*args):
             raise DataError("no level-1 columns")
 
+        calls = []
+        real_train = mlp.train
+
+        def counting_train(model, features, labels, rows=None):
+            calls.append(rows)
+            if rows is not None:  # outlasts size 1's fusion
+                time.sleep(0.1)
+            return real_train(model, features, labels, rows)
+
         monkeypatch.setattr(fusion, "fit_filtered", broken)
+        monkeypatch.setattr(mlp, "train", counting_train)
         config = replace(DESK_CONFIG, n_learners=2, epochs=1,
                          strategies=("plurality", "filtered"))
         with pytest.raises(DataError, match="^stacking filtered: no level-1 columns$"):
             run_experiment(config, dataset=DESK_DATA)
+        assert len(calls) == 2
+        calls.clear()
+        with pytest.raises(DataError, match="^stacking filtered: no level-1 columns$"):
+            sweep(replace(config, workers=2), max_size=6, dataset=DESK_DATA)
+        assert len(calls) <= 1 + 2
+
+    def test_src_constructs_one_executor(self):
+        # One parallel mechanism: swapping it must change a single call.
+        src = Path(harness.__file__).parent
+        calls = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Call)
+                 and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                      or "").endswith("Executor")]
+        assert len(calls) == 1, calls
 
     def test_perf_counter_is_read_only_inside_stage(self):
         # One timing mechanism: a hand-placed mark elsewhere in the harness fails here.
