@@ -119,7 +119,7 @@ def model_average(pm: PredictionMatrix, weights: np.ndarray | None = None) -> Fu
     """Argmax of the weighted sum of predicted probabilities per sample;
     `weights` holds one weight per learner, uniform when None."""
     n = pm.n_learners
-    w = np.full(n, 1.0 / n) if weights is None else weights
+    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise ContractError(f"expected {n} weights, got shape {w.shape}")
     fused = np.tensordot(w, pm.probs, axes=(0, 0))

@@ -169,11 +169,11 @@ class ExperimentConfig:
             )
         if self.level1_mode not in (fusion.LEVEL1_PROBA, fusion.LEVEL1_LABEL):
             raise ConfigError("[ensemble] level1_mode must be 'proba' or 'label'")
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         try:
-            self.mlp_config(1, 2, 0)
+            sizes = self.mlp_config(1, 2, 0).layer_sizes[1:-1]
         except ConfigError as exc:
             raise ConfigError(f"[mlp] {exc}") from None
+        object.__setattr__(self, "hidden_sizes", sizes)
         if not (0.0 < self.train_fraction < 1.0):
             raise ConfigError("[split] train_fraction must lie in (0, 1)")
         if self.workers < 1:
@@ -457,6 +457,12 @@ def _run_all(configs: list[ExperimentConfig], train: Dataset, test: Dataset, lab
                     old.unlink()
                 except OSError as exc:
                     raise ConfigError(f"cannot remove {old}: {exc}") from exc
+    # A path that cannot hold models/ fails here, not after a learner trains.
+    for models in (Path(c.output_dir) / "models" for c in configs if c.output_dir):
+        try:
+            models.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {models}: {exc}") from exc
 
     def job(task: tuple[ExperimentConfig, int]) -> tuple[np.ndarray, np.ndarray, list]:
         """Train, predict and save learner j of `config` through its plan's row

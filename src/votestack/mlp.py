@@ -13,17 +13,16 @@ block to the parameters as soon as it is computed (the fused update of Lv et
 al., "Full Parameter Fine-tuning for Large Language Models with Limited
 Resources", 2023, here with a momentum buffer), so no weight-sized gradient
 exists: a weight matrix's gradient is built `_GRAD_ENTRIES` entries at a time
-in one small scratch block. `predict_proba` scores `PREDICT_ROWS` rows at a
-time: the hidden layers below the last run in sub-blocks of at most
-`_HIDDEN_ROWS` rows, and only the last hidden layer is held at full block
-height. The output layer is narrow, and OpenBLAS computes its GEMM with last
-bits that depend on the row count, so it keeps its `(PREDICT_ROWS, width)`
-shape and the probabilities keep their bytes.
+in one small scratch block. `predict_proba` runs the same forward pass on
+`PREDICT_ROWS`-row blocks, with one buffer per layer rectified in place. A
+GEMM's last bits may depend on its row count under OpenBLAS, so probabilities
+are fixed by `PREDICT_ROWS` as the trained weights are by `batch_size`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -36,12 +35,9 @@ from .serialize import parsing_header, read_model_file, write_model_file
 
 MLP_MAGIC = b"VSTKMLP\x00"
 MLP_FORMAT_VERSION = 2
-# Rows scored per block; smaller blocks change the output layer's last bits
-# under OpenBLAS.
-PREDICT_ROWS = 1024
-# Most rows per sub-block of the hidden layers below the last; a PREDICT_ROWS
-# block splits into six of about 171 rows.
-_HIDDEN_ROWS = 192
+# Most rows scored per block; another block height may move the last bits of
+# the probabilities under OpenBLAS.
+PREDICT_ROWS = 192
 # Most entries per weight-gradient block (512 KiB): the block and the velocity
 # and weight rows it updates fit in L2 together.
 _GRAD_ENTRIES = 64 * 1024
@@ -62,7 +58,11 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
+        try:  # a str's characters fail too, so "345" is no (3, 4, 5)
+            sizes = tuple(operator.index(s) for s in self.layer_sizes)
+        except TypeError:
+            raise ConfigError(f"layer sizes must be integers, got {self.layer_sizes!r}") from None
+        object.__setattr__(self, "layer_sizes", sizes)
         if len(self.layer_sizes) < 3:
             raise ConfigError("need at least one hidden layer")
         if any(s < 1 for s in self.layer_sizes):
@@ -117,22 +117,30 @@ def _check_input_dim(model: MlpModel, X: np.ndarray) -> None:
         )
 
 
+def _layer_buffers(model: MlpModel, rows: int) -> list[np.ndarray]:
+    """One (rows, width) array per layer, for `_forward_cached`'s buffers."""
+    return [np.empty((rows, W.shape[0])) for W in model.weights]
+
+
 def _forward_cached(model: MlpModel, X: np.ndarray, buffers=None):
     """Forward pass keeping pre-activations for backprop.
 
     Returns (pre_activations, activations, probs); activations[0] is X.
-    Given buffers, (pre, activation) lists of per-layer arrays of at least
-    X.shape[0] rows, the layers go into their leading rows.
+    The layers go into the leading rows of buffers, (pre, activation) lists
+    of per-layer arrays of at least X.shape[0] rows, or fresh ones if None;
+    one list given as both makes each rectifier run in place.
     """
+    if buffers is None:
+        buffers = (_layer_buffers(model, len(X)), _layer_buffers(model, len(X)))
     pre, acts = [], [X]
     a = X
     last = len(model.weights) - 1
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        z = np.matmul(a, W.T, out=None if buffers is None else buffers[0][i][:len(X)])
+        z = np.matmul(a, W.T, out=buffers[0][i][:len(X)])
         z += b
         pre.append(z)
         if i < last:
-            a = np.maximum(z, 0.0, out=None if buffers is None else buffers[1][i][:len(X)])
+            a = np.maximum(z, 0.0, out=buffers[1][i][:len(X)])
             acts.append(a)
     return pre, acts, softmax(pre[-1])
 
@@ -143,22 +151,10 @@ def predict_proba(model: MlpModel, features) -> np.ndarray:
     if X.ndim != 2:
         raise ContractError("predict_proba expects a 2-D feature matrix")
     _check_input_dim(model, X)
-    rows = min(PREDICT_ROWS, len(X))
-    hidden = model.weights[:-1]
-    # one sub-block buffer per hidden layer below the last, one full block for the last
-    buffers = [np.empty((min(_HIDDEN_ROWS, rows), W.shape[0])) for W in hidden[:-1]]
-    top = np.empty((rows, hidden[-1].shape[0]))
-    probs = np.empty((X.shape[0], model.config.n_classes))
-    for start in range(0, X.shape[0], PREDICT_ROWS):
-        block = X[start:start + PREDICT_ROWS]
-        for lo, hi in spans(len(block), _HIDDEN_ROWS):
-            a = block[lo:hi]
-            for W, b, buf in zip(hidden, model.biases, buffers + [top[lo:]]):
-                a = np.matmul(a, W.T, out=buf[:hi - lo])
-                a += b
-                np.maximum(a, 0.0, out=a)
-        logits = top[:len(block)] @ model.weights[-1].T + model.biases[-1]
-        probs[start:start + len(block)] = softmax(logits)
+    layers = _layer_buffers(model, min(PREDICT_ROWS, len(X)))
+    probs = np.empty((len(X), model.config.n_classes))
+    for lo, hi in spans(len(X), PREDICT_ROWS):
+        probs[lo:hi] = _forward_cached(model, X[lo:hi], (layers, layers))[2]
     return probs
 
 
@@ -268,8 +264,7 @@ def train(model: MlpModel, features, labels, rows=None) -> MlpModel:
 
     n = X.shape[0] if rows is None else rows.size
     height = min(cfg.batch_size, n)
-    buffers = ([np.empty((height, w.shape[0])) for w in model.weights],
-               [np.empty((height, w.shape[0])) for w in model.weights[:-1]])
+    buffers = (_layer_buffers(model, height), _layer_buffers(model, height))
     block = _grad_block(model)
 
     for epoch in range(cfg.epochs):
@@ -312,16 +307,10 @@ def load(path: str | Path) -> MlpModel:
     n_layers = len(config.layer_sizes) - 1
     if len(arrays) != 2 * n_layers:
         raise DataError(f"{path}: parameter count does not match the stored config")
-    weights = [arrays[2 * i] for i in range(n_layers)]
-    biases = [arrays[2 * i + 1] for i in range(n_layers)]
+    weights, biases = arrays[0::2], arrays[1::2]
     for i, (fan_in, fan_out) in enumerate(zip(config.layer_sizes, config.layer_sizes[1:])):
         if weights[i].shape != (fan_out, fan_in) or biases[i].shape != (fan_out,):
             raise DataError(f"{path}: parameter shapes do not match the stored config")
     if not all_finite(*arrays):
         raise DataError(f"{path}: non-finite weight or bias")
-    return MlpModel(
-        config=config,
-        weights=weights,
-        biases=biases,
-        loss_trace=loss_trace,
-    )
+    return MlpModel(config, weights, biases, loss_trace)

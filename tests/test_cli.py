@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from votestack import DataError, cli, errors, gaussian_blobs, harness, save_csv
+from votestack import DataError, cli, errors, gaussian_blobs, harness, mlp, save_csv
 from conftest import FILE_EDITS, FUZZ_SETTINGS, apply_edits, wall_bound
 
 BASE_CONFIG = """
@@ -330,6 +330,18 @@ class TestRun:
         assert "cannot write" in err and "meta.gbt" in err
         assert (models / "meta.gbt").is_dir()
         assert not [p.name for p in models.iterdir() if p.name.startswith(".")]
+
+    def test_output_path_that_is_a_file_fails_before_any_learner_trains(
+            self, tmp_path, data_csv, capsys, monkeypatch):
+        out = tmp_path / "afile"
+        out.write_text("not a directory\n", encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(mlp, "train", lambda *args, **kwargs: calls.append(args))
+        rc = cli.main(["run", "--config", str(write_config(tmp_path, data_csv)),
+                       "--out", str(out)])
+        assert rc == 1 and calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"cannot write {out / 'models'}" in err
 
     def test_rerun_replaces_the_earlier_runs_models(self, tmp_path, data_csv):
         config = write_config(tmp_path, data_csv)

@@ -127,6 +127,7 @@ class TestModelAverage:
         outcome = model_average(pm)
         # mean probabilities are [0.45, 0.55]
         assert outcome.decisions.tolist() == [1]
+        assert model_average(pm, [0.5, 0.5]).decisions.tolist() == [1]
 
     def test_tie_breaks_toward_lowest_class(self):
         pm = PredictionMatrix(np.array([[[0.6, 0.4]], [[0.4, 0.6]]]))
@@ -147,6 +148,8 @@ class TestModelAverage:
         pm = random_pm(rng, 3, 2, 2)
         with pytest.raises(ContractError, match="weights"):
             model_average(pm, np.full(4, 0.25))
+        with pytest.raises(ContractError, match="weights"):
+            model_average(pm, [0.5, 0.5])
 
 
 class TestWeights:

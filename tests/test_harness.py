@@ -192,6 +192,9 @@ class TestExperimentConfig:
         ("epochs", 0, "epochs"), ("batch_size", 0, "batch_size"),
         ("learning_rate", -1.0, "learning_rate"), ("momentum", 1.5, "momentum"),
         ("hidden_sizes", (8, -4), "layer sizes"),
+        ("hidden_sizes", "64", "layer sizes must be integers"),
+        ("hidden_sizes", (64.7, 32), "layer sizes must be integers"),
+        ("hidden_sizes", "64 32", "layer sizes must be integers"),
     ])
     def test_mlp_settings_checked_when_built(self, field, value, message):
         with pytest.raises(ConfigError, match=rf"^\[mlp\] .*{message}"):
@@ -958,6 +961,16 @@ class TestStageTimings:
                  and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                       or "").endswith("Executor")]
         assert len(calls) == 1, calls
+
+    def test_mlp_has_one_forward_pass(self):
+        # predict_proba runs the training forward, so only it may rectify.
+        tree = ast.parse(Path(mlp.__file__).read_text(encoding="utf-8"))
+        forward = next(node for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name == "_forward_cached")
+        inside = {id(node) for node in ast.walk(forward)}
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", None) == "maximum"]
+        assert len(calls) == 1 and id(calls[0]) in inside, [c.lineno for c in calls]
 
     def test_perf_counter_is_read_only_inside_stage(self):
         # One timing mechanism: a hand-placed mark elsewhere in the harness fails here.

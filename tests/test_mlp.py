@@ -187,6 +187,11 @@ class TestInit:
         with pytest.raises(ConfigError, match="hidden"):
             MlpConfig(layer_sizes=(4, 2))
 
+    @pytest.mark.parametrize("layer_sizes", ["345", (4, 3.5, 2), (4, "3", 2), 5])
+    def test_non_integer_layer_sizes_rejected(self, layer_sizes):
+        with pytest.raises(ConfigError, match="layer sizes must be integers"):
+            MlpConfig(layer_sizes=layer_sizes)
+
     def test_bad_optimizer_settings_rejected(self):
         with pytest.raises(ConfigError, match="epochs"):
             MlpConfig(layer_sizes=(4, 3, 2), epochs=0)
@@ -390,8 +395,9 @@ class TestInPlaceHotPath:
         assert peak < 2.5 * param_bytes, f"peak {peak / param_bytes:.2f}x parameter bytes"
 
     def test_predict_peak_memory_is_one_pair_of_activation_blocks(self):
-        # the 2000 x 600 block and the 2000 x 400 block built from it; holding
-        # every pre-activation and activation at once is about 2x this
+        # a 2000 x 600 and a 2000 x 400 block; 192-row blocks of every layer
+        # hold under a tenth of it, and every pre-activation and activation of
+        # all rows at once about 2x
         model = mlp.init(MlpConfig(layer_sizes=(8, 600, 400, 2), seed=3))
         X = gaussian_blobs(2000, 8, 2, seed=3).features
         block_bytes = 2000 * (600 + 400) * 8
@@ -479,6 +485,11 @@ class TestRowIndex:
         assert peak < 0.1 * data.features.nbytes, f"peak {peak / 1e6:.2f} MB"
 
 
+# Every fan-in below 32, so OpenBLAS computes the row-split GEMMs with the
+# kernel of the whole ones; the 40-unit layer's gradient splits into row blocks.
+SPLIT_SIZES = (6, 20, 40, 4)
+
+
 def one_block_proba(model, X):
     """predict_proba as one block: every row through each layer at once."""
     a = X
@@ -488,25 +499,40 @@ def one_block_proba(model, X):
 
 
 class TestBoundedWorkingMemory:
-    @pytest.mark.parametrize("n_rows", [0, 1, 1024, 1025])
-    def test_predict_matches_one_block_formula(self, n_rows):
-        # predict_proba scores 1,024 rows per block
-        model = mlp.init(MlpConfig(layer_sizes=(6, 40, 30, 3), seed=8))
-        X = np.random.default_rng(n_rows).standard_normal((n_rows, 6))
-        got, expected = mlp.predict_proba(model, X), one_block_proba(model, X)
-        if n_rows <= 1024:
-            assert_bits_equal(got, expected)
-        else:
-            # another block shape may move the BLAS result by an ulp
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("layer_sizes, predict_rows, n_rows", [
+        pytest.param((6, 40, 30, 3), None, n, id=str(n)) for n in (0, 1, 192, 193, 1024, 1025)
+    ] + [
+        # 40-row blocks: 100 rows end in a 20-row block
+        pytest.param(SPLIT_SIZES, 40, n, id=f"split-{n}") for n in (60, 100)
+    ] + [
+        pytest.param((57, 1200, 800, 2), None, 1025, id="paper-width-1025"),
+    ])
+    def test_predict_matches_one_block_formula(self, monkeypatch, layer_sizes, predict_rows,
+                                               n_rows):
+        # predict_proba is one_block_proba on each of its PREDICT_ROWS blocks, bit for bit
+        if predict_rows is not None:
+            monkeypatch.setattr(mlp, "PREDICT_ROWS", predict_rows)
+        model = mlp.init(MlpConfig(layer_sizes=layer_sizes, seed=8))
+        X = np.random.default_rng(n_rows).standard_normal((n_rows, layer_sizes[0]))
+        expected = np.concatenate([one_block_proba(model, X[lo:hi])
+                                   for lo, hi in mlp.spans(n_rows, mlp.PREDICT_ROWS)])
+        assert_bits_equal(mlp.predict_proba(model, X), expected)
 
     def test_predict_peak_memory_is_set_by_the_model_not_the_rows(self):
-        # one block through 57-1200-800-2 holds 1024 x 2000 doubles, 16.4 MB;
-        # scoring all 4,000 rows at once peaks near 64 MB
+        # one 192-row block through 57-1200-800-2 holds 192 x 2002 doubles,
+        # 3.1 MB; scoring all 4,000 rows at once peaks near 64 MB
         model = mlp.init(MlpConfig(layer_sizes=(57, 1200, 800, 2), seed=1))
         X = gaussian_blobs(4000, 57, 2, seed=5).features
         peak = traced_peak(mlp.predict_proba, model, X)
         assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_predict_holds_one_block_of_each_layer(self):
+        # 192 x 2002 doubles are 3.1 MB; a 1024 x 800 block of the last
+        # hidden layer held beside them would make it 8.5 MB
+        model = mlp.init(MlpConfig(layer_sizes=(57, 1200, 800, 2), seed=1))
+        X = gaussian_blobs(4000, 57, 2, seed=5).features
+        peak = traced_peak(mlp.predict_proba, model, X)
+        assert peak < 4e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_train_takes_few_page_faults_in_a_fresh_process(self):
         # per-step activations of 512 x 128 doubles are above glibc's mmap
@@ -520,16 +546,10 @@ class TestBoundedWorkingMemory:
         assert faults < 5000, f"{faults} minor faults"
 
 
-# Every fan-in below 32, so OpenBLAS computes the row-split forward GEMMs with
-# the kernel of the whole ones; the 40-unit layer splits in both passes.
-SPLIT_SIZES = (6, 20, 40, 4)
-
-
 @pytest.fixture
 def tiny_blocks(monkeypatch):
-    """Gradient blocks of 120 entries and hidden sub-blocks of 16 rows."""
+    """Gradient blocks of 120 entries."""
     monkeypatch.setattr(mlp, "_GRAD_ENTRIES", 120)
-    monkeypatch.setattr(mlp, "_HIDDEN_ROWS", 16)
 
 
 class TestFusedBackward:
@@ -537,7 +557,6 @@ class TestFusedBackward:
         model = mlp.init(MlpConfig(layer_sizes=SPLIT_SIZES))
         assert len(mlp._row_blocks(model.weights[1])) >= 3
         assert len(mlp._row_blocks(model.weights[2])) >= 2
-        assert len(mlp.spans(60, mlp._HIDDEN_ROWS)) >= 3
 
     @pytest.mark.parametrize("batch_size, momentum", [(8, 0.9), (30, 0.0), (3, 0.5)])
     def test_train_matches_reference_when_gradient_blocks_split(self, tiny_blocks,
@@ -559,18 +578,6 @@ class TestFusedBackward:
         for got, expected in zip(grad_w + grad_b, ref_w + ref_b, strict=True):
             assert_bits_equal(got, expected)
 
-    @pytest.mark.parametrize("n_rows", [60, 100])
-    def test_predict_matches_one_block_formula_when_hidden_layers_split(
-            self, tiny_blocks, monkeypatch, n_rows):
-        # 40-row blocks: 100 rows end in a 20-row block whose two sub-blocks
-        # are wider than the first block's three
-        monkeypatch.setattr(mlp, "PREDICT_ROWS", 40)
-        model = mlp.init(MlpConfig(layer_sizes=SPLIT_SIZES, seed=8))
-        X = np.random.default_rng(n_rows).standard_normal((n_rows, 6))
-        expected = np.concatenate([one_block_proba(model, X[s:s + 40])
-                                   for s in range(0, n_rows, 40)])
-        assert_bits_equal(mlp.predict_proba(model, X), expected)
-
     def test_paper_width_learner_matches_reference(self):
         # 600 rows at batch 32 end in a 24-row batch; the 800 x 1200 layer's
         # gradient comes in row blocks of about 54 rows
@@ -588,15 +595,6 @@ class TestFusedBackward:
         param_bytes = sum(p.nbytes for p in model.weights + model.biases)
         peak = traced_peak(mlp.train, model, data.features, data.labels)
         assert peak < 1.3 * param_bytes, f"peak {peak / param_bytes:.2f}x parameter bytes"
-
-    def test_predict_holds_only_the_last_hidden_layer_at_full_block_height(self):
-        # one 1024 x 800 block of the last hidden layer is 6.6 MB and one
-        # sub-block of the first at most 1.8 MB; a 1024 x 1200 block of the
-        # first hidden layer as well would make it 16.4 MB
-        model = mlp.init(MlpConfig(layer_sizes=(57, 1200, 800, 2), seed=1))
-        X = gaussian_blobs(4000, 57, 2, seed=5).features
-        peak = traced_peak(mlp.predict_proba, model, X)
-        assert peak < 9e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestSaveLoad:
