@@ -16,6 +16,16 @@ Guestrin, KDD 2016, sec. 4.2). A fit allocates one `_Scratch`: block-sized
 prefix sums, gains and masks, plus the children's orders per depth, which
 are F x S like the column copy and the presort. Nothing F x n is allocated
 per node; `np.compress`'s internal index is one block's.
+
+Per candidate the search does as little as gives the same trees. Each tree
+packs its gradients and hessians into one complex vector, so a block needs
+one gather and one prefix sum for both; complex addition adds each part on
+its own, so each sum rounds as a float64 cumsum would. A split side is
+valid when its hessian sum reaches `min_child_weight` (is positive when
+that and `l2_lambda` are both 0), which also keeps its denominator
+positive. A block of columns whose presorted values strictly increase
+skips the distinct-value test: every position but the last splits. A node
+whose hessian sum is below 2 x `min_child_weight` is a leaf, unsearched.
 """
 
 from __future__ import annotations
@@ -92,17 +102,29 @@ class BoostedModel:
 
 
 class _Scratch:
-    """Work arrays of one fit, reused by every node (see the module notes)."""
+    """Work arrays of one fit, reused by every node (see the module notes),
+    and which of the fit's columns are tie-free."""
 
-    def __init__(self, n_features: int, n_samples: int, max_depth: int):
+    def __init__(self, columns: np.ndarray, order: np.ndarray, max_depth: int):
+        n_features, n_samples = columns.shape
         size = n_features * n_samples
         block = min(size, max(_BLOCK_ENTRIES, n_samples))
-        self.gl, self.hl, self.hr, self.gain = (np.empty(block) for _ in range(4))
+        self.gl, self.hl = np.empty(block), np.empty(block)
+        # The packed prefix sums share hr's and gain's memory: both are
+        # written only after the sums are copied out to gl and hl.
+        pair = np.empty(2 * block)
+        self.hr, self.gain, self.packed = pair[:block], pair[block:], pair.view(np.complex128)
         self.index = self.gl.view(np.int64)  # the take index, spent before gl is written
         self.valid, self.mask = np.empty(block, dtype=bool), np.empty(block, dtype=bool)
         self.offsets = np.arange(0, size, n_samples)[:, None]
         self.in_left = np.empty(n_samples, dtype=bool)
         self.orders = [np.empty(size, dtype=np.int64) for _ in range(max_depth - 1)]
+        # A column whose presorted values strictly increase does so at every
+        # node too, so each of its positions but the last is a valid threshold.
+        self.tie_free = np.empty(n_features, dtype=bool)
+        for f0, f1 in spans(n_features, max(1, _BLOCK_ENTRIES // n_samples)):
+            rises = _distinct(columns, order[f0:f1], f0, self)
+            rises[:, :-1].all(axis=1, out=self.tie_free[f0:f1])
 
 
 def _prefix(buf: np.ndarray, n_features: int, n: int) -> np.ndarray:
@@ -110,44 +132,73 @@ def _prefix(buf: np.ndarray, n_features: int, n: int) -> np.ndarray:
     return buf[:n_features * n].reshape(n_features, n)
 
 
-def _best_split(columns: np.ndarray, node_order: np.ndarray, g: np.ndarray, h: np.ndarray,
+def _distinct(columns: np.ndarray, order: np.ndarray, f0: int,
+              scratch: _Scratch) -> np.ndarray:
+    """scratch.valid as an order-shaped mask, True at position k of row f when
+    column f0 + f's value at sorted position k + 1 is larger; the last
+    position is False. The take index passes through gl's memory and the
+    sorted values through hl's, both spent once the mask is written."""
+    m, n = order.shape
+    index = np.add(order, scratch.offsets[f0:f0 + m], out=_prefix(scratch.index, m, n))
+    xs = np.take(columns, index, out=_prefix(scratch.hl, m, n))
+    valid = _prefix(scratch.valid, m, n)
+    np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, :-1])
+    valid[:, -1] = False
+    return valid
+
+
+def _pack(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """g and h as the real and imaginary parts of one complex128 vector."""
+    gh = np.empty(g.shape, dtype=np.complex128)
+    gh.real, gh.imag = g, h
+    return gh
+
+
+def _best_split(columns: np.ndarray, node_order: np.ndarray, gh: np.ndarray,
                 G: float, H: float, lam: float, min_child_weight: float,
                 scratch: _Scratch):
     """Exact greedy search over all (feature, threshold) candidates of a node.
 
     Row f of node_order holds the node's rows in ascending (value, row) order
-    of columns[f]; G and H are the node's gradient and hessian sums. Returns
-    (gain, feature, threshold) for the best valid split or None. Ties resolve
-    to the first feature, then the first sorted position, keeping fits
-    deterministic: blocks are scored in feature order, and a later block wins
-    only with a strictly larger gain.
+    of columns[f]; gh is `_pack(g, h)`, and G and H are the node's gradient
+    and hessian sums. Returns (gain, feature, threshold) for the best valid
+    split or None. Ties resolve to the first feature, then the first sorted
+    position, keeping fits deterministic: blocks are scored in feature
+    order, and a later block wins only with a strictly larger gain.
     """
     F, n = node_order.shape
+    # One test per side. Both settings are non-negative, so a side that
+    # passes it also has a positive side + lam, and no candidate scores 0/0.
+    enough, bound = ((np.greater, 0.0) if min_child_weight == lam == 0
+                     else (np.greater_equal, min_child_weight))
     best = None
     for f0, f1 in spans(F, max(1, _BLOCK_ENTRIES // n)):
         order, m = node_order[f0:f1], f1 - f0
-        gl_buf, hl_buf = _prefix(scratch.gl, m, n), _prefix(scratch.hl, m, n)
-        hr_buf, gain = _prefix(scratch.hr, m, n), _prefix(scratch.gain, m, n)
-        valid, test = _prefix(scratch.valid, m, n), _prefix(scratch.mask, m, n)
-        # The sorted values pass through the prefix-sum buffers: the take
-        # index lives in gl's and the values in hl's, both spent on the
-        # distinct-value mask before the sums are written.
-        index = np.add(order, scratch.offsets[f0:f1], out=_prefix(scratch.index, m, n))
-        xs = np.take(columns, index, out=hl_buf)
         # Position k splits after the k-th sorted value; the last one never can.
-        np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, :-1])
-        valid[:, -1] = False
-        gl = np.cumsum(np.take(g, order, out=gain), axis=1, out=gl_buf)
-        hl = np.cumsum(np.take(h, order, out=hr_buf), axis=1, out=hl_buf)
-        hr = np.subtract(H, hl, out=hr_buf)
+        if scratch.tie_free[f0:f1].all():
+            valid = _prefix(scratch.valid, m, n)
+            valid[:, :-1] = True
+            valid[:, -1] = False
+        else:
+            valid = _distinct(columns, order, f0, scratch)
+        # One gather and one prefix sum serve g and h: complex addition adds
+        # the real and the imaginary parts on their own, so each part of the
+        # sum rounds as a float64 cumsum of that part would.
+        packed = np.take(gh, order, out=_prefix(scratch.packed, m, n))
+        np.cumsum(packed, axis=1, out=packed)
+        gl, hl = _prefix(scratch.gl, m, n), _prefix(scratch.hl, m, n)
+        np.copyto(gl, packed.real)
+        np.copyto(hl, packed.imag)
+        hr = np.subtract(H, hl, out=_prefix(scratch.hr, m, n))
+        test = _prefix(scratch.mask, m, n)
         for side in (hl, hr):
-            valid &= np.greater_equal(side, min_child_weight, out=test)
-            side += lam  # a side with zero hessian and zero lambda would score 0/0
-            valid &= np.greater(side, 0, out=test)
+            valid &= enough(side, bound, out=test)
+            side += lam
         if not valid.any():
             continue
         # 0.5 * (gl^2 / (hl + lam) + gr^2 / (hr + lam) - G^2 / (H + lam)) at
         # the valid positions, -inf elsewhere, so argmax picks the first best.
+        gain = _prefix(scratch.gain, m, n)
         gain.fill(-np.inf)
         np.multiply(gl, gl, out=gain, where=valid)
         np.divide(gain, hl, out=gain, where=valid)
@@ -163,8 +214,11 @@ def _best_split(columns: np.ndarray, node_order: np.ndarray, g: np.ndarray, h: n
     if best is None:
         return None
     score, f, k = best
-    lo, hi = columns[f, node_order[f, k]], columns[f, node_order[f, k + 1]]
-    return score, f, float((lo + hi) / 2.0)
+    lo, hi = float(columns[f, node_order[f, k]]), float(columns[f, node_order[f, k + 1]])
+    mid = (lo + hi) / 2.0
+    # Halving first rounds alike except near the subnormals; it is needed only
+    # where the sum of two finite values overflows.
+    return score, f, mid if math.isfinite(mid) else lo / 2.0 + hi / 2.0
 
 
 def _partition(node_order: np.ndarray, n_left: int, out: np.ndarray,
@@ -188,7 +242,7 @@ def _partition(node_order: np.ndarray, n_left: int, out: np.ndarray,
 
 
 def _grow_node(nodes: list[list[float]], rows: np.ndarray, node_order: np.ndarray | None,
-               depth: int, columns: np.ndarray, g: np.ndarray, h: np.ndarray,
+               depth: int, columns: np.ndarray, gh: np.ndarray,
                config: BoostConfig, scratch: _Scratch) -> None:
     """Append the node over rows, then its left subtree, then its right, so
     nodes are numbered in preorder. rows ascends; row f of node_order holds
@@ -197,9 +251,11 @@ def _grow_node(nodes: list[list[float]], rows: np.ndarray, node_order: np.ndarra
     scratch.orders[depth - 1] (deeper nodes never write it) or None."""
     node = [_NO_FEATURE, 0.0, _NO_FEATURE, _NO_FEATURE, 0.0]
     nodes.append(node)
-    G, H = g[rows].sum(), h[rows].sum()
-    if depth < config.max_depth and rows.size >= 2:
-        found = _best_split(columns, node_order, g, h, G, H, config.l2_lambda,
+    G, H = gh.real[rows].sum(), gh.imag[rows].sum()
+    # Below 2 * min_child_weight no split can leave that much hessian on both
+    # sides (H - hl is exact there, by the Sterbenz lemma): a leaf, unsearched.
+    if depth < config.max_depth and rows.size >= 2 and H >= 2 * config.min_child_weight:
+        found = _best_split(columns, node_order, gh, G, H, config.l2_lambda,
                             config.min_child_weight, scratch)
         # Zero-gain splits are accepted: symmetric patterns (e.g. an
         # exclusive-or layout at uniform margins) only pay off a level
@@ -215,11 +271,11 @@ def _grow_node(nodes: list[list[float]], rows: np.ndarray, node_order: np.ndarra
                     left_order, right_order = _partition(
                         node_order, int(mask.sum()), scratch.orders[depth], scratch)
                 node[:3] = f, thr, len(nodes)
-                _grow_node(nodes, rows[mask], left_order, depth + 1, columns, g, h,
-                           config, scratch)
+                _grow_node(nodes, rows[mask], left_order, depth + 1, columns, gh, config,
+                           scratch)
                 node[3] = len(nodes)
-                _grow_node(nodes, rows[~mask], right_order, depth + 1, columns, g, h,
-                           config, scratch)
+                _grow_node(nodes, rows[~mask], right_order, depth + 1, columns, gh, config,
+                           scratch)
                 return
     node[4] = float(-G / (H + config.l2_lambda))
 
@@ -229,7 +285,8 @@ def _grow_tree(columns: np.ndarray, order: np.ndarray, g: np.ndarray, h: np.ndar
     """Grow one tree on the (F, S) feature columns; row f of order is the
     stable argsort of column f."""
     nodes: list[list[float]] = []
-    _grow_node(nodes, np.arange(columns.shape[1]), order, 0, columns, g, h, config, scratch)
+    _grow_node(nodes, np.arange(columns.shape[1]), order, 0, columns, _pack(g, h), config,
+               scratch)
     return np.array(nodes, dtype=np.float64)
 
 
@@ -248,6 +305,8 @@ def fit(features: np.ndarray, labels: np.ndarray, config: BoostConfig,
         raise ContractError("features must be a 2-D matrix with at least one column")
     if X.shape[0] != y.shape[0]:
         raise ContractError("features and labels must agree on sample count")
+    if not all_finite(X):
+        raise DataError("features contain non-finite values")
     if X.shape[0] < 2:
         raise ConfigError("boosting needs at least 2 samples")
     distinct = np.unique(y)
@@ -267,7 +326,7 @@ def fit(features: np.ndarray, labels: np.ndarray, config: BoostConfig,
     # changes during a fit, so every tree filters this one order.
     columns = np.ascontiguousarray(X.T)
     order = np.argsort(columns, axis=1, kind="stable")
-    scratch = _Scratch(*columns.shape, config.max_depth)
+    scratch = _Scratch(columns, order, config.max_depth)
     trees: list[list[np.ndarray]] = []
     probs = softmax(margins)
     loss_trace = [cross_entropy(probs, y)]

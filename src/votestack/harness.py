@@ -198,8 +198,12 @@ class ExperimentConfig:
         return derive_seed(self.seed, "learner", learner_id)
 
     def mlp_config(self, n_features: int, n_classes: int, seed: int) -> mlp.MlpConfig:
+        try:
+            sizes = (n_features, *self.hidden_sizes, n_classes)
+        except TypeError:  # not iterable (64, 64.0, None): MlpConfig names the fault
+            sizes = self.hidden_sizes
         return mlp.MlpConfig(
-            layer_sizes=(n_features, *self.hidden_sizes, n_classes),
+            layer_sizes=sizes,
             epochs=self.epochs,
             batch_size=self.batch_size,
             learning_rate=self.learning_rate,

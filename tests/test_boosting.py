@@ -16,6 +16,7 @@ from votestack import (
     DataError,
     VoteStackError,
     boosting,
+    fusion,
     gaussian_blobs,
 )
 from votestack.numerics import cross_entropy, softmax
@@ -27,6 +28,7 @@ from conftest import (
     MALFORMED_MODEL_CASES,
     apply_edits,
     fresh_process_minor_faults,
+    random_pm,
     traced_peak,
     wall_bound,
     write_malformed_model,
@@ -57,8 +59,9 @@ def presort(X):
 
 def grow(X, g, h, cfg):
     """One tree grown from gradients and hessians as `boosting.fit` grows it."""
-    return boosting._grow_tree(np.ascontiguousarray(X.T), presort(X), g, h, cfg,
-                               boosting._Scratch(X.shape[1], X.shape[0], cfg.max_depth))
+    columns, order = np.ascontiguousarray(X.T), presort(X)
+    return boosting._grow_tree(columns, order, g, h, cfg,
+                               boosting._Scratch(columns, order, cfg.max_depth))
 
 
 def reference_split(X, rows, g, h, cfg):
@@ -130,7 +133,12 @@ def reference_fit(X, y, cfg, n_classes):
 
 def assert_fit_matches_reference(X, y, cfg, n_classes):
     """`boosting.fit` equals `reference_fit` bit for bit: trees and loss trace."""
-    model = boosting.fit(X, y, cfg, n_classes=n_classes)
+    assert_model_matches_reference(boosting.fit(X, y, cfg, n_classes=n_classes),
+                                   X, y, cfg, n_classes)
+
+
+def assert_model_matches_reference(model, X, y, cfg, n_classes):
+    """A fitted model equals `reference_fit` bit for bit: trees and loss trace."""
     mats, loss_trace = reference_fit(X, y, cfg, n_classes)
     assert model.loss_trace == loss_trace
     assert len(model.trees) == len(mats)
@@ -141,16 +149,25 @@ def assert_fit_matches_reference(X, y, cfg, n_classes):
 
 @st.composite
 def boosting_problems(draw, min_features=1, max_features=4):
-    """Small fits whose columns repeat values, and some of which are constant."""
+    """Small fits whose columns repeat values, and some of which are constant.
+
+    A column of `None` levels is standard normal, so tie-free; a problem may
+    mix such columns with repeated-value ones in one feature block. The
+    largest min_child_weight settings leave most nodes unsplittable: no
+    hessian exceeds 1/4, so at 3.0 only nodes of 24 rows or more are
+    searched, and at 100.0 none is.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 30))
     n_features = draw(st.integers(min_features, max_features))
     n_classes = draw(st.integers(2, 3))
-    levels = draw(st.sampled_from([2, 3, 7, None]))
-    if levels is None:
-        X = rng.standard_normal((n, n_features))
+    kinds = st.sampled_from([2, 3, 7, None])
+    if draw(st.booleans()):
+        levels = draw(st.lists(kinds, min_size=n_features, max_size=n_features))
     else:
-        X = rng.integers(0, levels, size=(n, n_features)) * 0.5
+        levels = [draw(kinds)] * n_features
+    X = np.column_stack([rng.standard_normal(n) if k is None else rng.integers(0, k, n) * 0.5
+                         for k in levels])
     constant = draw(st.lists(st.booleans(), min_size=n_features, max_size=n_features))
     X[:, constant] = X[0, constant]
     y = rng.integers(0, n_classes, size=n)
@@ -159,7 +176,7 @@ def boosting_problems(draw, min_features=1, max_features=4):
         rounds=draw(st.integers(1, 3)),
         max_depth=draw(st.integers(1, 4)),
         l2_lambda=draw(st.sampled_from([0.0, 0.5, 1.0])),
-        min_child_weight=draw(st.sampled_from([0.0, 0.1, 0.5, 2.0])),
+        min_child_weight=draw(st.sampled_from([0.0, 0.1, 0.5, 2.0, 3.0, 100.0])),
     )
     return X, y, cfg, n_classes
 
@@ -347,9 +364,10 @@ class TestFit:
         rng = np.random.default_rng(seed)
         g = rng.standard_normal(X.shape[0])
         h = rng.uniform(0.0, 1.0, X.shape[0]) * (rng.random(X.shape[0]) < 0.8)
-        found = boosting._best_split(np.ascontiguousarray(X.T), presort(X), g, h, g.sum(),
-                                     h.sum(), cfg.l2_lambda, cfg.min_child_weight,
-                                     boosting._Scratch(X.shape[1], X.shape[0], 1))
+        columns, order = np.ascontiguousarray(X.T), presort(X)
+        found = boosting._best_split(columns, order, boosting._pack(g, h), g.sum(), h.sum(),
+                                     cfg.l2_lambda, cfg.min_child_weight,
+                                     boosting._Scratch(columns, order, 1))
         assert found == reference_split(X, np.arange(X.shape[0]), g, h, cfg)
 
     def test_featureless_matrix_rejected(self):
@@ -420,6 +438,45 @@ class TestFit:
         with pytest.raises(ContractError, match="class count"):
             boosting.fit(np.zeros((3, 1)), np.array([-1, 0, 1]), BoostConfig())
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_features_rejected(self, bad):
+        # Unchecked, an infinite value makes a threshold of inf, which load
+        # refuses, and a NaN column is fitted silently.
+        X = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0], [3.0, bad]])
+        with pytest.raises(DataError, match="non-finite"):
+            boosting.fit(X, np.array([0, 0, 1, 1]), BoostConfig(rounds=1))
+
+    def test_vote_filtered_label_fit_matches_reference(self):
+        # Label-mode level-1 columns hold class indices, so every column is
+        # tied and each block takes the sorted-value path.
+        rng = np.random.default_rng(61)
+        pm = random_pm(rng, 5, 150, 3)
+        labels = rng.integers(0, 3, size=150)
+        cfg = BoostConfig(rounds=4, max_depth=3, min_child_weight=0.5)
+        fitted = fusion.fit_filtered(pm, labels, cfg, threshold=4, mode=fusion.LEVEL1_LABEL)
+        difficult = fusion.tally(pm).max(axis=1) < 4
+        assert fitted.meta_model is not None and 2 < difficult.sum() < 150
+        X = pm.votes()[:, difficult].T.astype(np.float64)
+        assert_model_matches_reference(fitted.meta_model, X, labels[difficult], cfg, 3)
+
+    @pytest.mark.parametrize("in_place", [False, True], ids=["out", "in place"])
+    def test_complex_cumsum_adds_each_part_as_float64(self, in_place):
+        # The split search prefix-sums gradients and hessians as one complex
+        # vector; its bytes hold only while numpy accumulates each part as a
+        # float64 cumsum of that part would. Rows are longer than one block.
+        rng = np.random.default_rng(67)
+        parts = rng.standard_normal((2, 3, boosting._BLOCK_ENTRIES + 1000))
+        parts *= 10.0 ** rng.integers(-12, 13, size=parts.shape)
+        parts[:, :, 1::7] = -parts[:, :, 0:-1:7]  # cancelling neighbours
+        parts[:, :, 3::11] = 0.0
+        parts[:, :, 5::13] = -0.0
+        packed = np.empty(parts.shape[1:], dtype=np.complex128)
+        packed.real, packed.imag = parts
+        sums = np.cumsum(packed, axis=1, out=packed if in_place else None)
+        for got, part in ((sums.real, parts[0]), (sums.imag, parts[1])):
+            want = np.cumsum(part, axis=1)
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
 
 class TestPredict:
     def test_depth_one_model_is_piecewise_constant(self):
@@ -472,6 +529,17 @@ class TestSaveLoad:
         np.testing.assert_array_equal(
             boosting.predict_margins(back, X), boosting.predict_margins(model, X)
         )
+
+    def test_fit_on_finite_extremes_saves_and_loads(self, tmp_path):
+        # Each threshold is the midpoint of two finite values, whose sum can
+        # overflow; the midpoint must stay finite for load to accept the file.
+        X = np.array([[-1.7e308, 0.0], [1.0e308, 1.0], [1.5e308, 2.0], [1.6e308, 3.0]])
+        y = np.array([0, 0, 1, 1])
+        model = boosting.fit(X, y, BoostConfig(rounds=2, max_depth=2, min_child_weight=0.0))
+        assert model.trees[0][0][0, :2].tolist() == [0, 1.25e308]
+        back = boosting.load(boosting.save(model, tmp_path / "m.gbt"))
+        np.testing.assert_array_equal(boosting.predict_margins(back, X),
+                                      boosting.predict_margins(model, X))
 
     @given(seed=st.integers(0, 2**32 - 1), max_depth=st.integers(1, 4),
            n_classes=st.integers(2, 4), min_child_weight=st.sampled_from([0.0, 1.0]))

@@ -195,6 +195,9 @@ class TestExperimentConfig:
         ("hidden_sizes", "64", "layer sizes must be integers"),
         ("hidden_sizes", (64.7, 32), "layer sizes must be integers"),
         ("hidden_sizes", "64 32", "layer sizes must be integers"),
+        ("hidden_sizes", 64, "layer sizes must be integers"),
+        ("hidden_sizes", None, "layer sizes must be integers"),
+        ("hidden_sizes", 64.0, "layer sizes must be integers"),
     ])
     def test_mlp_settings_checked_when_built(self, field, value, message):
         with pytest.raises(ConfigError, match=rf"^\[mlp\] .*{message}"):
