@@ -36,8 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError
-from .numerics import all_finite, cross_entropy, softmax, spans
+from .errors import ConfigError, DataError
+from .numerics import (all_finite, as_features, as_labels, cross_entropy, integer_fields,
+                       softmax, spans)
 from .serialize import parsing_header, read_model_file, write_model_file
 
 GBT_MAGIC = b"VSTKGBT\x00"
@@ -58,6 +59,7 @@ class BoostConfig:
     min_child_weight: float = 1.0
 
     def __post_init__(self):
+        integer_fields(self, "rounds", "max_depth")
         if self.rounds < 1:
             raise ConfigError("rounds must be at least 1")
         if self.max_depth < 1:
@@ -299,14 +301,8 @@ def fit(features: np.ndarray, labels: np.ndarray, config: BoostConfig,
     Labels must be dense class indices; pass n_classes explicitly when the
     training subset might not contain every class.
     """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or X.shape[1] < 1:
-        raise ContractError("features must be a 2-D matrix with at least one column")
-    if X.shape[0] != y.shape[0]:
-        raise ContractError("features and labels must agree on sample count")
-    if not all_finite(X):
-        raise DataError("features contain non-finite values")
+    X = as_features(features)
+    y = as_labels(labels, len(X), n_classes)
     if X.shape[0] < 2:
         raise ConfigError("boosting needs at least 2 samples")
     distinct = np.unique(y)
@@ -314,8 +310,6 @@ def fit(features: np.ndarray, labels: np.ndarray, config: BoostConfig,
         raise ConfigError("boosting needs at least 2 distinct labels")
     if n_classes is None:
         n_classes = int(distinct[-1]) + 1
-    if n_classes < 2 or distinct[0] < 0 or distinct[-1] >= n_classes:
-        raise ContractError("labels must be indices below the declared class count")
 
     S = X.shape[0]
     margins = np.zeros((S, n_classes))
@@ -349,11 +343,7 @@ def fit(features: np.ndarray, labels: np.ndarray, config: BoostConfig,
 
 def predict_margins(model: BoostedModel, features: np.ndarray) -> np.ndarray:
     """Shrinkage-scaled leaf sums over all trees, from a zero base score."""
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise ContractError(
-            f"model expects {model.n_features} features, got shape {X.shape}"
-        )
+    X = as_features(features, model.n_features)
     margins = np.zeros((X.shape[0], model.n_classes))
     for round_trees in model.trees:
         for c, tree in enumerate(round_trees):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import boosting
 from .errors import ConfigError, ContractError
-from .numerics import frozen_copy
+from .numerics import as_labels, frozen_copy
 
 REJECTED = -1
 
@@ -186,9 +186,7 @@ def fit_filtered(pm_train: PredictionMatrix, train_labels,
     share one class) meta fitting is skipped and application falls back to
     plurality voting for unfiltered samples.
     """
-    labels = np.asarray(train_labels, dtype=np.int64)
-    if labels.shape != (pm_train.n_samples,):
-        raise ContractError("train labels must match the prediction matrix samples")
+    labels = as_labels(train_labels, pm_train.n_samples, pm_train.n_classes)
     if threshold < 1:
         raise ConfigError(f"filter threshold must be at least 1, got {threshold}")
     difficult = tally(pm_train).max(axis=1) < threshold

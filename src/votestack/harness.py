@@ -33,7 +33,7 @@ from .boosting import BoostConfig
 from .diversify import build_plan, materialize, out_of_bag
 from .errors import ConfigError, DataError, TrainingDivergenceError, VoteStackError
 from .fusion import PredictionMatrix
-from .numerics import all_finite
+from .numerics import all_finite, integer_fields
 from .seeding import derive_seed
 from .serialize import atomic_write
 from .tabular import Dataset, apply_normalizer, fit_normalizer, load_csv, split
@@ -147,6 +147,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.delimiter) != 1:
             raise ConfigError(f"[dataset] delimiter must be one character, got {self.delimiter!r}")
+        integer_fields(self, "n_learners", *(() if self.threshold is None else ("threshold",)),
+                       prefix="[ensemble] ")
+        integer_fields(self, "epochs", "batch_size", prefix="[mlp] ")
+        integer_fields(self, "seed", "workers", prefix="[run] ")
         if self.n_learners < 1:
             raise ConfigError("[ensemble] n_learners must be at least 1")
         if self.threshold is not None and not 1 <= self.threshold <= self.n_learners:
@@ -192,7 +196,7 @@ class ExperimentConfig:
         """The vote-filter threshold; unset means n-1, floored at 1."""
         if self.threshold is None:
             return max(1, self.n_learners - 1)
-        return int(self.threshold)
+        return self.threshold
 
     def learner_seed(self, learner_id: int) -> int:
         return derive_seed(self.seed, "learner", learner_id)

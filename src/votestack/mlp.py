@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, TrainingDivergenceError
-from .numerics import LOG_CLAMP, all_finite, cross_entropy, softmax, spans
+from .numerics import (LOG_CLAMP, all_finite, as_features, as_labels, cross_entropy,
+                       integer_fields, softmax, spans)
 from .seeding import child_rng
 from .serialize import parsing_header, read_model_file, write_model_file
 
@@ -63,6 +64,7 @@ class MlpConfig:
         except TypeError:
             raise ConfigError(f"layer sizes must be integers, got {self.layer_sizes!r}") from None
         object.__setattr__(self, "layer_sizes", sizes)
+        integer_fields(self, "epochs", "batch_size", "seed")
         if len(self.layer_sizes) < 3:
             raise ConfigError("need at least one hidden layer")
         if any(s < 1 for s in self.layer_sizes):
@@ -110,13 +112,6 @@ def init(config: MlpConfig) -> MlpModel:
     return MlpModel(config=config, weights=weights, biases=biases)
 
 
-def _check_input_dim(model: MlpModel, X: np.ndarray) -> None:
-    if X.shape[-1] != model.config.n_inputs:
-        raise ContractError(
-            f"model expects {model.config.n_inputs} inputs, got {X.shape[-1]}"
-        )
-
-
 def _layer_buffers(model: MlpModel, rows: int) -> list[np.ndarray]:
     """One (rows, width) array per layer, for `_forward_cached`'s buffers."""
     return [np.empty((rows, W.shape[0])) for W in model.weights]
@@ -147,10 +142,7 @@ def _forward_cached(model: MlpModel, X: np.ndarray, buffers=None):
 
 def predict_proba(model: MlpModel, features) -> np.ndarray:
     """S x C probability matrix of a feature matrix, PREDICT_ROWS rows at a time."""
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2:
-        raise ContractError("predict_proba expects a 2-D feature matrix")
-    _check_input_dim(model, X)
+    X = as_features(features, model.config.n_inputs)
     layers = _layer_buffers(model, min(PREDICT_ROWS, len(X)))
     probs = np.empty((len(X), model.config.n_classes))
     for lo, hi in spans(len(X), PREDICT_ROWS):
@@ -205,13 +197,18 @@ def _backward(model: MlpModel, y: np.ndarray, pre, acts, probs, sink, block) -> 
             delta *= np.greater(acts[i], 0.0, out=acts[i])
 
 
+def _batch(model: MlpModel, features, labels) -> tuple[np.ndarray, np.ndarray]:
+    """A non-empty batch's features and labels, checked against the model."""
+    X = as_features(features, model.config.n_inputs)
+    y = as_labels(labels, len(X), model.config.n_classes)
+    if len(y) == 0:
+        raise ContractError("training needs a non-empty batch")
+    return X, y
+
+
 def gradients(model: MlpModel, features, labels):
     """Analytic gradients of the batch loss w.r.t. every weight and bias."""
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if len(y) == 0:
-        raise ContractError("gradients need a non-empty batch")
-    _check_input_dim(model, X)
+    X, y = _batch(model, features, labels)
     grads = [np.empty_like(p) for p in model.weights + model.biases]
 
     def keep(j, rows, grad):
@@ -232,15 +229,7 @@ def train(model: MlpModel, features, labels, rows=None) -> MlpModel:
     and batch if the loss goes non-finite, before that batch changes any
     parameter. Deterministic for a fixed config seed.
     """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ContractError("features and labels must agree on sample count")
-    if X.shape[0] == 0:
-        raise ContractError("cannot train on an empty dataset")
-    _check_input_dim(model, X)
-    if y.min() < 0 or y.max() >= model.config.n_classes:
-        raise ContractError("label index outside the model's output range")
+    X, y = _batch(model, features, labels)
     if rows is not None:
         rows = np.asarray(rows)
         if (rows.ndim != 1 or rows.size == 0 or not np.issubdtype(rows.dtype, np.integer)

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
-from .numerics import all_finite, frozen_copy
+from .numerics import all_finite, as_features, as_labels, frozen_copy
 
 STD_FLOOR = 1e-12
 
@@ -41,17 +41,9 @@ class Dataset:
             raise ConfigError("schema needs at least two classes")
         if len(set(self.class_names)) != self.n_classes:
             raise ConfigError("class names must be unique")
-        feats = frozen_copy(self.features, np.float64)
-        labels = frozen_copy(self.labels, np.int64)
-        if feats.ndim != 2 or feats.shape[1] != self.n_features:
-            raise ContractError(
-                f"features must be S x {self.n_features}, got shape {feats.shape}"
-            )
-        if labels.shape != (feats.shape[0],):
-            raise ContractError("labels must be a vector with one entry per row")
-        if not all_finite(feats):
-            raise DataError("dataset contains non-finite feature values")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
+        feats = as_features(frozen_copy(self.features, np.float64), self.n_features)
+        labels = frozen_copy(as_labels(self.labels, len(feats)), np.int64)
+        if labels.size and labels.max() >= self.n_classes:
             raise DataError("label index out of range for schema")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)

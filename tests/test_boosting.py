@@ -207,6 +207,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="rounds"):
             BoostConfig(rounds=0)
 
+    @pytest.mark.parametrize("field", ["rounds", "max_depth"])
+    def test_non_integer_settings_rejected(self, field):
+        # A float would fail only mid-fit, with a bare TypeError.
+        with pytest.raises(ConfigError, match=rf"^{field} must be an integer, got 2.5$"):
+            BoostConfig(**{field: 2.5})
+
     def test_invalid_settings_rejected(self):
         with pytest.raises(ConfigError):
             BoostConfig(max_depth=0)
@@ -438,6 +444,15 @@ class TestFit:
         with pytest.raises(ContractError, match="class count"):
             boosting.fit(np.zeros((3, 1)), np.array([-1, 0, 1]), BoostConfig())
 
+    def test_label_column_rejected_not_fitted(self):
+        # A label column would fit with its loss stuck at log 2 and training
+        # accuracy at chance on this separable set.
+        from votestack import ContractError
+
+        data = gaussian_blobs(40, 2, 2, seed=7)
+        with pytest.raises(ContractError, match="labels"):
+            boosting.fit(data.features, data.labels[:, None], BoostConfig(rounds=3))
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_features_rejected(self, bad):
         # Unchecked, an infinite value makes a threshold of inf, which load
@@ -506,6 +521,12 @@ class TestPredict:
         model = boosting.fit(data.features, data.labels, BoostConfig(rounds=4))
         probs = softmax(boosting.predict_margins(model, data.features))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_nan_row_rejected_not_labelled(self):
+        # A NaN fails every `<` test, so it would go right at every split and get a label.
+        model = boosting.fit(np.array([[0.0], [1.0]]), np.array([0, 1]), TWO_POINT_CONFIG)
+        with pytest.raises(DataError, match="non-finite"):
+            boosting.predict_label(model, np.array([[0.0], [np.nan]]))
 
     def test_feature_width_mismatch_rejected(self):
         from votestack import ContractError

@@ -198,10 +198,30 @@ class TestExperimentConfig:
         ("hidden_sizes", 64, "layer sizes must be integers"),
         ("hidden_sizes", None, "layer sizes must be integers"),
         ("hidden_sizes", 64.0, "layer sizes must be integers"),
+        ("epochs", 1.5, "epochs must be an integer"),
+        ("batch_size", 8.0, "batch_size must be an integer"),
     ])
     def test_mlp_settings_checked_when_built(self, field, value, message):
         with pytest.raises(ConfigError, match=rf"^\[mlp\] .*{message}"):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, section", [
+        ("n_learners", 3.0, "ensemble"), ("threshold", 2.0, "ensemble"),
+        ("seed", 1.5, "run"), ("workers", 1.0, "run"),
+    ])
+    def test_integer_settings_checked_when_built(self, field, value, section):
+        # A float n_learners would fail only after the data loads, and a float
+        # seed or threshold would be truncated or rounded silently.
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {field} must be an integer"):
+            ExperimentConfig(**{field: value})
+
+    def test_numpy_integer_settings_are_stored_as_int(self):
+        # A numpy integer left in place would make to_dict fail json.dumps.
+        values = {"n_learners": 3, "threshold": 2, "epochs": 4, "batch_size": 8, "seed": 5,
+                  "workers": 2}
+        cfg = ExperimentConfig(**{k: np.int64(v) for k, v in values.items()})
+        assert all(type(getattr(cfg, k)) is int for k in values)
+        assert json.loads(json.dumps(cfg.to_dict())) == ExperimentConfig(**values).to_dict()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field, section", [

@@ -239,6 +239,13 @@ class TestForward:
         with pytest.raises(ContractError, match="inputs"):
             mlp.predict_proba(model, np.ones((1, 5)))
 
+    def test_nan_feature_rejected_not_scored(self):
+        # A NaN feature would give a row of NaN probabilities.
+        X = np.ones((3, 4))
+        X[1, 2] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            mlp.predict_proba(zero_model((4, 3, 2)), X)
+
 
 class TestPredictLabel:
     def test_argmax_of_probabilities(self):
@@ -301,6 +308,12 @@ class TestGradients:
                     denom = max(abs(numeric), abs(gflat[k]), 1e-8)
                     assert abs(numeric - gflat[k]) / denom < 1e-4
 
+    def test_1d_batch_rejected(self):
+        # One sample given as a vector would fail with a bare IndexError.
+        model = mlp.init(MlpConfig(layer_sizes=(2, 4, 2)))
+        with pytest.raises(ContractError, match="features"):
+            mlp.gradients(model, np.array([0.5, -0.5]), np.array([1]))
+
     def test_zero_for_perfectly_confident_correct_model(self):
         model = pass_through_model([1.0, 0.0], [0.0, 0.0])
         grad_w, grad_b = mlp.gradients(model, np.array([[1000.0]]), np.array([0]))
@@ -353,6 +366,27 @@ class TestTrain:
         cfg = MlpConfig(layer_sizes=(2, 4, 2), epochs=1)
         with pytest.raises(ContractError, match="label"):
             mlp.train(mlp.init(cfg), np.zeros((3, 2)), np.array([0, 1, 2]))
+
+    @pytest.mark.parametrize("batch_size", [8, 2])
+    def test_label_column_rejected(self, batch_size):
+        # A label column would raise a bare IndexError at a batch of 8, and
+        # train on broadcast labels when a batch has as many rows as classes.
+        data = gaussian_blobs(16, 2, 2, seed=3)
+        cfg = MlpConfig(layer_sizes=(2, 4, 2), epochs=1, batch_size=batch_size)
+        with pytest.raises(ContractError, match="labels"):
+            mlp.train(mlp.init(cfg), data.features, data.labels[:, None])
+
+    def test_fractional_labels_rejected(self):
+        # Truncated, {0, 0.9} would train on class 0 alone.
+        cfg = MlpConfig(layer_sizes=(2, 4, 2), epochs=1)
+        with pytest.raises(ContractError, match="labels"):
+            mlp.train(mlp.init(cfg), np.zeros((4, 2)), np.array([0, 0.9, 0, 0.9]))
+
+    @pytest.mark.parametrize("field, value", [("epochs", 2.5), ("batch_size", 8.0),
+                                              ("seed", 0.5)])
+    def test_non_integer_settings_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field} must be an integer"):
+            MlpConfig(layer_sizes=(2, 4, 2), **{field: value})
 
 
 class TestInPlaceHotPath:

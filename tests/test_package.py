@@ -38,6 +38,20 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     assert unused == []
 
 
+def test_only_numerics_converts_model_inputs():
+    # One input check: an entry point takes features and labels through
+    # numerics.as_features and as_labels, never through its own conversion.
+    src = Path(votestack.__file__).parent
+    inputs = {"features", "labels", "train_labels"}
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             if path.name != "numerics.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) in ("asarray", "ascontiguousarray")
+             and any(isinstance(arg, ast.Name) and arg.id in inputs for arg in node.args)]
+    assert calls == []
+
+
 def test_numpy_is_the_only_runtime_dependency():
     allowed = sys.stdlib_module_names | {"numpy"}
     outside = []
