@@ -25,7 +25,6 @@ from .fusion import (
 from .harness import (
     ExperimentConfig,
     RunReport,
-    SweepReport,
     emit_report,
     emit_sweep,
     run_experiment,

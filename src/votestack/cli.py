@@ -13,7 +13,8 @@ from dataclasses import replace
 
 from . import __about__
 from .errors import ConfigError, DataError, TrainingDivergenceError
-from .harness import ExperimentConfig, emit_report, emit_sweep, run_experiment, sweep
+from .harness import (STRATEGY_FILTERED, ExperimentConfig, emit_report, emit_sweep,
+                      run_experiment, sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -54,12 +55,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    report = sweep(config, max_size=args.max_size)
-    paths = emit_sweep(report, config.output_dir)
+    reports = sweep(config, max_size=args.max_size)
+    paths = emit_sweep(reports, config.output_dir)
     print("size  filtered  mean_individual")
-    for row in report.rows:
-        print(f"{row.size:>4}  {row.filtered_accuracy:.4f}    "
-              f"{row.mean_individual_accuracy:.4f}")
+    for r in reports:
+        print(f"{r.n_learners:>4}  {r.strategy_accuracies[STRATEGY_FILTERED]:.4f}    "
+              f"{r.mean_accuracy:.4f}")
     print(f"artifacts written to {paths['sweep_csv'].parent}")
     return EXIT_OK
 

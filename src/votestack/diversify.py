@@ -9,12 +9,12 @@ a full-size training set that excludes its own held-out segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .numerics import frozen_copy
+from .numerics import integer_fields
 from .seeding import child_rng
 
 PLAN_FORMAT_VERSION = 1
@@ -22,14 +22,16 @@ PLAN_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class ResamplePlan:
-    """One shuffled permutation of the training indices, cut into n segments."""
+    """train_size training indices shuffled by a permutation derived from the
+    seed, cut into n_learners segments."""
 
+    train_size: int
     n_learners: int
     seed: int
-    permutation: np.ndarray
+    permutation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "permutation", frozen_copy(self.permutation, np.int64))
+        integer_fields(self, "train_size", "n_learners", "seed")
         if self.n_learners < 1:
             raise ConfigError("n_learners must be at least 1")
         if self.train_size < 2 * self.n_learners:
@@ -37,10 +39,9 @@ class ResamplePlan:
                 f"train_size {self.train_size} too small for {self.n_learners} learners "
                 f"(need at least {2 * self.n_learners})"
             )
-
-    @property
-    def train_size(self) -> int:
-        return int(self.permutation.size)
+        permutation = child_rng(self.seed, "plan").permutation(self.train_size)
+        permutation.setflags(write=False)
+        object.__setattr__(self, "permutation", permutation)
 
     @property
     def segment_bounds(self) -> tuple[tuple[int, int], ...]:
@@ -63,8 +64,7 @@ class ResamplePlan:
 
 def build_plan(train_size: int, n_learners: int, seed: int) -> ResamplePlan:
     """Shuffle the training indices; the plan cuts them into n near-equal segments."""
-    permutation = child_rng(seed, "plan").permutation(train_size)
-    return ResamplePlan(n_learners=n_learners, seed=seed, permutation=permutation)
+    return ResamplePlan(train_size, n_learners, seed)
 
 
 def _check_learner_id(plan: ResamplePlan, learner_id: int) -> None:

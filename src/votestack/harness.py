@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
-from typing import NamedTuple, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -147,6 +147,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.delimiter) != 1:
             raise ConfigError(f"[dataset] delimiter must be one character, got {self.delimiter!r}")
+        for f in fields(self):
+            if (f.name in ("dataset_path", "train_path", "test_path", "output_dir")
+                    and getattr(self, f.name) == ""):
+                raise ConfigError(f"[{f.metadata['section']}] {f.metadata['key'] or f.name} "
+                                  "must not be empty")
         integer_fields(self, "n_learners", *(() if self.threshold is None else ("threshold",)),
                        prefix="[ensemble] ")
         integer_fields(self, "epochs", "batch_size", prefix="[mlp] ")
@@ -337,37 +342,6 @@ class RunReport:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
 
-class SweepRow(NamedTuple):
-    size: int
-    filtered_accuracy: float
-    mean_individual_accuracy: float
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    """The run reports of an ensemble-size sweep, one per size 1..K."""
-
-    reports: tuple[RunReport, ...]
-
-    @property
-    def seed(self) -> int:
-        """The master seed every size ran with."""
-        return self.reports[0].seed
-
-    @property
-    def rows(self) -> tuple[SweepRow, ...]:
-        """The accuracy-vs-ensemble-size curve, one row per report."""
-        return tuple(SweepRow(r.n_learners, r.strategy_accuracies[STRATEGY_FILTERED],
-                              r.mean_accuracy) for r in self.reports)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "rows": [list(row) for row in self.rows],
-            "reports": [r.to_dict() for r in self.reports],
-        }
-
-
 def _prepare(config: ExperimentConfig, dataset: Dataset | None,
              spans: list) -> tuple[Dataset, Dataset, str]:
     """Load, split and z-score the data; returns (train, test, report label).
@@ -450,7 +424,7 @@ def _plan(config: ExperimentConfig, n_samples: int):
 
 
 def _run_all(configs: list[ExperimentConfig], train: Dataset, test: Dataset, label: str,
-             spans: list, stale: tuple[Path, ...] = ()) -> list[RunReport]:
+             spans: list, stale: tuple[Path, ...] = ()) -> tuple[RunReport, ...]:
     """The one job list of a run or a sweep: every (run, learner) job through
     one map, then each run fused from its own jobs' blocks, the first with
     `spans`. The largest plan is checked before any model is removed or job
@@ -499,9 +473,9 @@ def _run_all(configs: list[ExperimentConfig], train: Dataset, test: Dataset, lab
     try:
         blocks = (pool.map if pool else map)(
             job, [(c, j) for c in configs for j in range(c.n_learners)])
-        return [_run(config, train, test, label, spans if i == 0 else [],
-                     list(islice(blocks, config.n_learners)))
-                for i, config in enumerate(configs)]
+        return tuple(_run(config, train, test, label, spans if i == 0 else [],
+                          list(islice(blocks, config.n_learners)))
+                     for i, config in enumerate(configs))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -584,8 +558,9 @@ def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
 
 
 def sweep(config: ExperimentConfig, max_size: int,
-          dataset: Dataset | None = None) -> SweepReport:
-    """Run the experiment at every ensemble size 1..max_size, shared seed.
+          dataset: Dataset | None = None) -> tuple[RunReport, ...]:
+    """Run the experiment at every ensemble size 1..max_size, shared seed;
+    returns one report per size, in order.
 
     The data is loaded, split and normalized once and shared by every size;
     those stages' spans go to size 1's timings. Each size uses its own
@@ -605,16 +580,30 @@ def sweep(config: ExperimentConfig, max_size: int,
                        strategies=(*config.strategies, STRATEGY_FILTERED),
                        output_dir=str(out / f"size_{size}") if out else None)
                for size in range(1, max_size + 1)]
-    return SweepReport(tuple(_run_all(configs, train, test, label, spans, stale)))
+    return _run_all(configs, train, test, label, spans, stale)
 
 
-def _write_text(path: Path, text: str) -> None:
-    with atomic_write(path) as fh:
-        fh.write(text.encode("utf-8"))
+def _csv(rows) -> str:
+    """rows as CSV text, quoted as csv does, so a label holding a comma, quote
+    or line break stays one cell."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
 
 
-def _json_dumps(payload: dict) -> str:
+def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write(directory: str | Path, files: dict[str, tuple[str, str]]) -> dict[str, Path]:
+    """Write each key's (file name, text) into `directory`, in order, through
+    atomic_write; returns the paths by key."""
+    paths = {}
+    for key, (name, text) in files.items():
+        paths[key] = Path(directory) / name
+        with atomic_write(paths[key]) as fh:
+            fh.write(text.encode("utf-8"))
+    return paths
 
 
 def emit_report(report: RunReport, directory: str | Path) -> dict[str, Path]:
@@ -625,36 +614,12 @@ def emit_report(report: RunReport, directory: str | Path) -> dict[str, Path]:
     lists every per-sample decision with its route; manifest.json records
     config, seeds, and tool version for exact re-runs.
     """
-    directory = Path(directory)
-    paths = {
-        "report": directory / "report.json",
-        "accuracy_table": directory / "accuracy_table.csv",
-        "decisions": directory / "decisions.csv",
-        "manifest": directory / "manifest.json",
-    }
-    _write_text(paths["report"], _json_dumps(report.to_dict()))
-
-    def cell(name: str) -> str:
-        acc = report.strategy_accuracies.get(name)
-        return repr(acc) if acc is not None else ""
-
-    # Quoted as csv does, so a label holding a comma, quote or line break
-    # stays one cell.
-    table = io.StringIO()
-    csv.writer(table, lineterminator="\n").writerows([
-        ["dataset", "plurality", "meta", "filtered"],
-        [report.dataset_label, cell(STRATEGY_PLURALITY), cell(STRATEGY_META),
-         cell(STRATEGY_FILTERED)],
-    ])
-    _write_text(paths["accuracy_table"], table.getvalue())
-
-    lines = ["strategy,sample_id,decision,route"]
-    for name, strategy_decisions in report.decisions.items():
-        strategy_routes = report.routes.get(name) or ("",) * len(strategy_decisions)
-        for i, (decision, route) in enumerate(zip(strategy_decisions, strategy_routes)):
-            lines.append(f"{name},{i},{decision},{route}")
-    _write_text(paths["decisions"], "\n".join(lines) + "\n")
-
+    table = (STRATEGY_PLURALITY, STRATEGY_META, STRATEGY_FILTERED)
+    accuracies = report.strategy_accuracies
+    cells = [repr(accuracies[s]) if s in accuracies else "" for s in table]
+    decisions = [(name, i, decision, route) for name, ds in report.decisions.items()
+                 for i, (decision, route)
+                 in enumerate(zip(ds, report.routes.get(name) or ("",) * len(ds)))]
     manifest = {
         "tool": __about__.TOOL_NAME,
         "version": __about__.__version__,
@@ -663,22 +628,25 @@ def emit_report(report: RunReport, directory: str | Path) -> dict[str, Path]:
         "plan": report.plan_manifest,
         "config": report.config,
     }
-    _write_text(paths["manifest"], _json_dumps(manifest))
-    return paths
+    return _write(directory, {
+        "report": ("report.json", _json(report.to_dict())),
+        "accuracy_table": ("accuracy_table.csv",
+                           _csv([("dataset", *table), (report.dataset_label, *cells)])),
+        "decisions": ("decisions.csv",
+                      _csv([("strategy", "sample_id", "decision", "route"), *decisions])),
+        "manifest": ("manifest.json", _json(manifest)),
+    })
 
 
-def emit_sweep(report: SweepReport, directory: str | Path) -> dict[str, Path]:
-    """Write sweep.csv (size, filtered, mean individual) and sweep.json."""
-    directory = Path(directory)
-    paths = {
-        "sweep_csv": directory / "sweep.csv",
-        "sweep_json": directory / "sweep.json",
-    }
-    lines = ["size,filtered,mean_individual"]
-    for row in report.rows:
-        lines.append(
-            f"{row.size},{row.filtered_accuracy!r},{row.mean_individual_accuracy!r}"
-        )
-    _write_text(paths["sweep_csv"], "\n".join(lines) + "\n")
-    _write_text(paths["sweep_json"], _json_dumps(report.to_dict()))
-    return paths
+def emit_sweep(reports: tuple[RunReport, ...], directory: str | Path) -> dict[str, Path]:
+    """Write a sweep's reports: sweep.csv holds one (size, filtered, mean
+    individual accuracy) row per report; sweep.json holds the master seed,
+    those rows and every report."""
+    rows = [(r.n_learners, r.strategy_accuracies[STRATEGY_FILTERED], r.mean_accuracy)
+            for r in reports]
+    payload = {"seed": reports[0].seed, "rows": rows,
+               "reports": [r.to_dict() for r in reports]}
+    return _write(directory, {
+        "sweep_csv": ("sweep.csv", _csv([("size", "filtered", "mean_individual"), *rows])),
+        "sweep_json": ("sweep.json", _json(payload)),
+    })

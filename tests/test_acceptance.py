@@ -306,12 +306,12 @@ seed = 7
 
 
 def test_10_accuracy_grows_with_ensemble_size(capsys, bench_sweeps):
-    ok_rows = all(len(s.rows) == 8 for s in bench_sweeps)
-    ok_sizes = all([r.size for r in s.rows] == list(range(1, 9))
+    ok_rows = all(len(s) == 8 for s in bench_sweeps)
+    ok_sizes = all([r.n_learners for r in s] == list(range(1, 9))
                    for s in bench_sweeps)
     wins = sum(
         1 for s in bench_sweeps
-        if s.rows[6].filtered_accuracy >= s.rows[0].filtered_accuracy
+        if s[6].strategy_accuracies["filtered"] >= s[0].strategy_accuracies["filtered"]
     )
     ok = ok_rows and ok_sizes and wins >= 4
     announce(capsys, 10,

@@ -390,6 +390,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: fusing: all learner accuracies are zero")
 
+    @pytest.mark.parametrize("in_file", [True, False], ids=["config", "--out"])
+    def test_empty_output_dir_writes_nothing(self, tmp_path, data_csv, capsys, monkeypatch,
+                                             in_file):
+        # An empty directory would put the artifacts in the working directory.
+        config = write_config(tmp_path, data_csv)
+        if in_file:
+            text = config.read_text(encoding="utf-8")
+            config.write_text(text.replace(f"output_dir = {tmp_path / 'out'}", "output_dir ="),
+                              encoding="utf-8")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        rc = cli.main(["run", "--config", str(config), *([] if in_file else ["--out", ""])])
+        assert rc == 1
+        assert "[run] output_dir must not be empty" in capsys.readouterr().err
+        assert list(cwd.iterdir()) == []
+
     def test_missing_output_dir(self, tmp_path, data_csv, capsys):
         config = tmp_path / "exp.ini"
         config.write_text(f"[dataset]\npath = {data_csv}\n", encoding="utf-8")

@@ -62,9 +62,21 @@ class TestSegmentLayout:
 
     def test_direct_construction_checked_too(self):
         with pytest.raises(ConfigError, match="too small"):
-            ResamplePlan(n_learners=7, seed=0, permutation=np.arange(13))
+            ResamplePlan(train_size=13, n_learners=7, seed=0)
         with pytest.raises(ConfigError, match="at least 1"):
-            ResamplePlan(n_learners=0, seed=0, permutation=np.arange(10))
+            ResamplePlan(train_size=10, n_learners=0, seed=0)
+        with pytest.raises(ConfigError, match="train_size must be an integer"):
+            ResamplePlan(train_size=6.5, n_learners=2, seed=0)
+
+    def test_a_plan_is_its_three_integers(self):
+        # The permutation is derived, never given, so a manifest of the three
+        # integers describes the plan exactly and materialize sees each row once.
+        plan = ResamplePlan(train_size=6, n_learners=2, seed=0)
+        assert plan == build_plan(6, 2, 0)
+        assert sorted(plan.permutation.tolist()) == list(range(6))
+        assert not plan.permutation.flags.writeable
+        with pytest.raises(TypeError):
+            ResamplePlan(n_learners=2, seed=0, permutation=np.zeros(6, dtype=int))
 
 
 class TestMaterialize:

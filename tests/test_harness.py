@@ -448,6 +448,21 @@ workers = 2
         with pytest.raises(ConfigError, match=r"\[dataset\] delimiter"):
             ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize("section, key, field", [
+        ("dataset", "path", "dataset_path"), ("dataset", "train_path", "train_path"),
+        ("dataset", "test_path", "test_path"), ("run", "output_dir", "output_dir"),
+    ])
+    def test_empty_path_names_its_section_and_key(self, tmp_path, section, key, field):
+        # An empty path would stand for the working directory.
+        message = rf"\[{section}\] {key} must not be empty"
+        path = self.write(tmp_path, f"[{section}]\n{key} =\n")
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_file(path)
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict({section: {key: ""}})
+        with pytest.raises(ConfigError, match=message):
+            replace(ExperimentConfig(), **{field: ""})
+
     def test_config_file_not_found(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             ExperimentConfig.from_file(tmp_path / "absent.ini")
@@ -809,24 +824,26 @@ def small_sweep(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
     config = replace(DESK_CONFIG, epochs=3, strategies=("plurality",),
                      output_dir=str(out))
-    report = sweep(config, max_size=3, dataset=DESK_DATA)
-    return config, report, out
+    reports = sweep(config, max_size=3, dataset=DESK_DATA)
+    return config, reports, out
 
 
 class TestSweep:
-    def test_row_structure(self, small_sweep):
-        _, report, _ = small_sweep
-        assert [r.size for r in report.rows] == [1, 2, 3]
-        assert len(report.reports) == 3
-        for row, run in zip(report.rows, report.reports):
-            assert run.n_learners == row.size
-            assert run.threshold == max(1, row.size - 1)
-            assert row.filtered_accuracy == run.strategy_accuracies["filtered"]
-            assert row.mean_individual_accuracy == run.mean_accuracy
+    def test_row_structure(self, small_sweep, tmp_path):
+        _, reports, _ = small_sweep
+        sweep_json = emit_sweep(reports, tmp_path)["sweep_json"]
+        rows = json.loads(sweep_json.read_text(encoding="utf-8"))["rows"]
+        assert [size for size, _, _ in rows] == [1, 2, 3]
+        assert len(reports) == 3
+        for (size, filtered, mean_individual), run in zip(rows, reports):
+            assert run.n_learners == size
+            assert run.threshold == max(1, size - 1)
+            assert filtered == run.strategy_accuracies["filtered"]
+            assert mean_individual == run.mean_accuracy
 
     def test_filtered_strategy_forced_alongside_requested(self, small_sweep):
-        _, report, _ = small_sweep
-        for run in report.reports:
+        _, reports, _ = small_sweep
+        for run in reports:
             assert "plurality" in run.strategy_accuracies
             assert "filtered" in run.strategy_accuracies
 
@@ -837,8 +854,8 @@ class TestSweep:
                 assert (out / f"size_{size}" / "models" / f"learner_{j}.mlp").exists()
 
     def test_mean_accuracy_recomputable_from_persisted_models(self, small_sweep):
-        config, report, out = small_sweep
-        for size, run in zip((1, 2, 3), report.reports):
+        config, reports, out = small_sweep
+        for size, run in zip((1, 2, 3), reports):
             sub = replace(config, n_learners=size, threshold=None)
             _, test, _ = _prepare(sub, DESK_DATA, [])
             accs = []
@@ -849,15 +866,16 @@ class TestSweep:
             assert sum(accs) / size == pytest.approx(run.mean_accuracy, abs=1e-12)
 
     def test_sweep_json_round_trip(self, small_sweep):
-        _, report, _ = small_sweep
-        assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
+        _, reports, _ = small_sweep
+        for run in reports:
+            assert json.loads(json.dumps(run.to_dict())) == run.to_dict()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_size_reports_what_a_run_of_that_size_reports(self, workers):
         config = replace(DESK_CONFIG, epochs=2, strategies=("plurality", "weighted_average"),
                          workers=workers)
         swept = sweep(config, max_size=3, dataset=DESK_DATA)
-        for k, report in enumerate(swept.reports, 1):
+        for k, report in enumerate(swept, 1):
             run = run_experiment(replace(config, n_learners=k, threshold=None,
                                          strategies=(*config.strategies, "filtered")),
                                  dataset=DESK_DATA)
@@ -905,11 +923,11 @@ class TestSweep:
         config = replace(DESK_CONFIG, epochs=1, strategies=("plurality",),
                          dataset_path=str(tmp_path / "blobs.csv"))
         t0 = time.perf_counter()
-        report = sweep(config, max_size=3)
+        reports = sweep(config, max_size=3)
         wall = time.perf_counter() - t0
         assert len(calls) == 1
-        assert [r.dataset_label for r in report.reports] == ["blobs"] * 3
-        total = sum(r.timings["total_seconds"] for r in report.reports)
+        assert [r.dataset_label for r in reports] == ["blobs"] * 3
+        total = sum(r.timings["total_seconds"] for r in reports)
         assert 0.8 * wall <= total <= wall
 
 
@@ -938,11 +956,11 @@ class TestStageTimings:
     def test_sweep_size_one_holds_the_shared_preparation(self, small_sweep):
         # Under workers the jobs of several sizes overlap; each size must still
         # hold its own learners' spans and no other's.
-        config, report, _ = small_sweep
+        config, reports, _ = small_sweep
         threaded = sweep(replace(config, epochs=1, workers=2, output_dir=None), max_size=3,
                          dataset=DESK_DATA)
-        for sweep_report in (report, threaded):
-            for size, run in enumerate(sweep_report.reports, 1):
+        for swept in (reports, threaded):
+            for size, run in enumerate(swept, 1):
                 expected = run_stages(size, "filtered")
                 if size > 1:
                     expected -= {"loading data", "normalizing"}
@@ -1077,10 +1095,9 @@ class TestEmit:
         (its path enters sweep.json) and every report's timings are zeroed.
         """
         config, _, out = small_sweep
-        report = sweep(replace(config, output_dir=None), max_size=3, dataset=DESK_DATA)
-        report = replace(report, reports=tuple(
-            replace(r, timings={k: 0.0 for k in r.timings}) for r in report.reports))
-        paths = emit_sweep(report, tmp_path)
+        reports = sweep(replace(config, output_dir=None), max_size=3, dataset=DESK_DATA)
+        reports = tuple(replace(r, timings={k: 0.0 for k in r.timings}) for r in reports)
+        paths = emit_sweep(reports, tmp_path)
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for name, path in paths.items()}
         assert digests == GOLDEN_SWEEP_DIGESTS
@@ -1100,15 +1117,18 @@ class TestEmit:
     def test_sweep_artifacts(self, tmp_path):
         config = replace(DESK_CONFIG, epochs=1, n_learners=2,
                          strategies=("plurality",))
-        report = sweep(config, max_size=2, dataset=DESK_DATA)
-        paths = emit_sweep(report, tmp_path)
+        reports = sweep(config, max_size=2, dataset=DESK_DATA)
+        paths = emit_sweep(reports, tmp_path)
         lines = paths["sweep_csv"].read_text(encoding="utf-8").splitlines()
         assert lines[0] == "size,filtered,mean_individual"
         assert len(lines) == 3
         assert lines[1].startswith("1,")
         assert lines[2].startswith("2,")
         loaded = json.loads(paths["sweep_json"].read_text(encoding="utf-8"))
-        assert loaded == report.to_dict()
+        rows = [[r.n_learners, r.strategy_accuracies["filtered"], r.mean_accuracy]
+                for r in reports]
+        assert loaded == {"seed": config.seed, "rows": rows,
+                          "reports": [r.to_dict() for r in reports]}
 
     def test_unwritable_directory_is_config_error(self, desk_run, tmp_path):
         _, report, _ = desk_run

@@ -38,6 +38,30 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     assert unused == []
 
 
+def test_every_public_class_member_has_a_caller_outside_the_tests():
+    # The rule above for the methods and properties of src/ classes: each is
+    # read as an attribute in src/ or bench/, outside its own body.
+    src = Path(votestack.__file__).parent
+    paths = [*sorted(src.glob("*.py")), *sorted((src.parents[1] / "bench").glob("*.py"))]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    attributes = [node for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)]
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != src:
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    own = set(ast.walk(member))
+                    if not any(node.attr == member.name and node not in own
+                               for node in attributes):
+                        unused.append(f"{path.name}: {cls.name}.{member.name}")
+    assert unused == []
+
+
 def test_only_numerics_converts_model_inputs():
     # One input check: an entry point takes features and labels through
     # numerics.as_features and as_labels, never through its own conversion.
