@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .numerics import (all_finite, as_features, as_labels, cross_entropy, integer_fields,
+from .numerics import (all_finite, as_features, as_labels, conform_fields, cross_entropy,
                        softmax, spans)
 from .serialize import parsing_header, read_model_file, write_model_file
 
@@ -59,7 +59,7 @@ class BoostConfig:
     min_child_weight: float = 1.0
 
     def __post_init__(self):
-        integer_fields(self, "rounds", "max_depth")
+        conform_fields(self)
         if self.rounds < 1:
             raise ConfigError("rounds must be at least 1")
         if self.max_depth < 1:

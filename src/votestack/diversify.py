@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .numerics import integer_fields
+from .numerics import conform_fields
 from .seeding import child_rng
 
 PLAN_FORMAT_VERSION = 1
@@ -31,7 +31,7 @@ class ResamplePlan:
     permutation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        integer_fields(self, "train_size", "n_learners", "seed")
+        conform_fields(self)
         if self.n_learners < 1:
             raise ConfigError("n_learners must be at least 1")
         if self.train_size < 2 * self.n_learners:

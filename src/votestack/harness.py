@@ -13,18 +13,17 @@ from __future__ import annotations
 
 import configparser
 import csv
-import inspect
 import io
 import json
 import re
 import time
 import types
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .boosting import BoostConfig
 from .diversify import build_plan, materialize, out_of_bag
 from .errors import ConfigError, DataError, TrainingDivergenceError, VoteStackError
 from .fusion import PredictionMatrix
-from .numerics import all_finite, integer_fields
+from .numerics import all_finite, conform, conform_fields, config_fields
 from .seeding import derive_seed
 from .serialize import atomic_write
 from .tabular import Dataset, apply_normalizer, fit_normalizer, load_csv, split
@@ -66,29 +65,14 @@ def _plain(value):
     return value
 
 
-def _conforms(value, hint) -> bool:
-    """Whether a JSON value has a field's type: a list stands for a tuple and
-    an int for a float, but a bool is no int."""
-    if isinstance(hint, types.UnionType):
-        return any(_conforms(value, h) for h in get_args(hint))
-    if get_origin(hint) is tuple:
-        return (isinstance(value, (list, tuple))
-                and all(_conforms(v, get_args(hint)[0]) for v in value))
-    if hint is float:
-        hint = (int, float)
-    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
-
-
 def _from_ini(raw: str, hint):
     """Parse an INI string as a field's type: a union tries its arms in order,
     None is spelled auto, a tuple is a comma or space list and a bool takes
     the ConfigParser spellings."""
     if isinstance(hint, types.UnionType):
         for arm in get_args(hint):
-            try:
+            with suppress(KeyError, ValueError):
                 return _from_ini(raw, arm)
-            except (KeyError, ValueError):
-                pass
         raise ValueError(raw)
     if hint is types.NoneType:
         return {"auto": None}[raw.lower()]
@@ -145,17 +129,11 @@ class ExperimentConfig:
     workers: int = _in("run", 1)
 
     def __post_init__(self):
+        # A field is named as its INI file names it, such as `[dataset] path`.
+        conform_fields(self, lambda f: "[boost]" if f.name == "boost" else
+                       f"[{f.metadata['section']}] {f.metadata['key'] or f.name}")
         if len(self.delimiter) != 1:
             raise ConfigError(f"[dataset] delimiter must be one character, got {self.delimiter!r}")
-        for f in fields(self):
-            if (f.name in ("dataset_path", "train_path", "test_path", "output_dir")
-                    and getattr(self, f.name) == ""):
-                raise ConfigError(f"[{f.metadata['section']}] {f.metadata['key'] or f.name} "
-                                  "must not be empty")
-        integer_fields(self, "n_learners", *(() if self.threshold is None else ("threshold",)),
-                       prefix="[ensemble] ")
-        integer_fields(self, "epochs", "batch_size", prefix="[mlp] ")
-        integer_fields(self, "seed", "workers", prefix="[run] ")
         if self.n_learners < 1:
             raise ConfigError("[ensemble] n_learners must be at least 1")
         if self.threshold is not None and not 1 <= self.threshold <= self.n_learners:
@@ -164,37 +142,31 @@ class ExperimentConfig:
             )
         for s in self.strategies:
             if s not in ALL_STRATEGIES:
-                raise ConfigError(
-                    f"[ensemble] unknown strategy {s!r}; valid: {', '.join(ALL_STRATEGIES)}"
-                )
+                raise ConfigError(f"[ensemble] strategies: unknown strategy {s!r}; "
+                                  f"valid: {', '.join(ALL_STRATEGIES)}")
         if not self.strategies:
             raise ConfigError("[ensemble] strategies must not be empty")
-        object.__setattr__(
-            self, "strategies", tuple(s for s in ALL_STRATEGIES if s in self.strategies)
-        )
+        object.__setattr__(self, "strategies",
+                           tuple(s for s in ALL_STRATEGIES if s in self.strategies))
         if self.weight_mode not in WEIGHT_MODES:
-            raise ConfigError(
-                f"[ensemble] weight_mode must be one of {', '.join(WEIGHT_MODES)}"
-            )
+            raise ConfigError(f"[ensemble] weight_mode must be one of {', '.join(WEIGHT_MODES)}")
         if self.level1_mode not in (fusion.LEVEL1_PROBA, fusion.LEVEL1_LABEL):
             raise ConfigError("[ensemble] level1_mode must be 'proba' or 'label'")
+        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
+            raise ConfigError("[mlp] need at least one hidden layer, and all layer sizes at "
+                              f"least 1, got hidden_sizes {self.hidden_sizes}")
         try:
-            sizes = self.mlp_config(1, 2, 0).layer_sizes[1:-1]
+            self.mlp_config(1, 2, 0)
         except ConfigError as exc:
             raise ConfigError(f"[mlp] {exc}") from None
-        object.__setattr__(self, "hidden_sizes", sizes)
         if not (0.0 < self.train_fraction < 1.0):
             raise ConfigError("[split] train_fraction must lie in (0, 1)")
         if self.workers < 1:
             raise ConfigError("[run] workers must be at least 1")
         if (self.train_path is None) != (self.test_path is None):
-            raise ConfigError(
-                "[dataset] train_path and test_path must be given together"
-            )
+            raise ConfigError("[dataset] train_path and test_path must be given together")
         if self.dataset_path is not None and self.train_path is not None:
-            raise ConfigError(
-                "[dataset] give either path or train_path/test_path, not both"
-            )
+            raise ConfigError("[dataset] give either path or train_path/test_path, not both")
 
     @property
     def effective_threshold(self) -> int:
@@ -207,12 +179,8 @@ class ExperimentConfig:
         return derive_seed(self.seed, "learner", learner_id)
 
     def mlp_config(self, n_features: int, n_classes: int, seed: int) -> mlp.MlpConfig:
-        try:
-            sizes = (n_features, *self.hidden_sizes, n_classes)
-        except TypeError:  # not iterable (64, 64.0, None): MlpConfig names the fault
-            sizes = self.hidden_sizes
         return mlp.MlpConfig(
-            layer_sizes=sizes,
+            layer_sizes=(n_features, *self.hidden_sizes, n_classes),
             epochs=self.epochs,
             batch_size=self.batch_size,
             learning_rate=self.learning_rate,
@@ -228,19 +196,15 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Inverse of to_dict; absent sections and keys keep their defaults.
-        Each value must have the type of the field it sets."""
+        The constructors check that each value has the type of the field it sets."""
         for section, values in d.items():
             if section not in _SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")
             if not isinstance(values, dict):
                 raise ConfigError(f"[{section}] must be a table of keys, got {values!r}")
-            for key, value in values.items():
+            for key in values:
                 if key not in _SCHEMA[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                hint = _SCHEMA[section][key][1]
-                if not _conforms(value, hint):
-                    raise ConfigError(f"[{section}] {key} must be "
-                                      f"{inspect.formatannotation(hint)}, got {value!r}")
         kwargs = {_SCHEMA[section][key][0]: value
                   for section, values in d.items() if section != "boost"
                   for key, value in values.items()}
@@ -275,7 +239,6 @@ class ExperimentConfig:
             keys = _SCHEMA.get(section, {})
             d[section] = {}
             for key, raw in parser[section].items():
-                raw = raw.strip()
                 try:
                     d[section][key] = _from_ini(raw, keys[key][1]) if key in keys else raw
                 except (KeyError, ValueError, TypeError) as exc:
@@ -298,13 +261,12 @@ def _schema() -> dict[str, dict[str, tuple[str, object]]]:
     """The config file schema, section -> key -> (field name, type hint), read from
     ExperimentConfig's fields; [boost] is BoostConfig's fields."""
     schema: dict = {}
-    hints = get_type_hints(ExperimentConfig)
-    for f in fields(ExperimentConfig):
+    for f, hint in config_fields(ExperimentConfig):
         keys = schema.setdefault(f.metadata["section"], {})
         if f.name == "boost":
-            keys.update((name, (name, hint)) for name, hint in get_type_hints(BoostConfig).items())
+            keys.update((b.name, (b.name, h)) for b, h in config_fields(BoostConfig))
         else:
-            keys[f.metadata["key"] or f.name] = (f.name, hints[f.name])
+            keys[f.metadata["key"] or f.name] = (f.name, hint)
     return schema
 
 
@@ -568,6 +530,7 @@ def sweep(config: ExperimentConfig, max_size: int,
     directory is set, its own size_<k> subdirectory; an earlier sweep's
     models in size_<k> for k > max_size are deleted.
     """
+    max_size = conform(max_size, int, "sweep max_size")
     if max_size < 1:
         raise ConfigError("sweep max_size must be at least 1")
     spans: list = []

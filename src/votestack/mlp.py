@@ -22,15 +22,14 @@ are fixed by `PREDICT_ROWS` as the trained weights are by `batch_size`.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, TrainingDivergenceError
-from .numerics import (LOG_CLAMP, all_finite, as_features, as_labels, cross_entropy,
-                       integer_fields, softmax, spans)
+from .numerics import (LOG_CLAMP, all_finite, as_features, as_labels, conform_fields,
+                       cross_entropy, softmax, spans)
 from .seeding import child_rng
 from .serialize import parsing_header, read_model_file, write_model_file
 
@@ -59,16 +58,10 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        try:  # a str's characters fail too, so "345" is no (3, 4, 5)
-            sizes = tuple(operator.index(s) for s in self.layer_sizes)
-        except TypeError:
-            raise ConfigError(f"layer sizes must be integers, got {self.layer_sizes!r}") from None
-        object.__setattr__(self, "layer_sizes", sizes)
-        integer_fields(self, "epochs", "batch_size", "seed")
-        if len(self.layer_sizes) < 3:
-            raise ConfigError("need at least one hidden layer")
-        if any(s < 1 for s in self.layer_sizes):
-            raise ConfigError("all layer sizes must be positive")
+        conform_fields(self)
+        if len(self.layer_sizes) < 3 or min(self.layer_sizes) < 1:
+            raise ConfigError("need at least one hidden layer, and all layer sizes at least 1, "
+                              f"got {self.layer_sizes}")
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
         if self.batch_size < 1:

@@ -1,10 +1,16 @@
 """Shared numerical helpers: frozen array copies, a finiteness test, the input
-check of every model entry point (`as_features`, `as_labels`), integer config
-fields, near-equal spans, stable softmax and clamped cross-entropy."""
+check of every model entry point (`as_features`, `as_labels`), the type check
+of every config (`conform`, `conform_fields`), near-equal spans, stable
+softmax and clamped cross-entropy."""
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import functools
 import operator
+import types
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -58,16 +64,51 @@ def as_labels(labels, n_samples: int, n_classes: int | None = None) -> np.ndarra
     return y
 
 
-def integer_fields(config, *names: str, prefix: str = "") -> None:
-    """Set each named field of a frozen dataclass to its operator.index value;
-    a ConfigError, its message starting with prefix, names one that is no
-    integer, so 2.5 epochs fail at construction, not mid-run."""
-    for name in names:
-        value = getattr(config, name)
-        try:
-            object.__setattr__(config, name, operator.index(value))
-        except TypeError:
-            raise ConfigError(f"{prefix}{name} must be an integer, got {value!r}") from None
+def _normal(value, hint):
+    """value's normal form for one arm of a type hint; a TypeError if it does not fit."""
+    if get_origin(hint) is tuple and isinstance(value, (list, tuple)):
+        return tuple(_normal(v, get_args(hint)[0]) for v in value)
+    # A bool is no number, and a str's characters are no tuple: "345" is no (3, 4, 5).
+    if isinstance(value, bool) and hint is not bool or get_origin(hint) is tuple:
+        raise TypeError
+    if hint in (int, float):
+        return float(value) if hint is float and isinstance(value, float) else operator.index(value)
+    if not isinstance(value, hint):
+        raise TypeError
+    return value
+
+
+def conform(value, hint, name: str):
+    """value in the normal form of the first arm of the type hint it fits: an
+    int through operator.index (a numpy integer becomes an int; 2.5 and True
+    fit no int), an int or a float for a float, a tuple from a list or tuple.
+    A ConfigError names an empty string or a value that fits no arm."""
+    if isinstance(value, str) and not value:  # an empty path would name the working directory
+        raise ConfigError(f"{name} must not be empty")
+    arms = get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    for arm in arms:
+        with contextlib.suppress(TypeError):
+            return _normal(value, arm)
+    names = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+             types.NoneType: "None", tuple[int, ...]: "a list of integers",
+             tuple[str, ...]: "a list of strings"}
+    kind = " or ".join(names.get(arm, f"a {arm.__name__}") for arm in arms)
+    raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
+@functools.cache
+def config_fields(cls) -> tuple:
+    """(field, type hint) of each init field of a dataclass, resolved once per
+    class, since resolving them costs ten times the check of a construction."""
+    hints = get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls) if f.init)
+
+
+def conform_fields(config, label=lambda field: field.name) -> None:
+    """Store each init field of a frozen dataclass in conform's normal form for
+    its type hint; label(field) names a field whose value fits none."""
+    for f, hint in config_fields(type(config)):
+        object.__setattr__(config, f.name, conform(getattr(config, f.name), hint, label(f)))
 
 
 def spans(n: int, step: int) -> list[tuple[int, int]]:

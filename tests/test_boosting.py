@@ -626,6 +626,8 @@ class TestSaveLoad:
         pytest.param(({"n_classes": 0}, 0), id="n_classes 0"),
         pytest.param(({"rounds": 0}, 0), id="rounds 0"),
         pytest.param(({"n_classes": 0, "n_features": -3}, 0), id="n_classes 0, n_features -3"),
+        # A bool is no float.
+        pytest.param(({"config": {"l2_lambda": False}}, None), id="l2_lambda false"),
         # Tree structure. Each tree is a root split on feature 0 with leaves
         # 1 and 2, as rows (feature, threshold, left, right, leaf value).
         pytest.param(set_tree_entry(0, 0, 2, 0), id="root left child 0"),

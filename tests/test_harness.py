@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 import math
+import re
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -39,7 +41,7 @@ from votestack import (
     sweep,
 )
 from votestack import harness
-from votestack.harness import ALL_STRATEGIES, _prepare
+from votestack.harness import _SCHEMA, ALL_STRATEGIES, _prepare
 
 from conftest import (
     FILE_EDITS,
@@ -51,6 +53,46 @@ from conftest import (
 )
 
 DESK_DATA = gaussian_blobs(400, 4, 3, seed=71)
+
+# Values the constructor fuzz test gives every config key: one of each type
+# a key can take, bools, numpy scalars, NaN, the infinities and "".
+CONSTRUCTOR_VALUES = (0, 3, 0.5, "x", "3", True, False, None, (), (8, 4), ["plurality"],
+                      np.int64(2), np.float64(0.25), np.bool_(True), np.str_("y"),
+                      math.nan, math.inf, -math.inf, "", BoostConfig())
+# Both edges of each key's range, with the nearest value outside each edge.
+RANGE_EDGES = {
+    "delimiter": (",", ",,"),
+    "train_fraction": (0.0, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0), 1.0),
+    "n_learners": (0, 1), "threshold": (0, 1, 7, 8), "workers": (0, 1),
+    "strategies": ((), ALL_STRATEGIES), "hidden_sizes": ((), (0,), (1,)),
+    "epochs": (0, 1), "batch_size": (0, 1), "rounds": (0, 1), "max_depth": (0, 1),
+    "learning_rate": (0.0, 5e-324, sys.float_info.max),
+    "momentum": (-5e-324, 0.0, math.nextafter(1.0, 0.0), 1.0),
+    "l2_lambda": (-5e-324, 0.0, sys.float_info.max),
+    "min_child_weight": (-5e-324, 0.0, sys.float_info.max),
+}
+PRINTABLE_ASCII = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+
+
+def reads_as_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def ini_text(d):
+    """A to_dict() result as config-file text. A key set to None is left out,
+    since None is the default of every key that takes it."""
+    def text(value):
+        if isinstance(value, list):
+            return " ".join(map(text, value))
+        return str(value).lower() if isinstance(value, bool) else str(value)
+    return "".join(f"[{section}]\n" + "".join(f"{key} = {text(value)}\n"
+                                              for key, value in keys.items() if value is not None)
+                   for section, keys in d.items())
+
 
 # One value of each JSON type.
 JSON_VALUES = st.one_of(
@@ -192,12 +234,12 @@ class TestExperimentConfig:
         ("epochs", 0, "epochs"), ("batch_size", 0, "batch_size"),
         ("learning_rate", -1.0, "learning_rate"), ("momentum", 1.5, "momentum"),
         ("hidden_sizes", (8, -4), "layer sizes"),
-        ("hidden_sizes", "64", "layer sizes must be integers"),
-        ("hidden_sizes", (64.7, 32), "layer sizes must be integers"),
-        ("hidden_sizes", "64 32", "layer sizes must be integers"),
-        ("hidden_sizes", 64, "layer sizes must be integers"),
-        ("hidden_sizes", None, "layer sizes must be integers"),
-        ("hidden_sizes", 64.0, "layer sizes must be integers"),
+        ("hidden_sizes", "64", "hidden_sizes must be a list of integers"),
+        ("hidden_sizes", (64.7, 32), "hidden_sizes must be a list of integers"),
+        ("hidden_sizes", "64 32", "hidden_sizes must be a list of integers"),
+        ("hidden_sizes", 64, "hidden_sizes must be a list of integers"),
+        ("hidden_sizes", None, "hidden_sizes must be a list of integers"),
+        ("hidden_sizes", 64.0, "hidden_sizes must be a list of integers"),
         ("epochs", 1.5, "epochs must be an integer"),
         ("batch_size", 8.0, "batch_size must be an integer"),
     ])
@@ -314,6 +356,45 @@ class TestExperimentConfig:
         except ConfigError:
             return
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_constructor_with_one_value_of_any_type(self, tmp_path_factory, data):
+        # Each key takes every fixed value and one drawn value. Only a
+        # ConfigError naming [section] key may escape; an accepted config
+        # round-trips through from_dict and through INI text, except for the
+        # values INI text cannot hold:
+        # - a label_column header name that reads as an integer, such as "3",
+        #   which INI text reads back as that column index;
+        # - a value with surrounding whitespace, which INI text strips;
+        # - a value holding ";" or "#", which can start an INI comment.
+        section = data.draw(st.sampled_from(sorted(_SCHEMA)))
+        key = data.draw(st.sampled_from(sorted(_SCHEMA[section])))
+        drawn = data.draw(st.one_of(st.integers(), st.floats(),
+                                    st.text(PRINTABLE_ASCII, max_size=4)))
+        name = _SCHEMA[section][key][0]
+        location = ({"train_path": "a.csv", "test_path": "b.csv"}
+                    if name in ("train_path", "test_path") else {"dataset_path": "d.csv"})
+        path = tmp_path_factory.getbasetemp() / "constructed.ini"
+        for value in (*CONSTRUCTOR_VALUES, *RANGE_EDGES.get(key, ()), drawn):
+            try:
+                if section == "boost":  # BoostConfig names its key; from_dict adds the section
+                    cfg = ExperimentConfig.from_dict({"dataset": {"path": "d.csv"},
+                                                      "boost": {key: value}})
+                else:
+                    cfg = ExperimentConfig(**{**location, name: value})
+            except ConfigError as exc:
+                assert re.match(rf"\[{section}\] (.*\W)?{key}\b", str(exc)), str(exc)
+                continue
+            d = cfg.to_dict()
+            assert ExperimentConfig.from_dict(d) == cfg
+            strings = [v for keys in d.values() for v in keys.values() if isinstance(v, str)]
+            if (cfg.dataset_path is None and cfg.train_path is None  # from_file needs one
+                    or isinstance(cfg.label_column, str) and reads_as_int(cfg.label_column)
+                    or any(v != v.strip() or ";" in v or "#" in v for v in strings)):
+                continue
+            path.write_text(ini_text(d), encoding="utf-8")
+            assert ExperimentConfig.from_file(path) == cfg, value
 
 
 class TestConfigFile:
@@ -828,6 +909,20 @@ def small_sweep(tmp_path_factory):
     return config, reports, out
 
 
+@pytest.fixture
+def load_csv_calls(monkeypatch):
+    """The arguments of each harness.load_csv call of the test; each call still loads."""
+    calls = []
+    real_load_csv = harness.load_csv
+
+    def counting_load_csv(*args, **kwargs):
+        calls.append(args)
+        return real_load_csv(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_csv", counting_load_csv)
+    return calls
+
+
 class TestSweep:
     def test_row_structure(self, small_sweep, tmp_path):
         _, reports, _ = small_sweep
@@ -910,25 +1005,29 @@ class TestSweep:
         assert list((tmp_path / "size_2" / "models").iterdir()) == []
         assert [p.name for p in (tmp_path / "size_3" / "models").iterdir()] == ["notes.txt"]
 
-    def test_data_loaded_once_per_sweep(self, tmp_path, monkeypatch):
+    def test_data_loaded_once_per_sweep(self, tmp_path, load_csv_calls):
         save_csv(DESK_DATA, tmp_path / "blobs.csv")
-        calls = []
-        real_load_csv = harness.load_csv
-
-        def counting_load_csv(*args, **kwargs):
-            calls.append(args)
-            return real_load_csv(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "load_csv", counting_load_csv)
         config = replace(DESK_CONFIG, epochs=1, strategies=("plurality",),
                          dataset_path=str(tmp_path / "blobs.csv"))
         t0 = time.perf_counter()
         reports = sweep(config, max_size=3)
         wall = time.perf_counter() - t0
-        assert len(calls) == 1
+        assert len(load_csv_calls) == 1
         assert [r.dataset_label for r in reports] == ["blobs"] * 3
         total = sum(r.timings["total_seconds"] for r in reports)
         assert 0.8 * wall <= total <= wall
+
+
+    @pytest.mark.parametrize("max_size", [2.5, True])
+    def test_size_is_checked_before_data_loads(self, tmp_path, load_csv_calls, max_size):
+        # A float size once escaped as a bare TypeError after the data was
+        # loaded and normalized, and True ran a one-size sweep.
+        save_csv(DESK_DATA, tmp_path / "blobs.csv")
+        config = replace(DESK_CONFIG, dataset_path=str(tmp_path / "blobs.csv"))
+        with pytest.raises(ConfigError, match=rf"^sweep max_size must be an integer, "
+                                              rf"got {max_size}$"):
+            sweep(config, max_size)
+        assert load_csv_calls == []
 
 
 def run_stages(n_learners, *stacking):

@@ -189,7 +189,7 @@ class TestInit:
 
     @pytest.mark.parametrize("layer_sizes", ["345", (4, 3.5, 2), (4, "3", 2), 5])
     def test_non_integer_layer_sizes_rejected(self, layer_sizes):
-        with pytest.raises(ConfigError, match="layer sizes must be integers"):
+        with pytest.raises(ConfigError, match="layer_sizes must be a list of integers"):
             MlpConfig(layer_sizes=layer_sizes)
 
     def test_bad_optimizer_settings_rejected(self):
@@ -702,7 +702,11 @@ class TestSaveLoad:
         with pytest.raises(DataError, match=re.escape(str(path))):
             mlp.load(path)
 
-    @pytest.mark.parametrize("case", MALFORMED_MODEL_CASES)
+    @pytest.mark.parametrize("case", MALFORMED_MODEL_CASES + (
+        # A bool is no integer.
+        pytest.param(({"config": {"layer_sizes": [2, 3, 2], "epochs": True, "batch_size": True}},
+                      None), id="epochs and batch_size true"),
+    ))
     def test_malformed_file_is_data_error_naming_path(self, tmp_path, case):
         path = mlp.save(mlp.init(MlpConfig(layer_sizes=(2, 3, 2))), tmp_path / "m.mlp")
         write_malformed_model(path, mlp.MLP_MAGIC, mlp.MLP_FORMAT_VERSION, case,

@@ -76,6 +76,31 @@ def test_only_numerics_converts_model_inputs():
     assert calls == []
 
 
+def test_only_numerics_checks_config_types():
+    # One type rule: only numerics calls operator.index, and each config's
+    # __post_init__ starts with numerics.conform_fields, before any range check.
+    src = Path(votestack.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    calls = [f"{name}:{node.lineno}" for name, tree in trees.items() if name != "numerics.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "index"
+             and getattr(node.value, "id", None) == "operator"
+             or isinstance(node, ast.ImportFrom) and node.module == "operator"]
+    assert calls == []
+    configs = {"harness.py": "ExperimentConfig", "mlp.py": "MlpConfig",
+               "boosting.py": "BoostConfig", "diversify.py": "ResamplePlan"}
+    first = {}
+    for name, cls_name in configs.items():
+        cls = next(node for node in trees[name].body
+                   if isinstance(node, ast.ClassDef) and node.name == cls_name)
+        post_init = next(node for node in cls.body
+                         if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
+        call = getattr(post_init.body[0], "value", None)
+        first[cls_name] = getattr(getattr(call, "func", None), "id", None)
+    assert first == dict.fromkeys(configs.values(), "conform_fields")
+
+
 def test_numpy_is_the_only_runtime_dependency():
     allowed = sys.stdlib_module_names | {"numpy"}
     outside = []
