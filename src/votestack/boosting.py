@@ -37,8 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .numerics import (all_finite, as_features, as_labels, conform_fields, cross_entropy,
-                       softmax, spans)
+from .numerics import (all_finite, as_features, as_labels, conform, conform_fields,
+                       cross_entropy, softmax, spans)
 from .serialize import parsing_header, read_model_file, write_model_file
 
 GBT_MAGIC = b"VSTKGBT\x00"
@@ -303,8 +303,6 @@ def fit(features: np.ndarray, labels: np.ndarray, config: BoostConfig,
     """
     X = as_features(features)
     y = as_labels(labels, len(X), n_classes)
-    if X.shape[0] < 2:
-        raise ConfigError("boosting needs at least 2 samples")
     distinct = np.unique(y)
     if distinct.size < 2:
         raise ConfigError("boosting needs at least 2 distinct labels")
@@ -396,10 +394,9 @@ def load(path: str | Path) -> BoostedModel:
     header, arrays = read_model_file(path, GBT_MAGIC, GBT_FORMAT_VERSION)
     with parsing_header(path):
         config = BoostConfig(**header["config"])
-        n_features = int(header["n_features"])
-        n_classes = int(header["n_classes"])
-        rounds = int(header["rounds"])
-        loss_trace = [float(v) for v in header.get("loss_trace", [])]
+        n_features, n_classes, rounds = (conform(header[key], int, key)
+                                         for key in ("n_features", "n_classes", "rounds"))
+        loss_trace = list(conform(header.get("loss_trace", []), tuple[float, ...], "loss_trace"))
     if min(n_features, n_classes, rounds) < 1:
         raise DataError(f"{path}: n_features, n_classes and rounds must be positive")
     if len(arrays) != rounds * n_classes:

@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, TrainingDivergenceError
-from .numerics import (LOG_CLAMP, all_finite, as_features, as_labels, conform_fields,
-                       cross_entropy, softmax, spans)
+from .numerics import (LOG_CLAMP, all_finite, as_features, as_labels, conform,
+                       conform_fields, cross_entropy, softmax, spans)
 from .seeding import child_rng
 from .serialize import parsing_header, read_model_file, write_model_file
 
@@ -285,7 +285,7 @@ def load(path: str | Path) -> MlpModel:
     header, arrays = read_model_file(path, MLP_MAGIC, MLP_FORMAT_VERSION)
     with parsing_header(path):
         config = MlpConfig(**header["config"])
-        loss_trace = [float(v) for v in header.get("loss_trace", [])]
+        loss_trace = list(conform(header.get("loss_trace", []), tuple[float, ...], "loss_trace"))
     n_layers = len(config.layer_sizes) - 1
     if len(arrays) != 2 * n_layers:
         raise DataError(f"{path}: parameter count does not match the stored config")

@@ -5,7 +5,6 @@ softmax and clamped cross-entropy."""
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import operator
@@ -71,8 +70,13 @@ def _normal(value, hint):
     # A bool is no number, and a str's characters are no tuple: "345" is no (3, 4, 5).
     if isinstance(value, bool) and hint is not bool or get_origin(hint) is tuple:
         raise TypeError
+    if hint is float and isinstance(value, float):
+        return float(value)
     if hint in (int, float):
-        return float(value) if hint is float and isinstance(value, float) else operator.index(value)
+        number = operator.index(value)
+        if hint is float:
+            float(number)  # an int past float64's range raises OverflowError
+        return number
     if not isinstance(value, hint):
         raise TypeError
     return value
@@ -81,14 +85,18 @@ def _normal(value, hint):
 def conform(value, hint, name: str):
     """value in the normal form of the first arm of the type hint it fits: an
     int through operator.index (a numpy integer becomes an int; 2.5 and True
-    fit no int), an int or a float for a float, a tuple from a list or tuple.
-    A ConfigError names an empty string or a value that fits no arm."""
+    fit no int), a float or an int in float64's range for a float, a tuple
+    from a list or tuple; a ConfigError names an empty string or a misfit."""
     if isinstance(value, str) and not value:  # an empty path would name the working directory
         raise ConfigError(f"{name} must not be empty")
     arms = get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
     for arm in arms:
-        with contextlib.suppress(TypeError):
+        try:
             return _normal(value, arm)
+        except TypeError:
+            continue
+        except OverflowError:
+            raise ConfigError(f"{name} must be a finite float64, got a larger integer") from None
     names = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
              types.NoneType: "None", tuple[int, ...]: "a list of integers",
              tuple[str, ...]: "a list of strings"}

@@ -36,11 +36,11 @@ class Dataset:
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "class_names", tuple(self.class_names))
         if self.n_features < 1:
-            raise ConfigError("schema needs at least one feature")
+            raise DataError("schema needs at least one feature")
         if self.n_classes < 2:
-            raise ConfigError("schema needs at least two classes")
+            raise DataError("schema needs at least two distinct classes")
         if len(set(self.class_names)) != self.n_classes:
-            raise ConfigError("class names must be unique")
+            raise DataError("class names must be unique")
         feats = as_features(frozen_copy(self.features, np.float64), self.n_features)
         labels = frozen_copy(as_labels(self.labels, len(feats)), np.int64)
         if labels.size and labels.max() >= self.n_classes:
@@ -82,50 +82,13 @@ class NormalizerState:
         object.__setattr__(self, "std", std)
 
 
-def _parse_feature(cell: str, line_no: int, col_name: str) -> float:
+def _cell_fault(cell: str) -> str | None:
+    """Why a feature cell is not a finite number, or None."""
     try:
         value = float(cell)
     except ValueError:
-        raise DataError(
-            f"line {line_no}: non-numeric value {cell!r} in feature column {col_name!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise DataError(
-            f"line {line_no}: non-finite value {cell!r} in feature column {col_name!r}"
-        )
-    return value
-
-
-def _resolve_label_column(path: Path, label_column: int | str,
-                          header: list[str] | None, n_columns: int) -> int:
-    if isinstance(label_column, str):
-        if header is None:
-            raise ConfigError(
-                f"label column named {label_column!r} requires a header row"
-            )
-        try:
-            return header.index(label_column)
-        except ValueError:
-            raise DataError(f"{path}: label column {label_column!r} not found in header") from None
-    idx = label_column
-    if idx < 0:
-        idx += n_columns
-    if not (0 <= idx < n_columns):
-        raise DataError(
-            f"{path}: label column index {label_column} out of range for {n_columns} columns")
-    return idx
-
-
-def _looks_like_header(row: list[str], label_idx: int) -> bool:
-    # A row is treated as a header when any would-be feature cell fails float parsing.
-    for i, cell in enumerate(row):
-        if i == label_idx:
-            continue
-        try:
-            float(cell)
-        except ValueError:
-            return True
-    return False
+        return "non-numeric"
+    return None if math.isfinite(value) else "non-finite"
 
 
 def load_csv(
@@ -150,76 +113,78 @@ def load_csv(
         with open(path, newline="", encoding="utf-8-sig") as fh:
             records = ((line_no, row) for line_no, row
                        in enumerate(csv.reader(fh, delimiter=delimiter), 1) if row)
-            return _parse_records(path, records, label_column, has_header, class_names)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            return _parse_records(records, label_column, has_header, class_names)
+    except (OSError, UnicodeDecodeError, csv.Error, DataError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _parse_records(path: Path, records: Iterator[tuple[int, list[str]]],
-                   label_column: int | str, has_header: bool | None,
-                   class_names: Sequence[str] | None) -> Dataset:
+def _parse_records(records: Iterator[tuple[int, list[str]]], label_column: int | str,
+                   has_header: bool | None, class_names: Sequence[str] | None) -> Dataset:
     """load_csv's parse of the (line number, cells) records, one at a time."""
     first = next(records, None)
     if first is None:
-        raise DataError(f"{path}: file contains no data rows")
+        raise DataError("file contains no data rows")
     first_row = first[1]
     n_columns = len(first_row)
-    # A column index is resolved before the header is known; a name needs the header.
-    label_idx = (None if isinstance(label_column, str)
-                 else _resolve_label_column(path, label_column, None, n_columns))
+    named = isinstance(label_column, str)
+    # The header sniff drops the label cell, so an index is range-checked first.
+    if not named and not -n_columns <= label_column < n_columns:
+        raise DataError(f"label column index {label_column} out of range for {n_columns} columns")
     if has_header is None:
-        has_header = label_idx is None or _looks_like_header(first_row, label_idx)
+        has_header = named or any(_cell_fault(cell) == "non-numeric"
+                                  for i, cell in enumerate(first_row)
+                                  if i != label_column % n_columns)
 
     header: list[str] | None = None
     if has_header:
         header = [c.strip() for c in first_row]
         first = next(records, None)
         if first is None:
-            raise DataError(f"{path}: no data rows after header")
+            raise DataError("no data rows after header")
     records = itertools.chain([first], records)
 
-    if label_idx is None:
-        label_idx = _resolve_label_column(path, label_column, header, n_columns)
-
-    if header is not None:
-        feature_names = tuple(name for i, name in enumerate(header) if i != label_idx)
-    else:
+    label_idx = label_column
+    if named:
+        if header is None:
+            raise ConfigError(f"label column named {label_column!r} requires a header row")
+        if label_column not in header:
+            raise DataError(f"label column {label_column!r} not found in header")
+        label_idx = header.index(label_column)
+    if header is None:
         feature_names = tuple(f"f{i}" for i in range(n_columns - 1))
-    n_features = n_columns - 1
-    if n_features < 1:
-        raise DataError(f"{path}: need at least one feature column besides the label")
+    else:
+        del header[label_idx]
+        feature_names = tuple(header)
 
-    class_index: dict[str, int] = {}
-    if class_names is not None:
-        class_index = {name: i for i, name in enumerate(class_names)}
-
+    class_index = {name: i for i, name in enumerate(class_names or ())}
     features, labels = array("d"), array("q")
-    try:
-        for line_no, row in records:
-            if len(row) != n_columns:
+    for line_no, row in records:
+        if len(row) != n_columns:
+            raise DataError(f"line {line_no}: expected {n_columns} cells, got {len(row)}")
+        label_cell = row.pop(label_idx).strip()
+        if not label_cell:
+            raise DataError(f"line {line_no}: empty label")
+        if label_cell not in class_index:
+            if class_names is not None:
                 raise DataError(
-                    f"line {line_no}: expected {n_columns} cells, got {len(row)}"
-                )
-            label_cell = row[label_idx].strip()
-            if not label_cell:
-                raise DataError(f"line {line_no}: empty label")
-            if label_cell not in class_index:
-                if class_names is not None:
-                    raise DataError(
-                        f"line {line_no}: label {label_cell!r} not among the expected classes"
-                    )
-                class_index[label_cell] = len(class_index)
-            labels.append(class_index[label_cell])
-            del row[label_idx]
+                    f"line {line_no}: label {label_cell!r} not among the expected classes")
+            class_index[label_cell] = len(class_index)
+        labels.append(class_index[label_cell])
+        try:
+            values = [*map(float, row)]
+            # A sum of finite values may overflow, so a non-finite sum only starts the search.
+            finite = math.isfinite(sum(values))
+        except ValueError:
+            finite = False
+        if not finite:
             for name, cell in zip(feature_names, row):
-                features.append(_parse_feature(cell.strip(), line_no, name))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+                if fault := _cell_fault(cell):
+                    raise DataError(f"line {line_no}: {fault} value {cell.strip()!r} "
+                                    f"in feature column {name!r}")
+        features.extend(values)
 
     ordered = tuple(class_names) if class_names is not None else tuple(class_index)
-    if len(ordered) < 2:
-        raise DataError(f"{path}: fewer than two distinct class labels")
-    return Dataset(np.frombuffer(features).reshape(-1, n_features),
+    return Dataset(np.frombuffer(features).reshape(len(labels), -1),
                    np.frombuffer(labels, dtype=np.int64), feature_names, ordered)
 
 

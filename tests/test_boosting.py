@@ -626,6 +626,14 @@ class TestSaveLoad:
         pytest.param(({"n_classes": 0}, 0), id="n_classes 0"),
         pytest.param(({"rounds": 0}, 0), id="rounds 0"),
         pytest.param(({"n_classes": 0, "n_features": -3}, 0), id="n_classes 0, n_features -3"),
+        # Counts and a loss trace of the wrong type; each count keeps the tree
+        # count its truncated value implies.
+        pytest.param(({"rounds": 1.7}, 2), id="rounds 1.7"),
+        pytest.param(({"n_features": True}, 2), id="n_features true"),
+        pytest.param(({"n_features": 1.9}, 2), id="n_features 1.9"),
+        pytest.param(({"n_classes": 2.0}, 2), id="n_classes 2.0"),
+        pytest.param(({"loss_trace": ["0.5"]}, 2), id="loss_trace string"),
+        pytest.param(({"loss_trace": [True]}, 2), id="loss_trace bool"),
         # A bool is no float.
         pytest.param(({"config": {"l2_lambda": False}}, None), id="l2_lambda false"),
         # Tree structure. Each tree is a root split on feature 0 with leaves

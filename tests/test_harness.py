@@ -265,15 +265,17 @@ class TestExperimentConfig:
         assert all(type(getattr(cfg, k)) is int for k in values)
         assert json.loads(json.dumps(cfg.to_dict())) == ExperimentConfig(**values).to_dict()
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, pytest.param(10**400, id="10**400")])
     @pytest.mark.parametrize("field, section", [
         ("learning_rate", "mlp"), ("momentum", "mlp"), ("train_fraction", "split"),
     ])
     def test_float_settings_must_be_finite(self, field, section, value):
         with pytest.raises(ConfigError, match=rf"^\[{section}\] {field}"):
             ExperimentConfig(**{field: value})
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {field}"):
+            ExperimentConfig.from_dict({section: {field: value}})
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, pytest.param(10**400, id="10**400")])
     @pytest.mark.parametrize("field", ["learning_rate", "l2_lambda", "min_child_weight"])
     def test_boost_float_settings_must_be_finite(self, field, value):
         with pytest.raises(ConfigError, match=rf"^{field} must be .*finite"):

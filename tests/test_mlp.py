@@ -362,6 +362,11 @@ class TestTrain:
             with np.errstate(all="ignore"):
                 mlp.train(mlp.init(cfg), data.features, data.labels)
 
+    def test_empty_batch_rejected(self):
+        cfg = MlpConfig(layer_sizes=(2, 4, 2), epochs=1)
+        with pytest.raises(ContractError, match="training needs a non-empty batch"):
+            mlp.train(mlp.init(cfg), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+
     def test_label_outside_output_range_rejected(self):
         cfg = MlpConfig(layer_sizes=(2, 4, 2), epochs=1)
         with pytest.raises(ContractError, match="label"):
@@ -706,6 +711,8 @@ class TestSaveLoad:
         # A bool is no integer.
         pytest.param(({"config": {"layer_sizes": [2, 3, 2], "epochs": True, "batch_size": True}},
                       None), id="epochs and batch_size true"),
+        pytest.param(({"loss_trace": ["0.5"]}, None), id="loss_trace string"),
+        pytest.param(({"loss_trace": [True]}, None), id="loss_trace bool"),
     ))
     def test_malformed_file_is_data_error_naming_path(self, tmp_path, case):
         path = mlp.save(mlp.init(MlpConfig(layer_sizes=(2, 3, 2))), tmp_path / "m.mlp")

@@ -88,6 +88,13 @@ def test_only_numerics_checks_config_types():
              and getattr(node.value, "id", None) == "operator"
              or isinstance(node, ast.ImportFrom) and node.module == "operator"]
     assert calls == []
+    # Model headers too: no int(header[...]) or float(header[...]) outside numerics.
+    casts = [f"{name}:{node.lineno}" for name, tree in trees.items() if name != "numerics.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("int", "float")
+             and node.args and isinstance(node.args[0], ast.Subscript)
+             and getattr(node.args[0].value, "id", None) == "header"]
+    assert casts == []
     configs = {"harness.py": "ExperimentConfig", "mlp.py": "MlpConfig",
                "boosting.py": "BoostConfig", "diversify.py": "ResamplePlan"}
     first = {}

@@ -8,6 +8,7 @@ from votestack import (
     ContractError,
     DataError,
     Dataset,
+    NormalizerState,
     VoteStackError,
     apply_normalizer,
     fit_normalizer,
@@ -228,6 +229,10 @@ class TestSplit:
         with pytest.raises(DataError, match="at least 2"):
             split(ds, 0.8, True, 0)
 
+    def test_split_of_one_row_rejected(self):
+        with pytest.raises(DataError, match="fewer than 2 samples"):
+            split(make_dataset([[1.0]], [0], n_classes=2), 0.5, False, 0)
+
     def test_unstratified_indices_pinned(self):
         # Feature value = row index.
         ds = make_dataset(np.arange(13.0).reshape(13, 1), [0, 1, 2] * 4 + [0])
@@ -352,11 +357,30 @@ class TestNormalizer:
         with pytest.raises(ContractError, match="features"):
             apply_normalizer(state, other)
 
+    def test_normalizer_on_no_rows_rejected(self):
+        with pytest.raises(ConfigError, match="empty dataset"):
+            fit_normalizer(make_dataset(np.zeros((0, 2)), np.zeros(0), n_classes=2))
+
+    @pytest.mark.parametrize("std", [0.0, -1.0])
+    def test_normalizer_std_must_be_positive(self, std):
+        with pytest.raises(ContractError, match="strictly positive"):
+            NormalizerState(mean=np.zeros(2), std=np.array([1.0, std]))
+
 
 class TestDatasetValidation:
     def test_label_out_of_schema_range(self):
         with pytest.raises(DataError, match="label"):
             Dataset(np.zeros((2, 1)), np.array([0, 2]), ("f0",), ("a", "b"))
+
+    @pytest.mark.parametrize("feature_names, class_names, message", [
+        pytest.param((), ("a", "b"), "at least one feature", id="no feature"),
+        pytest.param(("f0",), ("a",), "at least two distinct classes", id="one class"),
+        pytest.param(("f0",), ("a", "a"), "class names must be unique", id="repeated class"),
+    ])
+    def test_degenerate_schema_is_data_error(self, feature_names, class_names, message):
+        features = np.zeros((2, len(feature_names)))
+        with pytest.raises(DataError, match=message):
+            Dataset(features, np.array([0, 0]), feature_names, class_names)
 
     def test_non_finite_features_rejected(self):
         with pytest.raises(DataError, match="non-finite"):
