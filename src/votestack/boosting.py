@@ -37,8 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .numerics import (all_finite, as_features, as_labels, conform, conform_fields,
-                       cross_entropy, softmax, spans)
+from .numerics import (COUNT, NON_NEGATIVE, POSITIVE, all_finite, as_features, as_labels,
+                       conform, conform_fields, cross_entropy, softmax, spans)
 from .serialize import parsing_header, read_model_file, write_model_file
 
 GBT_MAGIC = b"VSTKGBT\x00"
@@ -52,25 +52,14 @@ _BLOCK_ENTRIES = 32 * 1024
 
 @dataclass(frozen=True)
 class BoostConfig:
-    rounds: int = 50
-    max_depth: int = 3
-    learning_rate: float = 0.3
-    l2_lambda: float = 1.0
-    min_child_weight: float = 1.0
+    rounds: COUNT = 50
+    max_depth: COUNT = 3
+    learning_rate: POSITIVE = 0.3
+    l2_lambda: NON_NEGATIVE = 1.0
+    min_child_weight: NON_NEGATIVE = 1.0
 
     def __post_init__(self):
         conform_fields(self)
-        if self.rounds < 1:
-            raise ConfigError("rounds must be at least 1")
-        if self.max_depth < 1:
-            raise ConfigError("max_depth must be at least 1")
-        # Stated so that NaN, which fails every comparison, fails each check.
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError("learning_rate must be positive and finite")
-        if not 0 <= self.l2_lambda < math.inf:
-            raise ConfigError("l2_lambda must be non-negative and finite")
-        if not 0 <= self.min_child_weight < math.inf:
-            raise ConfigError("min_child_weight must be non-negative and finite")
 
 
 def _leaf_values(table: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -303,11 +292,10 @@ def fit(features: np.ndarray, labels: np.ndarray, config: BoostConfig,
     """
     X = as_features(features)
     y = as_labels(labels, len(X), n_classes)
-    distinct = np.unique(y)
-    if distinct.size < 2:
+    if not y.size or y.min() == y.max():
         raise ConfigError("boosting needs at least 2 distinct labels")
     if n_classes is None:
-        n_classes = int(distinct[-1]) + 1
+        n_classes = int(y.max()) + 1
 
     S = X.shape[0]
     margins = np.zeros((S, n_classes))
@@ -394,11 +382,9 @@ def load(path: str | Path) -> BoostedModel:
     header, arrays = read_model_file(path, GBT_MAGIC, GBT_FORMAT_VERSION)
     with parsing_header(path):
         config = BoostConfig(**header["config"])
-        n_features, n_classes, rounds = (conform(header[key], int, key)
+        n_features, n_classes, rounds = (conform(header[key], COUNT, key)
                                          for key in ("n_features", "n_classes", "rounds"))
         loss_trace = list(conform(header.get("loss_trace", []), tuple[float, ...], "loss_trace"))
-    if min(n_features, n_classes, rounds) < 1:
-        raise DataError(f"{path}: n_features, n_classes and rounds must be positive")
     if len(arrays) != rounds * n_classes:
         raise DataError(f"{path}: tree count does not match the stored round/class grid")
     for i, mat in enumerate(arrays):

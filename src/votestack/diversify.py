@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .numerics import conform_fields
+from .numerics import COUNT, conform_fields
 from .seeding import child_rng
 
 PLAN_FORMAT_VERSION = 1
@@ -26,14 +26,12 @@ class ResamplePlan:
     seed, cut into n_learners segments."""
 
     train_size: int
-    n_learners: int
+    n_learners: COUNT
     seed: int
     permutation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         conform_fields(self)
-        if self.n_learners < 1:
-            raise ConfigError("n_learners must be at least 1")
         if self.train_size < 2 * self.n_learners:
             raise ConfigError(
                 f"train_size {self.train_size} too small for {self.n_learners} learners "

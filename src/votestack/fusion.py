@@ -17,7 +17,7 @@ import numpy as np
 
 from . import boosting
 from .errors import ConfigError, ContractError
-from .numerics import as_labels, frozen_copy
+from .numerics import COUNT, as_labels, conform, frozen_copy
 
 REJECTED = -1
 
@@ -187,13 +187,11 @@ def fit_filtered(pm_train: PredictionMatrix, train_labels,
     plurality voting for unfiltered samples.
     """
     labels = as_labels(train_labels, pm_train.n_samples, pm_train.n_classes)
-    if threshold < 1:
-        raise ConfigError(f"filter threshold must be at least 1, got {threshold}")
+    threshold = conform(threshold, COUNT, "filter threshold")
     difficult = tally(pm_train).max(axis=1) < threshold
     n_difficult = int(difficult.sum())
     hard_labels = labels[difficult]
-    # An empty difficult set has fewer than two classes too.
-    if np.unique(hard_labels).size < 2:
+    if not hard_labels.size or hard_labels.min() == hard_labels.max():
         reason = (f"no difficult training instances at threshold {threshold}"
                   if n_difficult == 0 else
                   "difficult training instances all share one class")

@@ -32,7 +32,8 @@ from .boosting import BoostConfig
 from .diversify import build_plan, materialize, out_of_bag
 from .errors import ConfigError, DataError, TrainingDivergenceError, VoteStackError
 from .fusion import PredictionMatrix
-from .numerics import all_finite, conform, conform_fields, config_fields
+from .numerics import (COUNT, FRACTION, POSITIVE, UNIT, all_finite, conform, conform_fields,
+                       config_fields)
 from .seeding import derive_seed
 from .serialize import atomic_write
 from .tabular import Dataset, apply_normalizer, fit_normalizer, load_csv, split
@@ -80,7 +81,7 @@ def _from_ini(raw: str, hint):
         return tuple(_from_ini(p, get_args(hint)[0]) for p in raw.replace(",", " ").split())
     if hint is bool:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-    return hint(raw)
+    return hint(raw)  # an Annotated hint calls its type
 
 
 def _in(section: str, default, key: str | None = None):
@@ -111,22 +112,22 @@ class ExperimentConfig:
     label_column: int | str = _in("dataset", -1)
     delimiter: str = _in("dataset", ",")
     has_header: bool | None = _in("dataset", None)
-    train_fraction: float = _in("split", 0.8)
+    train_fraction: FRACTION = _in("split", 0.8)
     stratified: bool = _in("split", True)
-    n_learners: int = _in("ensemble", 7)
+    n_learners: COUNT = _in("ensemble", 7)
     threshold: int | None = _in("ensemble", None)
     strategies: tuple[str, ...] = _in("ensemble", ALL_STRATEGIES)
     weight_mode: str = _in("ensemble", "accuracy")
     level1_mode: str = _in("ensemble", fusion.LEVEL1_PROBA)
     hidden_sizes: tuple[int, ...] = _in("mlp", (1200, 800))
-    epochs: int = _in("mlp", mlp.MlpConfig.epochs)
-    batch_size: int = _in("mlp", mlp.MlpConfig.batch_size)
-    learning_rate: float = _in("mlp", mlp.MlpConfig.learning_rate)
-    momentum: float = _in("mlp", mlp.MlpConfig.momentum)
+    epochs: COUNT = _in("mlp", mlp.MlpConfig.epochs)
+    batch_size: COUNT = _in("mlp", mlp.MlpConfig.batch_size)
+    learning_rate: POSITIVE = _in("mlp", mlp.MlpConfig.learning_rate)
+    momentum: UNIT = _in("mlp", mlp.MlpConfig.momentum)
     boost: BoostConfig = field(default_factory=BoostConfig, metadata={"section": "boost"})
     seed: int = _in("run", 0)
     output_dir: str | None = _in("run", None)
-    workers: int = _in("run", 1)
+    workers: COUNT = _in("run", 1)
 
     def __post_init__(self):
         # A field is named as its INI file names it, such as `[dataset] path`.
@@ -134,8 +135,6 @@ class ExperimentConfig:
                        f"[{f.metadata['section']}] {f.metadata['key'] or f.name}")
         if len(self.delimiter) != 1:
             raise ConfigError(f"[dataset] delimiter must be one character, got {self.delimiter!r}")
-        if self.n_learners < 1:
-            raise ConfigError("[ensemble] n_learners must be at least 1")
         if self.threshold is not None and not 1 <= self.threshold <= self.n_learners:
             raise ConfigError(
                 f"[ensemble] threshold must lie in [1, {self.n_learners}], got {self.threshold}"
@@ -155,14 +154,6 @@ class ExperimentConfig:
         if not self.hidden_sizes or min(self.hidden_sizes) < 1:
             raise ConfigError("[mlp] need at least one hidden layer, and all layer sizes at "
                               f"least 1, got hidden_sizes {self.hidden_sizes}")
-        try:
-            self.mlp_config(1, 2, 0)
-        except ConfigError as exc:
-            raise ConfigError(f"[mlp] {exc}") from None
-        if not (0.0 < self.train_fraction < 1.0):
-            raise ConfigError("[split] train_fraction must lie in (0, 1)")
-        if self.workers < 1:
-            raise ConfigError("[run] workers must be at least 1")
         if (self.train_path is None) != (self.test_path is None):
             raise ConfigError("[dataset] train_path and test_path must be given together")
         if self.dataset_path is not None and self.train_path is not None:
@@ -530,9 +521,7 @@ def sweep(config: ExperimentConfig, max_size: int,
     directory is set, its own size_<k> subdirectory; an earlier sweep's
     models in size_<k> for k > max_size are deleted.
     """
-    max_size = conform(max_size, int, "sweep max_size")
-    if max_size < 1:
-        raise ConfigError("sweep max_size must be at least 1")
+    max_size = conform(max_size, COUNT, "sweep max_size")
     spans: list = []
     train, test, label = _prepare(config, dataset, spans)
     out = Path(config.output_dir) if config.output_dir else None

@@ -21,15 +21,14 @@ are fixed by `PREDICT_ROWS` as the trained weights are by `batch_size`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, TrainingDivergenceError
-from .numerics import (LOG_CLAMP, all_finite, as_features, as_labels, conform,
-                       conform_fields, cross_entropy, softmax, spans)
+from .numerics import (COUNT, LOG_CLAMP, POSITIVE, UNIT, all_finite, as_features, as_labels,
+                       conform, conform_fields, cross_entropy, softmax, spans)
 from .seeding import child_rng
 from .serialize import parsing_header, read_model_file, write_model_file
 
@@ -51,10 +50,10 @@ class MlpConfig:
     """
 
     layer_sizes: tuple[int, ...]
-    epochs: int = 25
-    batch_size: int = 32
-    learning_rate: float = 0.01
-    momentum: float = 0.9
+    epochs: COUNT = 25
+    batch_size: COUNT = 32
+    learning_rate: POSITIVE = 0.01
+    momentum: UNIT = 0.9
     seed: int = 0
 
     def __post_init__(self):
@@ -62,14 +61,6 @@ class MlpConfig:
         if len(self.layer_sizes) < 3 or min(self.layer_sizes) < 1:
             raise ConfigError("need at least one hidden layer, and all layer sizes at least 1, "
                               f"got {self.layer_sizes}")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError("learning_rate must be positive and finite")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ConfigError("momentum must lie in [0, 1)")
 
     @property
     def n_inputs(self) -> int:

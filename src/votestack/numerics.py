@@ -1,21 +1,50 @@
 """Shared numerical helpers: frozen array copies, a finiteness test, the input
-check of every model entry point (`as_features`, `as_labels`), the type check
-of every config (`conform`, `conform_fields`), near-equal spans, stable
-softmax and clamped cross-entropy."""
+check of every model entry point (`as_features`, `as_labels`), the type and
+range check of every config (`conform`, `conform_fields`, `Range`), near-equal
+spans, stable softmax and clamped cross-entropy."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import operator
 import types
-from typing import get_args, get_origin, get_type_hints
+from contextlib import suppress
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
 
 LOG_CLAMP = 1e-12
+
+
+@dataclasses.dataclass(frozen=True)
+class Range:
+    """Bounds low <= value < high (low < value if strict) of a number setting,
+    declared in its type hint as in Annotated[int, Range(1)]; NaN lies in none."""
+
+    low: float
+    high: float = math.inf
+    strict: bool = False
+
+    def __contains__(self, value) -> bool:
+        return (self.low < value if self.strict else self.low <= value) and value < self.high
+
+    def __str__(self) -> str:
+        if self.high < math.inf:
+            return f"lie in {'[('[self.strict]}{self.low:g}, {self.high:g})"
+        if self.low == 0:
+            return f"be {('non-negative', 'positive')[self.strict]} and finite"
+        return f"be at least {self.low}"
+
+
+COUNT = Annotated[int, Range(1)]
+POSITIVE = Annotated[float, Range(0, strict=True)]
+NON_NEGATIVE = Annotated[float, Range(0)]
+UNIT = Annotated[float, Range(0, 1)]
+FRACTION = Annotated[float, Range(0, 1, strict=True)]
 
 
 def frozen_copy(arr, dtype) -> np.ndarray:
@@ -74,8 +103,9 @@ def _normal(value, hint):
         return float(value)
     if hint in (int, float):
         number = operator.index(value)
-        if hint is float:
-            float(number)  # an int past float64's range raises OverflowError
+        # float() overflows past float64's range; str() raises ValueError, a
+        # misfit, past the digits Python writes (sys.get_int_max_str_digits).
+        (float if hint is float else str)(number)
         return number
     if not isinstance(value, hint):
         raise TypeError
@@ -86,35 +116,44 @@ def conform(value, hint, name: str):
     """value in the normal form of the first arm of the type hint it fits: an
     int through operator.index (a numpy integer becomes an int; 2.5 and True
     fit no int), a float or an int in float64's range for a float, a tuple
-    from a list or tuple; a ConfigError names an empty string or a misfit."""
+    from a list or tuple; a ConfigError names an empty string, a misfit or a
+    number outside the Range of an Annotated hint."""
+    if get_origin(hint) is Annotated:
+        hint, bounds = get_args(hint)
+        value = conform(value, hint, name)
+        if value not in bounds:
+            raise ConfigError(f"{name} must {bounds}")
+        return value
     if isinstance(value, str) and not value:  # an empty path would name the working directory
         raise ConfigError(f"{name} must not be empty")
     arms = get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
     for arm in arms:
         try:
             return _normal(value, arm)
-        except TypeError:
+        except (TypeError, ValueError):
             continue
         except OverflowError:
             raise ConfigError(f"{name} must be a finite float64, got a larger integer") from None
     names = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
              types.NoneType: "None", tuple[int, ...]: "a list of integers",
              tuple[str, ...]: "a list of strings"}
-    kind = " or ".join(names.get(arm, f"a {arm.__name__}") for arm in arms)
-    raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    message = f"{name} must be " + " or ".join(names.get(arm, f"a {arm.__name__}") for arm in arms)
+    with suppress(ValueError):  # an int too long to write as text is not shown
+        message += f", got {value!r}"
+    raise ConfigError(message)
 
 
 @functools.cache
 def config_fields(cls) -> tuple:
     """(field, type hint) of each init field of a dataclass, resolved once per
     class, since resolving them costs ten times the check of a construction."""
-    hints = get_type_hints(cls)
+    hints = get_type_hints(cls, include_extras=True)
     return tuple((f, hints[f.name]) for f in dataclasses.fields(cls) if f.init)
 
 
 def conform_fields(config, label=lambda field: field.name) -> None:
     """Store each init field of a frozen dataclass in conform's normal form for
-    its type hint; label(field) names a field whose value fits none."""
+    its type hint; label(field) names a field that misfits or is out of range."""
     for f, hint in config_fields(type(config)):
         object.__setattr__(config, f.name, conform(getattr(config, f.name), hint, label(f)))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
+from .numerics import COUNT, NON_NEGATIVE, POSITIVE, conform
 from .seeding import child_rng
 from .tabular import Dataset
 
@@ -45,12 +46,10 @@ def gaussian_blobs(
         )
     if n_classes < 2:
         raise ConfigError("need at least two classes")
-    if n_features < 1:
-        raise ConfigError("need at least one feature")
-    if center_spread <= 0 or noise <= 0:
-        raise ConfigError("center_spread and noise must be positive")
-    if anisotropy < 0:
-        raise ConfigError("anisotropy must be non-negative")
+    conform(n_features, COUNT, "n_features")
+    conform(center_spread, POSITIVE, "center_spread")
+    conform(noise, POSITIVE, "noise")
+    conform(anisotropy, NON_NEGATIVE, "anisotropy")
 
     rng = child_rng(seed, "blobs", n_samples, n_features, n_classes)
     centers = rng.normal(0.0, center_spread, size=(n_classes, n_features))

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
-from .numerics import all_finite, as_features, as_labels, frozen_copy
+from .numerics import FRACTION, all_finite, as_features, as_labels, conform, frozen_copy
 
 STD_FLOOR = 1e-12
 
@@ -214,8 +214,7 @@ def split(dataset: Dataset, train_fraction: float, stratified: bool,
     train a count within one sample of train_fraction, and both sides keep
     at least one sample of every group.
     """
-    if not (0.0 < train_fraction < 1.0):
-        raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    train_fraction = conform(train_fraction, FRACTION, "train_fraction")
     S = dataset.n_samples
     if S < 2:
         raise DataError("cannot split fewer than 2 samples")

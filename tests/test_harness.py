@@ -5,11 +5,11 @@ import hashlib
 import json
 import math
 import re
-import sys
 import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from typing import Annotated, get_args, get_origin
 
 import numpy as np
 import pytest
@@ -55,21 +55,37 @@ from conftest import (
 DESK_DATA = gaussian_blobs(400, 4, 3, seed=71)
 
 # Values the constructor fuzz test gives every config key: one of each type
-# a key can take, bools, numpy scalars, NaN, the infinities and "".
+# a key can take, bools, numpy scalars, NaN, the infinities, "" and an int
+# too long for Python to write as text.
 CONSTRUCTOR_VALUES = (0, 3, 0.5, "x", "3", True, False, None, (), (8, 4), ["plurality"],
                       np.int64(2), np.float64(0.25), np.bool_(True), np.str_("y"),
-                      math.nan, math.inf, -math.inf, "", BoostConfig())
-# Both edges of each key's range, with the nearest value outside each edge.
-RANGE_EDGES = {
-    "delimiter": (",", ",,"),
-    "train_fraction": (0.0, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0), 1.0),
-    "n_learners": (0, 1), "threshold": (0, 1, 7, 8), "workers": (0, 1),
+                      math.nan, math.inf, -math.inf, "", BoostConfig(), 10**5000)
+
+
+def range_edges(hint):
+    """Both edges of the Range a type hint declares, each with the nearest
+    value outside it; () for a hint without one."""
+    if get_origin(hint) is not Annotated:
+        return ()
+    kind, bounds = get_args(hint)
+
+    def step(x, toward):
+        return x + (1 if toward > x else -1) if kind is int else math.nextafter(x, toward)
+
+    low = step(bounds.low, math.inf) if bounds.strict else bounds.low
+    edges = (step(low, -math.inf), low)
+    if kind is float or bounds.high < math.inf:
+        edges += (step(bounds.high, -math.inf), bounds.high)
+    return tuple(map(kind, edges))
+
+
+# Both edges of each key's range, with the nearest value outside each edge:
+# derived from the declared Range of each number setting, and listed by hand
+# for the rules that need another field or a shape.
+RANGE_EDGES = {key: range_edges(hint) for keys in _SCHEMA.values()
+               for key, (_, hint) in keys.items()} | {
+    "delimiter": (",", ",,"), "threshold": (0, 1, 7, 8),
     "strategies": ((), ALL_STRATEGIES), "hidden_sizes": ((), (0,), (1,)),
-    "epochs": (0, 1), "batch_size": (0, 1), "rounds": (0, 1), "max_depth": (0, 1),
-    "learning_rate": (0.0, 5e-324, sys.float_info.max),
-    "momentum": (-5e-324, 0.0, math.nextafter(1.0, 0.0), 1.0),
-    "l2_lambda": (-5e-324, 0.0, sys.float_info.max),
-    "min_child_weight": (-5e-324, 0.0, sys.float_info.max),
 }
 PRINTABLE_ASCII = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
 
@@ -282,6 +298,17 @@ class TestExperimentConfig:
             BoostConfig(**{field: value})
         with pytest.raises(ConfigError, match=rf"^\[boost\] {field} must be "):
             ExperimentConfig.from_dict({"boost": {field: value}})
+
+    @pytest.mark.parametrize("field, section, key", [
+        ("seed", "run", "seed"), ("dataset_path", "dataset", "path"),
+    ])
+    def test_integer_too_long_to_write_is_a_config_error(self, field, section, key):
+        # Python writes no int of more than 4,300 digits as text, so the
+        # message must name the key without showing the value.
+        for build in (lambda: ExperimentConfig(**{field: 10**5000}),
+                      lambda: ExperimentConfig.from_dict({section: {key: 10**5000}})):
+            with pytest.raises(ConfigError, match=rf"^\[{section}\] {key} must be "):
+                build()
 
     def test_learner_seeds_are_stable_hashes(self):
         cfg = ExperimentConfig(seed=42)

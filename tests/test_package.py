@@ -1,6 +1,8 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -106,6 +108,60 @@ def test_only_numerics_checks_config_types():
         call = getattr(post_init.body[0], "value", None)
         first[cls_name] = getattr(getattr(call, "func", None), "id", None)
     assert first == dict.fromkeys(configs.values(), "conform_fields")
+
+
+def test_only_numerics_checks_number_ranges():
+    # One range rule: a number setting's bounds are declared in its type hint
+    # and checked by numerics.conform. No config's __post_init__ compares one
+    # of its fields with constants alone, or builds a config to check its own.
+    src = Path(votestack.__file__).parent
+    configs = {"harness.py": "ExperimentConfig", "mlp.py": "MlpConfig",
+               "boosting.py": "BoostConfig", "diversify.py": "ResamplePlan"}
+
+    def is_field(node):
+        return isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self"
+
+    found = []
+    for name, cls_name in configs.items():
+        cls = next(node for node in ast.parse((src / name).read_text(encoding="utf-8")).body
+                   if isinstance(node, ast.ClassDef) and node.name == cls_name)
+        post_init = next(node for node in cls.body
+                         if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
+        for node in ast.walk(post_init):
+            if isinstance(node, ast.Compare) and all(
+                    isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq))
+                    for op in node.ops):
+                operands = [node.left, *node.comparators]
+                fields = [op for op in operands if is_field(op)]
+                others = [op for op in operands if not is_field(op)]
+                if len(fields) == 1 and not any(
+                        is_field(inner) for op in others for inner in ast.walk(op)):
+                    found.append(f"{name}:{node.lineno} {cls_name}.{fields[0].attr}")
+            elif isinstance(node, ast.Call):
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called in (*configs.values(), "mlp_config"):
+                    found.append(f"{name}:{node.lineno} {called}(...)")
+    assert found == []
+
+
+def test_a_run_never_imports_numpy_ma():
+    # numpy.ma holds about 1.3 MB of a process's memory, and np.unique imports it.
+    src = str(Path(votestack.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = """
+import sys
+from votestack import BoostConfig, ExperimentConfig, boosting, gaussian_blobs, run_experiment
+data = gaussian_blobs(150, 4, 3, seed=5)
+boosting.fit(data.features, data.labels, BoostConfig(rounds=2))
+assert "numpy.ma" not in sys.modules, "boosting.fit imported numpy.ma"
+run_experiment(ExperimentConfig(n_learners=3, hidden_sizes=(8,), epochs=2,
+                                boost=BoostConfig(rounds=2)), dataset=data)
+assert "numpy.ma" not in sys.modules, "run_experiment imported numpy.ma"
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_numpy_is_the_only_runtime_dependency():
