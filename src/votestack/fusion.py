@@ -191,6 +191,8 @@ def fit_filtered(pm_train: PredictionMatrix, train_labels,
     difficult = tally(pm_train).max(axis=1) < threshold
     n_difficult = int(difficult.sum())
     hard_labels = labels[difficult]
+    # Built before the fallback test, so an unknown mode fails on every path.
+    level1 = _level1_features(pm_train, mode, np.flatnonzero(difficult))
     if not hard_labels.size or hard_labels.min() == hard_labels.max():
         reason = (f"no difficult training instances at threshold {threshold}"
                   if n_difficult == 0 else
@@ -200,10 +202,7 @@ def fit_filtered(pm_train: PredictionMatrix, train_labels,
             n_difficult=n_difficult,
             warnings=(f"{reason}; residual test samples fall back to plurality voting",),
         )
-    meta = boosting.fit(
-        _level1_features(pm_train, mode, np.flatnonzero(difficult)), hard_labels, config,
-        n_classes=pm_train.n_classes,
-    )
+    meta = boosting.fit(level1, hard_labels, config, n_classes=pm_train.n_classes)
     return FilteredFusion(
         threshold=threshold, meta_model=meta, level1_mode=mode, n_difficult=n_difficult,
     )

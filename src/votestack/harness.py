@@ -309,8 +309,7 @@ def _prepare(config: ExperimentConfig, dataset: Dataset | None,
                 dataset = load_csv(config.dataset_path, config.label_column,
                                    config.delimiter, config.has_header)
                 label = Path(config.dataset_path).stem
-            train, test = split(dataset, config.train_fraction, config.stratified,
-                                derive_seed(config.seed, "split"))
+            train, test = split(dataset, config.train_fraction, config.stratified, config.seed)
         elif config.train_path is not None:
             train = load_csv(config.train_path, config.label_column,
                              config.delimiter, config.has_header)

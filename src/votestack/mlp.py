@@ -214,12 +214,10 @@ def train(model: MlpModel, features, labels, rows=None) -> MlpModel:
     parameter. Deterministic for a fixed config seed.
     """
     X, y = _batch(model, features, labels)
-    if rows is not None:
-        rows = np.asarray(rows)
-        if (rows.ndim != 1 or rows.size == 0 or not np.issubdtype(rows.dtype, np.integer)
-                or rows.min() < 0 or rows.max() >= X.shape[0]):
-            raise ContractError(
-                f"rows must be a non-empty 1-D integer index into {X.shape[0]} rows")
+    rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows)
+    if (rows.ndim != 1 or rows.size == 0 or not np.issubdtype(rows.dtype, np.integer)
+            or rows.min() < 0 or rows.max() >= X.shape[0]):
+        raise ContractError(f"rows must be a non-empty 1-D integer index into {X.shape[0]} rows")
 
     cfg = model.config
     rng = child_rng(cfg.seed, "shuffle")
@@ -235,15 +233,13 @@ def train(model: MlpModel, features, labels, rows=None) -> MlpModel:
         param = params[j][part]
         param += vel
 
-    n = X.shape[0] if rows is None else rows.size
+    n = rows.size
     height = min(cfg.batch_size, n)
     buffers = (_layer_buffers(model, height), _layer_buffers(model, height))
     block = _grad_block(model)
 
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        if rows is not None:
-            order = rows[order]
+        order = rows[rng.permutation(n)]
         running = 0.0
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]

@@ -1,8 +1,8 @@
 """Deterministic sub-seed derivation.
 
-Every component that needs randomness derives its own 64-bit seed from a
-master seed plus context labels. Derivation is hash-based, so the result
-is independent of call order, process layout, and PYTHONHASHSEED.
+Every generator the package draws from is child_rng's, seeded by a 64-bit
+hash of an integer master seed (else a ConfigError naming `seed`) and context
+labels, so it is independent of call order, process layout and PYTHONHASHSEED.
 """
 
 from __future__ import annotations
@@ -11,10 +11,12 @@ import hashlib
 
 import numpy as np
 
+from .numerics import conform
+
 
 def derive_seed(master: int, *context: object) -> int:
-    """Stable 64-bit seed from a master seed and any context labels."""
-    h = hashlib.sha256(str(int(master)).encode("ascii"))
+    """Stable 64-bit seed from an integer master seed and any context labels."""
+    h = hashlib.sha256(str(conform(master, int, "seed")).encode("ascii"))
     for part in context:
         h.update(b"/")
         h.update(str(part).encode("utf-8"))

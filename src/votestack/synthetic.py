@@ -40,6 +40,8 @@ def gaussian_blobs(
     sizes are balanced to within one sample and row order is shuffled.
     Fully determined by the arguments.
     """
+    n_samples = conform(n_samples, int, "n_samples")
+    n_classes = conform(n_classes, int, "n_classes")
     if n_samples < 2 * n_classes:
         raise ConfigError(
             f"need at least {2 * n_classes} samples for {n_classes} classes"

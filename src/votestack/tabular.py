@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
 from .numerics import FRACTION, all_finite, as_features, as_labels, conform, frozen_copy
+from .seeding import child_rng
 
 STD_FLOOR = 1e-12
 
@@ -106,6 +107,9 @@ def load_csv(
     ``has_header=None`` auto-detects a header row by attempting to parse the
     first row's feature cells as numbers.
     """
+    label_column = conform(label_column, int | str, "label_column")
+    delimiter = conform(delimiter, str, "delimiter")
+    has_header = conform(has_header, bool | None, "has_header")
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
@@ -209,18 +213,19 @@ def split(dataset: Dataset, train_fraction: float, stratified: bool,
           seed: int) -> tuple[Dataset, Dataset]:
     """Partition a dataset into disjoint train/test subsets.
 
-    Deterministic for a fixed seed; train_fraction must lie strictly in
-    (0, 1). Each group (every class when stratified, else all rows) gives
-    train a count within one sample of train_fraction, and both sides keep
-    at least one sample of every group.
+    seed is a master seed, so split(data, f, s, config.seed) is a run's split;
+    train_fraction must lie strictly in (0, 1). Each group (every class when
+    stratified, else all rows) gives train a count within one sample of
+    train_fraction, and both sides keep at least one sample of every group.
     """
     train_fraction = conform(train_fraction, FRACTION, "train_fraction")
+    stratified = conform(stratified, bool, "stratified")
+    rng = child_rng(seed, "split")
     S = dataset.n_samples
     if S < 2:
         raise DataError("cannot split fewer than 2 samples")
     groups = ([np.flatnonzero(dataset.labels == c) for c in range(dataset.n_classes)]
               if stratified else [np.arange(S)])
-    rng = np.random.default_rng(seed)
     train_parts = []
     test_parts = []
     for c, members in enumerate(groups):

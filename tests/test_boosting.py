@@ -493,6 +493,42 @@ class TestFit:
             assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
+def level1_shaped(S, n, C):
+    """S rows of n learners' C-class probability vectors, as the meta fit sees them."""
+    data = gaussian_blobs(S, n * C, C, seed=5)
+    X = np.hstack([softmax(data.features[:, j * C:(j + 1) * C]) for j in range(n)])
+    return X, data.labels
+
+
+class TestWork:
+    """Exact work of the split search, which wall time cannot pin on a shared
+    host: the searches, the candidate cells they scan (rows x columns of each
+    searched node) and the nodes left as leaves without a search. Each bound
+    is the count of today's code; a change that cuts work tightens it."""
+
+    @pytest.mark.parametrize("S, n, C, config, bound", [
+        pytest.param(2400, 7, 3, BoostConfig(), (893, 22_217_034, 931), id="blobs-meta"),
+        pytest.param(6238, 7, 26, BoostConfig(rounds=1), (149, 88_310_950, 141),
+                     id="isolet-one-round"),
+    ])
+    def test_split_search_work_is_bounded(self, monkeypatch, S, n, C, config, bound):
+        X, y = level1_shaped(S, n, C)
+        searches = cells = 0
+        search = boosting._best_split
+
+        def counting(columns, node_order, *args):
+            nonlocal searches, cells
+            searches += 1
+            cells += node_order.size
+            return search(columns, node_order, *args)
+
+        monkeypatch.setattr(boosting, "_best_split", counting)
+        model = boosting.fit(X, y, config)
+        nodes = sum(tree.shape[0] for trees in model.trees for tree in trees)
+        work = (searches, cells, nodes - searches)
+        assert all(got <= most for got, most in zip(work, bound)), work
+
+
 class TestPredict:
     def test_depth_one_model_is_piecewise_constant(self):
         X = np.array([[0.0], [1.0]])

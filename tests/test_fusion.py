@@ -412,6 +412,13 @@ class TestFilteredFusion:
         )
         np.testing.assert_array_equal(outcome.routes, CONFIDENT)
 
+    def test_unknown_mode_rejected_when_no_row_is_difficult(self, rng):
+        # The fallback path checks the level-1 mode too.
+        labels = rng.integers(0, 2, size=20)
+        pm_train = one_hot_pm(np.tile(labels, (7, 1)), 2)
+        with pytest.raises(ConfigError, match="mode"):
+            fit_filtered(pm_train, labels, FAST_BOOST, 6, mode="logits")
+
     def test_unanimous_training_falls_back_to_plurality(self, rng):
         labels = rng.integers(0, 2, size=20)
         pm_train = one_hot_pm(np.tile(labels, (7, 1)), 2)

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +145,26 @@ def test_only_numerics_checks_number_ranges():
     assert found == []
 
 
+def test_only_seeding_builds_generators():
+    # One random-stream rule: no src/ module but seeding.py names np.random,
+    # so every generator is child_rng's and every seed passes derive_seed.
+    def names_numpy_random(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy")
+        if isinstance(node, ast.ImportFrom):
+            return (node.module == "numpy" and any(a.name == "random" for a in node.names)
+                    or (node.module or "").startswith("numpy.random"))
+        return isinstance(node, ast.Import) and any(
+            a.name.startswith("numpy.random") for a in node.names)
+
+    src = Path(votestack.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             if path.name != "seeding.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if names_numpy_random(node)]
+    assert found == []
+
+
 def test_a_run_never_imports_numpy_ma():
     # numpy.ma holds about 1.3 MB of a process's memory, and np.unique imports it.
     src = str(Path(votestack.__file__).parents[1])
@@ -187,3 +208,15 @@ def test_benchmark_modules_import_and_every_traced_name_resolves(monkeypatch):
         importlib.import_module(name)
     targets = list(importlib.import_module("spans")._targets())
     assert targets and all(callable(fn) for fn, _, _ in targets)
+
+
+def test_readme_quick_start_runs():
+    # The README's one Python block, run as written: a renamed name or a
+    # changed signature fails here rather than leaving the README wrong.
+    readme = (Path(votestack.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0], namespace)
+    report = namespace["report"]
+    assert sum(report.route_counts.values()) == report.n_test

@@ -60,3 +60,18 @@ class TestGaussianBlobs:
             gaussian_blobs(10, 2, 2, seed=0, noise=0.0)
         with pytest.raises(ConfigError, match="anisotropy"):
             gaussian_blobs(10, 2, 2, seed=0, anisotropy=-0.5)
+
+    @pytest.mark.parametrize("n_samples, n_classes, name", [
+        pytest.param(12.5, 2, "n_samples", id="n_samples-float"),
+        pytest.param(True, 2, "n_samples", id="n_samples-bool"),
+        pytest.param(12, 2.0, "n_classes", id="n_classes-float"),
+        pytest.param(12, "2", "n_classes", id="n_classes-str"),
+    ])
+    def test_wrong_typed_count_is_config_error(self, n_samples, n_classes, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            gaussian_blobs(n_samples, 2, n_classes, seed=0)
+
+    def test_numpy_integer_counts_are_taken(self):
+        a = gaussian_blobs(np.int64(20), 2, np.int32(2), seed=0)
+        b = gaussian_blobs(20, 2, 2, seed=0)
+        np.testing.assert_array_equal(a.features, b.features)

@@ -106,6 +106,18 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=message):
             load_csv(path, label_column, ",", None)
 
+    @pytest.mark.parametrize("label_column, delimiter, has_header, name", [
+        pytest.param(-1, ",", "no", "has_header", id="has_header-str"),
+        pytest.param(1.5, ",", None, "label_column", id="label_column-float"),
+        pytest.param("", ",", None, "label_column", id="label_column-empty"),
+        pytest.param(-1, None, None, "delimiter", id="delimiter-None"),
+    ])
+    def test_wrong_typed_setting_is_config_error_before_the_file_is_read(
+            self, tmp_path, label_column, delimiter, has_header, name):
+        # The config type rule, checked before the path: a missing file is not reported.
+        with pytest.raises(ConfigError, match=f"^{name} must "):
+            load_csv(tmp_path / "absent.csv", label_column, delimiter, has_header)
+
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_csv(tmp_path / "absent.csv", -1, ",", None)
@@ -183,6 +195,12 @@ class TestSplit:
         with pytest.raises(ConfigError):
             split(ds, 0.0, False, 0)
 
+    def test_wrong_typed_stratified_rejected(self):
+        # "no" is a non-empty string, which would otherwise stratify.
+        ds = make_dataset(np.arange(20.0).reshape(10, 2), [0, 1] * 5)
+        with pytest.raises(ConfigError, match="^stratified must be a boolean"):
+            split(ds, 0.5, "no", 0)
+
     def test_stratified_counts_balanced_two_class(self):
         labels = np.array([0] * 10 + [1] * 10)
         ds = make_dataset(np.arange(40.0).reshape(20, 2), labels)
@@ -234,11 +252,12 @@ class TestSplit:
             split(make_dataset([[1.0]], [0], n_classes=2), 0.5, False, 0)
 
     def test_unstratified_indices_pinned(self):
-        # Feature value = row index.
+        # Feature value = row index. The seed is a master seed: the shuffle
+        # draws from child_rng(5, "split").
         ds = make_dataset(np.arange(13.0).reshape(13, 1), [0, 1, 2] * 4 + [0])
         train, test = split(ds, 0.7, False, 5)
-        assert train.features[:, 0].tolist() == [1, 2, 3, 4, 6, 7, 9, 10, 12]
-        assert test.features[:, 0].tolist() == [0, 5, 8, 11]
+        assert train.features[:, 0].tolist() == [0, 2, 3, 4, 5, 6, 7, 8, 9]
+        assert test.features[:, 0].tolist() == [1, 10, 11, 12]
 
     def test_unstratified_ignores_class_sizes(self):
         labels = np.array([0] * 9 + [1])
