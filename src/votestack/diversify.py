@@ -65,13 +65,6 @@ def build_plan(train_size: int, n_learners: int, seed: int) -> ResamplePlan:
     return ResamplePlan(train_size, n_learners, seed)
 
 
-def _check_learner_id(plan: ResamplePlan, learner_id: int) -> None:
-    if not (0 <= learner_id < plan.n_learners):
-        raise ContractError(
-            f"learner_id {learner_id} out of range for {plan.n_learners} learners"
-        )
-
-
 def materialize(plan: ResamplePlan, learner_id: int) -> np.ndarray:
     """Training indices for one learner: deleted segment excluded, size preserved.
 
@@ -80,16 +73,16 @@ def materialize(plan: ResamplePlan, learner_id: int) -> np.ndarray:
     indices using a sub-seed derived from (plan.seed, learner_id), so results
     do not depend on the order learners are materialized in.
     """
-    _check_learner_id(plan, learner_id)
-    lo, hi = plan.segment_bounds[learner_id]
-    kept = np.sort(np.concatenate([plan.permutation[:lo], plan.permutation[hi:]]))
+    deleted = out_of_bag(plan, learner_id)
+    kept = np.delete(np.arange(plan.train_size), deleted)
     rng = child_rng(plan.seed, "replenish", learner_id)
-    draws = rng.integers(0, kept.size, size=hi - lo)
+    draws = rng.integers(0, kept.size, size=deleted.size)
     return np.concatenate([kept, kept[draws]])
 
 
 def out_of_bag(plan: ResamplePlan, learner_id: int) -> np.ndarray:
-    """The deleted segment: indices the learner never trains on."""
-    _check_learner_id(plan, learner_id)
+    """The deleted segment, ascending: indices the learner never trains on."""
+    if not (0 <= learner_id < plan.n_learners):
+        raise ContractError(f"learner_id {learner_id} out of range for {plan.n_learners} learners")
     lo, hi = plan.segment_bounds[learner_id]
     return np.sort(plan.permutation[lo:hi])

@@ -1,12 +1,12 @@
 """Decision fusion over a stack of per-learner probability predictions.
 
-Implements averaging (uniform and weighted), plurality voting, strict
-majority voting with rejection, and vote-filtered stacking: test samples
-where at least `threshold` learners agree take the voted label directly,
-everything else is scored by a meta-learner trained on the difficult
-training instances only. Plain stacking is the same filter at threshold
-n+1, where no vote is confident: the meta-learner trains on every row and
-scores every sample. Ties break toward the lowest class index everywhere.
+Implements probability averaging, plurality voting, strict majority voting
+with rejection, and vote-filtered stacking: test samples where at least
+`threshold` learners agree take the voted label directly, everything else
+is scored by a meta-learner trained on the difficult training instances
+only. Plain stacking is the same filter at threshold n+1, where no vote is
+confident: the meta-learner trains on every row and scores every sample.
+Ties break toward the lowest class index everywhere.
 """
 
 from __future__ import annotations
@@ -115,14 +115,10 @@ def tally(pm: PredictionMatrix) -> np.ndarray:
     return (pm.votes()[:, :, None] == np.arange(pm.n_classes)).sum(axis=0)
 
 
-def model_average(pm: PredictionMatrix, weights: np.ndarray | None = None) -> FusionOutcome:
-    """Argmax of the weighted sum of predicted probabilities per sample;
-    `weights` holds one weight per learner, uniform when None."""
+def model_average(pm: PredictionMatrix) -> FusionOutcome:
+    """Argmax of the mean predicted probabilities per sample."""
     n = pm.n_learners
-    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise ContractError(f"expected {n} weights, got shape {w.shape}")
-    fused = np.tensordot(w, pm.probs, axes=(0, 0))
+    fused = np.tensordot(np.full(n, 1.0 / n), pm.probs, axes=(0, 0))
     return FusionOutcome(decisions=np.argmax(fused, axis=1))
 
 

@@ -29,17 +29,16 @@ import numpy as np
 
 from . import __about__, boosting, fusion, mlp
 from .boosting import BoostConfig
-from .diversify import build_plan, materialize, out_of_bag
+from .diversify import build_plan, materialize
 from .errors import ConfigError, DataError, TrainingDivergenceError, VoteStackError
 from .fusion import PredictionMatrix
 from .numerics import (COUNT, FRACTION, POSITIVE, UNIT, all_finite, conform, conform_fields,
                        config_fields)
 from .seeding import derive_seed
 from .serialize import atomic_write
-from .tabular import Dataset, apply_normalizer, fit_normalizer, load_csv, split
+from .tabular import Dataset, apply_normalizer, conform_delimiter, fit_normalizer, load_csv, split
 
 STRATEGY_AVERAGE = "average"
-STRATEGY_WEIGHTED = "weighted_average"
 STRATEGY_PLURALITY = "plurality"
 STRATEGY_MAJORITY = "majority"
 STRATEGY_META = "meta"
@@ -47,14 +46,11 @@ STRATEGY_FILTERED = "filtered"
 
 ALL_STRATEGIES = (
     STRATEGY_AVERAGE,
-    STRATEGY_WEIGHTED,
     STRATEGY_PLURALITY,
     STRATEGY_MAJORITY,
     STRATEGY_META,
     STRATEGY_FILTERED,
 )
-
-WEIGHT_MODES = ("accuracy", "inverse_variance")
 
 
 def _plain(value):
@@ -117,7 +113,6 @@ class ExperimentConfig:
     n_learners: COUNT = _in("ensemble", 7)
     threshold: int | None = _in("ensemble", None)
     strategies: tuple[str, ...] = _in("ensemble", ALL_STRATEGIES)
-    weight_mode: str = _in("ensemble", "accuracy")
     level1_mode: str = _in("ensemble", fusion.LEVEL1_PROBA)
     hidden_sizes: tuple[int, ...] = _in("mlp", (1200, 800))
     epochs: COUNT = _in("mlp", mlp.MlpConfig.epochs)
@@ -133,8 +128,7 @@ class ExperimentConfig:
         # A field is named as its INI file names it, such as `[dataset] path`.
         conform_fields(self, lambda f: "[boost]" if f.name == "boost" else
                        f"[{f.metadata['section']}] {f.metadata['key'] or f.name}")
-        if len(self.delimiter) != 1:
-            raise ConfigError(f"[dataset] delimiter must be one character, got {self.delimiter!r}")
+        conform_delimiter(self.delimiter, "[dataset] delimiter")
         if self.threshold is not None and not 1 <= self.threshold <= self.n_learners:
             raise ConfigError(
                 f"[ensemble] threshold must lie in [1, {self.n_learners}], got {self.threshold}"
@@ -147,8 +141,6 @@ class ExperimentConfig:
             raise ConfigError("[ensemble] strategies must not be empty")
         object.__setattr__(self, "strategies",
                            tuple(s for s in ALL_STRATEGIES if s in self.strategies))
-        if self.weight_mode not in WEIGHT_MODES:
-            raise ConfigError(f"[ensemble] weight_mode must be one of {', '.join(WEIGHT_MODES)}")
         if self.level1_mode not in (fusion.LEVEL1_PROBA, fusion.LEVEL1_LABEL):
             raise ConfigError("[ensemble] level1_mode must be 'proba' or 'label'")
         if not self.hidden_sizes or min(self.hidden_sizes) < 1:
@@ -334,30 +326,6 @@ def _prepare(config: ExperimentConfig, dataset: Dataset | None,
     return train, test, label
 
 
-def _learner_weights(config: ExperimentConfig, plan, pm_train: PredictionMatrix,
-                     train_labels: np.ndarray) -> np.ndarray | None:
-    """weighted_average's learner weights, normalized to sum 1: each learner's
-    out-of-bag accuracy, or the inverse of its out-of-bag squared error floored
-    at 1e-12. None, for uniform weights, when a lone learner has no plan."""
-    if plan is None:
-        return None
-    n = config.n_learners
-    accuracy = config.weight_mode == "accuracy"
-    classes = np.arange(pm_train.n_classes)
-    stats = np.empty(n)
-    for j in range(n):
-        oob = out_of_bag(plan, j)
-        probs, y = pm_train.probs[j, oob], train_labels[oob]
-        # The error subtracts the one-hot label as a bool mask, exactly 1.0 or 0.0.
-        stats[j] = (np.mean(np.argmax(probs, axis=1) == y) if accuracy
-                    else np.mean((probs - (y[:, None] == classes)) ** 2))
-    if not accuracy:
-        stats = 1.0 / np.maximum(stats, 1e-12)
-    elif stats.sum() <= 0:
-        raise DataError("all learner accuracies are zero")
-    return stats / stats.sum()
-
-
 def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
     """Execute one full experiment; deterministic for a fixed config.
 
@@ -447,19 +415,13 @@ def _run(config: ExperimentConfig, train: Dataset, test: Dataset, label: str,
         pm_train, pm_test = (PredictionMatrix([b[k] for b in blocks]) for k in (0, 1))
     blocks.clear()  # only the stacked copies outlive this stage
 
-    test_votes = pm_test.votes()
-    per_learner = tuple(
-        float(np.mean(test_votes[j] == test.labels)) for j in range(n)
-    )
+    per_learner = tuple(np.mean(pm_test.votes() == test.labels, axis=1).tolist())
     mean_accuracy = sum(per_learner) / n
 
     outcomes: dict[str, fusion.FusionOutcome] = {}
     with _stage("fusing", spans):
         if STRATEGY_AVERAGE in config.strategies:
             outcomes[STRATEGY_AVERAGE] = fusion.model_average(pm_test)
-        if STRATEGY_WEIGHTED in config.strategies:
-            weights = _learner_weights(config, plan, pm_train, train.labels)
-            outcomes[STRATEGY_WEIGHTED] = fusion.model_average(pm_test, weights)
         if STRATEGY_PLURALITY in config.strategies:
             outcomes[STRATEGY_PLURALITY] = fusion.plurality_vote(pm_test)
         if STRATEGY_MAJORITY in config.strategies:

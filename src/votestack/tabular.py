@@ -92,6 +92,13 @@ def _cell_fault(cell: str) -> str | None:
     return None if math.isfinite(value) else "non-finite"
 
 
+def conform_delimiter(value, name: str = "delimiter") -> str:
+    """value as a CSV delimiter, a one-character string; a ConfigError names it otherwise."""
+    if len(delimiter := conform(value, str, name)) != 1:
+        raise ConfigError(f"{name} must be one character, got {delimiter!r}")
+    return delimiter
+
+
 def load_csv(
     path: str | Path,
     label_column: int | str,
@@ -108,8 +115,9 @@ def load_csv(
     first row's feature cells as numbers.
     """
     label_column = conform(label_column, int | str, "label_column")
-    delimiter = conform(delimiter, str, "delimiter")
+    delimiter = conform_delimiter(delimiter)
     has_header = conform(has_header, bool | None, "has_header")
+    class_names = conform(class_names, tuple[str, ...] | None, "class_names")
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
@@ -187,7 +195,7 @@ def _parse_records(records: Iterator[tuple[int, list[str]]], label_column: int |
                                     f"in feature column {name!r}")
         features.extend(values)
 
-    ordered = tuple(class_names) if class_names is not None else tuple(class_index)
+    ordered = class_names if class_names is not None else tuple(class_index)
     return Dataset(np.frombuffer(features).reshape(len(labels), -1),
                    np.frombuffer(labels, dtype=np.int64), feature_names, ordered)
 

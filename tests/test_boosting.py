@@ -506,12 +506,16 @@ class TestWork:
     searched node) and the nodes left as leaves without a search. Each bound
     is the count of today's code; a change that cuts work tightens it."""
 
-    @pytest.mark.parametrize("S, n, C, config, bound", [
-        pytest.param(2400, 7, 3, BoostConfig(), (893, 22_217_034, 931), id="blobs-meta"),
-        pytest.param(6238, 7, 26, BoostConfig(rounds=1), (149, 88_310_950, 141),
+    # A threshold fits through the vote filter, on the rows below it only.
+    @pytest.mark.parametrize("S, n, C, config, threshold, bound", [
+        pytest.param(2400, 7, 3, BoostConfig(), None, (893, 22_217_034, 931), id="blobs-meta"),
+        pytest.param(6238, 7, 26, BoostConfig(rounds=1), None, (149, 88_310_950, 141),
                      id="isolet-one-round"),
+        pytest.param(2400, 7, 3, BoostConfig(), 4, (795, 10_249_113, 865),
+                     id="blobs-filtered"),
     ])
-    def test_split_search_work_is_bounded(self, monkeypatch, S, n, C, config, bound):
+    def test_split_search_work_is_bounded(self, monkeypatch, S, n, C, config, threshold,
+                                          bound):
         X, y = level1_shaped(S, n, C)
         searches = cells = 0
         search = boosting._best_split
@@ -523,7 +527,13 @@ class TestWork:
             return search(columns, node_order, *args)
 
         monkeypatch.setattr(boosting, "_best_split", counting)
-        model = boosting.fit(X, y, config)
+        if threshold is None:
+            model = boosting.fit(X, y, config)
+        else:
+            pm = fusion.PredictionMatrix(X.reshape(S, n, C).transpose(1, 0, 2))
+            fitted = fusion.fit_filtered(pm, y, config, threshold)
+            assert fitted.n_difficult == 1150
+            model = fitted.meta_model
         nodes = sum(tree.shape[0] for trees in model.trees for tree in trees)
         work = (searches, cells, nodes - searches)
         assert all(got <= most for got, most in zip(work, bound)), work

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,18 @@ class TestMaterialize:
         a = materialize(plan, 0)
         b = materialize(plan, 1)
         assert not np.array_equal(np.sort(a), np.sort(b))
+
+    def test_rows_pinned(self):
+        # The bytes of every learner's rows at the default 7-learner plan of a
+        # HAR-sized train set. No BLAS call enters them, so they hold on every
+        # kernel, unlike the model-file goldens built on them.
+        digest = hashlib.sha256()
+        for seed in (0, 3):
+            plan = build_plan(7352, 7, seed)
+            for j in range(7):
+                digest.update(materialize(plan, j).astype("<i8").tobytes())
+        assert digest.hexdigest() == (
+            "6adcdf63bc1a8bdcd410406aeb20176e39c496916664ff28832b197cc78cb8e2")
 
     def test_learner_id_out_of_range(self):
         plan = build_plan(10, 2, seed=0)

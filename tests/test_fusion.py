@@ -9,19 +9,14 @@ from votestack import (
     BoostConfig,
     ConfigError,
     ContractError,
-    DataError,
-    ExperimentConfig,
     FusionOutcome,
     PredictionMatrix,
     REJECTED,
     apply_filtered,
     boosting,
-    build_plan,
     fit_filtered,
-    harness,
     majority_vote,
     model_average,
-    out_of_bag,
     plurality_vote,
 )
 from votestack.fusion import (
@@ -45,19 +40,6 @@ def plain_stacking(pm_train, labels, pm_test, mode="proba"):
     """Stacking without a confident vote: the filter at threshold n+1."""
     fitted = fit_filtered(pm_train, labels, FAST_BOOST, pm_train.n_learners + 1, mode)
     return fitted, apply_filtered(fitted, pm_test)
-
-
-def oob_weights(correct, weight_mode="accuracy"):
-    """weighted_average's weights from harness._learner_weights, for one-hot
-    two-class votes where learner j is right on correct[j] of its 10
-    out-of-bag rows: OOB accuracy correct[j] / 10, OOB squared error 1 - that."""
-    n = len(correct)
-    plan = build_plan(10 * n, n, seed=0)
-    votes = np.ones((n, 10 * n), dtype=np.int64)
-    for j, k in enumerate(correct):
-        votes[j, out_of_bag(plan, j)[:k]] = 0
-    config = ExperimentConfig(n_learners=n, weight_mode=weight_mode)
-    return harness._learner_weights(config, plan, one_hot_pm(votes, 2), np.zeros(10 * n, int))
 
 
 def reference_plurality(votes, n_classes):
@@ -127,75 +109,19 @@ class TestModelAverage:
         outcome = model_average(pm)
         # mean probabilities are [0.45, 0.55]
         assert outcome.decisions.tolist() == [1]
-        assert model_average(pm, [0.5, 0.5]).decisions.tolist() == [1]
 
     def test_tie_breaks_toward_lowest_class(self):
         pm = PredictionMatrix(np.array([[[0.6, 0.4]], [[0.4, 0.6]]]))
         assert model_average(pm).decisions.tolist() == [0]
 
-    def test_weighted_average_matches_manual_loop(self, rng):
+    def test_average_matches_manual_loop(self, rng):
         pm = random_pm(rng, 5, 10, 3)
-        weights = rng.uniform(0.1, 1.0, size=5)
-        weights /= weights.sum()
-        outcome = model_average(pm, weights)
+        outcome = model_average(pm)
         for i in range(10):
             fused = np.zeros(3)
             for j in range(5):
-                fused += weights[j] * pm.probs[j, i]
+                fused += pm.probs[j, i] / 5
             assert outcome.decisions[i] == np.argmax(fused)
-
-    def test_weight_count_mismatch_rejected(self, rng):
-        pm = random_pm(rng, 3, 2, 2)
-        with pytest.raises(ContractError, match="weights"):
-            model_average(pm, np.full(4, 0.25))
-        with pytest.raises(ContractError, match="weights"):
-            model_average(pm, [0.5, 0.5])
-
-
-class TestWeights:
-    def test_accuracy_weights_normalize(self):
-        np.testing.assert_allclose(oob_weights([9, 8]), [9 / 17, 8 / 17], atol=1e-15)
-
-    def test_inverse_variance_weights(self):
-        # squared errors 0.1 and 0.3
-        w = oob_weights([9, 7], "inverse_variance")
-        np.testing.assert_allclose(w, [0.75, 0.25], atol=1e-15)
-
-    def test_zero_variance_is_floored_not_infinite(self):
-        w = oob_weights([10, 0], "inverse_variance")
-        assert np.all(np.isfinite(w))
-        assert w[0] > 0.999999
-
-    def test_all_zero_accuracies_rejected(self):
-        with pytest.raises(DataError, match="all learner accuracies are zero"):
-            oob_weights([0, 0, 0])
-
-    def test_uniform_weights(self, rng):
-        # A lone learner has no plan and gets None, which model_average reads as uniform.
-        pm = random_pm(rng, 1, 6, 3)
-        assert harness._learner_weights(ExperimentConfig(n_learners=1), None, pm,
-                                        np.zeros(6, int)) is None
-        pm = random_pm(rng, 4, 50, 3)
-        assert (model_average(pm).decisions.tolist()
-                == model_average(pm, np.full(4, 0.25)).decisions.tolist())
-
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           n=st.integers(min_value=2, max_value=9))
-    @settings(max_examples=50, deadline=None)
-    def test_better_accuracy_never_gets_less_weight(self, seed, n):
-        correct = np.random.default_rng(seed).integers(1, 11, size=n)
-        w = oob_weights(correct)
-        order = np.argsort(correct)
-        assert np.all(np.diff(w[order]) >= -1e-15)
-
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           n=st.integers(min_value=2, max_value=9))
-    @settings(max_examples=50, deadline=None)
-    def test_higher_variance_never_gets_more_weight(self, seed, n):
-        correct = np.random.default_rng(seed).integers(0, 11, size=n)
-        w = oob_weights(correct, "inverse_variance")
-        order = np.argsort(10 - correct)  # squared errors 1 - correct / 10
-        assert np.all(np.diff(w[order]) <= 1e-15)
 
 
 class TestVoting:

@@ -21,7 +21,6 @@ from votestack import (
     ConfigError,
     DataError,
     ExperimentConfig,
-    PredictionMatrix,
     REJECTED,
     TrainingDivergenceError,
     VoteStackError,
@@ -34,7 +33,6 @@ from votestack import (
     gaussian_blobs,
     materialize,
     mlp,
-    out_of_bag,
     run_experiment,
     save_csv,
     split,
@@ -130,13 +128,13 @@ DESK_CONFIG = ExperimentConfig(
 
 GOLDEN_DIGESTS = {
     "report":
-        "bd6081122217f9d09a2133297590756e256c1a6a690b5c1e7414328f59c6e3ad",
+        "d3e0222bd595791763a888568791a90192b2b0175963172526a199c34c73873a",
     "accuracy_table":
         "ccaf18d11043d59492d15a9361319e4c57e5ef5d616e4b63090c4cb8162c55d7",
     "decisions":
-        "abce6f15f344999b8f964861c4e8ec19e0ac2be6522492f806634e5fd4f9a7af",
+        "4ebc7bf5b659a0410ff1b7057f76f04b594e23147b84530528352d52b7984aed",
     "manifest":
-        "117d2712a0fa1ad1059ef6a6dd20297f80552df84796425679a97f4d12c71d35",
+        "955aec65428aeb159e56a4e5b8b685fe72269c6ef07b3b353ac22e98e457a102",
 }
 
 # models/ of the same run with an output_dir; same numpy/OpenBLAS caveat.
@@ -163,7 +161,7 @@ GOLDEN_SWEEP_DIGESTS = {
     "sweep_csv":
         "10880666116a704b85e78c3fbca6bb6a320cfba9c60ecdd7ff59f0f55f6e7739",
     "sweep_json":
-        "6738bb06a9f0793d07e8130ce2824a1c391c191deacb3655d71d46e0984259f9",
+        "c54f10c7d4b43ab30a03708f9232d6470a709b2cd42275f0d0fff71c365d463a",
 }
 
 GOLDEN_SWEEP_MODEL_DIGESTS = {
@@ -213,9 +211,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="threshold"):
             ExperimentConfig(n_learners=5, threshold=6)
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigError, match="unknown strategy"):
-            ExperimentConfig(strategies=("plurality", "borda"))
+    # A config written for a release with weighted averaging is refused, not half-read.
+    @pytest.mark.parametrize("strategy", ["borda", "weighted_average"])
+    def test_unknown_strategy_rejected(self, strategy):
+        with pytest.raises(ConfigError, match=f"unknown strategy '{strategy}'"):
+            ExperimentConfig(strategies=("plurality", strategy))
 
     def test_strategies_deduped_into_canonical_order(self):
         cfg = ExperimentConfig(strategies=("filtered", "plurality", "plurality"))
@@ -233,8 +233,6 @@ class TestExperimentConfig:
                              test_path="b.csv")
 
     def test_other_validation(self):
-        with pytest.raises(ConfigError, match="weight_mode"):
-            ExperimentConfig(weight_mode="entropy")
         with pytest.raises(ConfigError, match="level1_mode"):
             ExperimentConfig(level1_mode="margins")
         with pytest.raises(ConfigError, match="workers"):
@@ -328,7 +326,7 @@ class TestExperimentConfig:
     def test_dict_round_trip(self):
         cfg = ExperimentConfig(
             dataset_path="d.csv", label_column="y", n_learners=4, threshold=2,
-            strategies=("plurality", "filtered"), weight_mode="inverse_variance",
+            strategies=("plurality", "filtered"),
             hidden_sizes=(10, 5), epochs=3, boost=BoostConfig(rounds=9),
             seed=13, output_dir="out", workers=2,
         )
@@ -448,7 +446,6 @@ stratified = yes
 n_learners = 5
 threshold = 4
 strategies = plurality, filtered
-weight_mode = inverse_variance
 level1_mode = label
 
 [mlp]
@@ -475,7 +472,6 @@ workers = 2
         assert cfg.n_learners == 5
         assert cfg.threshold == 4
         assert cfg.strategies == ("plurality", "filtered")
-        assert cfg.weight_mode == "inverse_variance"
         assert cfg.level1_mode == "label"
         assert cfg.hidden_sizes == (32, 16)
         assert cfg.epochs == 3
@@ -499,9 +495,15 @@ workers = 2
         with pytest.raises(ConfigError, match=r"unknown config section \[extra\]"):
             ExperimentConfig.from_file(path)
 
-    def test_unknown_key_rejected(self, tmp_path):
-        path = self.write(tmp_path, "[dataset]\npath = d.csv\nlabelcol = 3\n")
-        with pytest.raises(ConfigError, match="unknown key 'labelcol'"):
+    # A file written for a release with weighted averaging is refused, not half-read.
+    @pytest.mark.parametrize("extra, section, key", [
+        pytest.param("labelcol = 3\n", "dataset", "labelcol", id="labelcol"),
+        pytest.param("[ensemble]\nweight_mode = accuracy\n", "ensemble", "weight_mode",
+                     id="weight_mode"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, extra, section, key):
+        path = self.write(tmp_path, f"[dataset]\npath = d.csv\n{extra}")
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
             ExperimentConfig.from_file(path)
 
     def test_missing_dataset_location_rejected(self, tmp_path):
@@ -585,7 +587,7 @@ workers = 2
         cfg = ExperimentConfig(
             **location, label_column="target", delimiter="|", has_header=False,
             train_fraction=0.6, stratified=False, n_learners=5, threshold=3,
-            strategies=("plurality", "filtered"), weight_mode="inverse_variance",
+            strategies=("plurality", "filtered"),
             level1_mode="label", hidden_sizes=(16, 8), epochs=4, batch_size=8,
             learning_rate=0.05, momentum=0.5,
             boost=BoostConfig(rounds=7, max_depth=2, learning_rate=0.2, l2_lambda=0.5,
@@ -614,6 +616,8 @@ workers = 2
         documented |= {("dataset", "train_path"), ("dataset", "test_path")}
         schema = {(s, k) for s, keys in ExperimentConfig().to_dict().items() for k in keys}
         assert documented == schema
+        # The list as written, before the config dedupes and orders it.
+        assert tuple(parser["ensemble"]["strategies"].replace(",", " ").split()) == ALL_STRATEGIES
 
     def test_auto_spells_none_but_not_in_a_path(self, tmp_path):
         cfg = ExperimentConfig.from_file(self.write(
@@ -814,53 +818,6 @@ class TestRunExperiment:
         assert report.strategy_accuracies["plurality"] == report.per_learner_accuracies[0]
         assert report.strategy_accuracies["filtered"] == report.strategy_accuracies["plurality"]
 
-    def test_single_learner_weighted_average_equals_plurality(self):
-        # One learner trains on every row, with no plan, so its weight is 1.
-        config = replace(DESK_CONFIG, n_learners=1,
-                         strategies=("weighted_average", "plurality"))
-        report = run_experiment(config, dataset=DESK_DATA)
-        assert report.decisions["weighted_average"] == report.decisions["plurality"]
-        assert (report.strategy_accuracies["weighted_average"]
-                == report.per_learner_accuracies[0])
-
-    def test_in_memory_label_and_variance_weights(self):
-        config = replace(DESK_CONFIG, epochs=1, n_learners=2,
-                         strategies=("weighted_average", "plurality"),
-                         weight_mode="inverse_variance")
-        report = run_experiment(config, dataset=DESK_DATA)
-        assert report.dataset_label == "in-memory"
-        assert 0.0 <= report.strategy_accuracies["weighted_average"] <= 1.0
-
-    @pytest.mark.parametrize("weight_mode", ["accuracy", "inverse_variance"])
-    def test_learner_weights_match_one_hot_statistics(self, rng, weight_mode):
-        # Reference: out-of-bag accuracy, or the inverse of the mean squared error
-        # against np.eye one-hot labels floored at 1e-12, normalized; the weights
-        # must match it bit for bit. Learner 0 is sure and right everywhere, so
-        # its error is 0 and takes the floor.
-        config = replace(DESK_CONFIG, weight_mode=weight_mode)
-        n, S, C = config.n_learners, 300, 4
-        labels = rng.integers(0, C, S)
-        probs = rng.dirichlet(np.ones(C), size=(n, S))
-        probs[0] = np.eye(C)[labels]
-        pm = PredictionMatrix(probs)
-        plan = build_plan(S, n, config.seed)
-        stats = np.empty(n)
-        for j in range(n):
-            oob = out_of_bag(plan, j)
-            p, y = pm.probs[j, oob], labels[oob]
-            stats[j] = (np.mean(np.argmax(p, axis=1) == y) if weight_mode == "accuracy"
-                        else 1.0 / max(np.mean((p - np.eye(C)[y]) ** 2), 1e-12))
-        got = harness._learner_weights(config, plan, pm, labels)
-        assert got.tobytes() == (stats / stats.sum()).tobytes()
-        # Every out-of-bag vote wrong: no accuracy weights, equal variance weights.
-        wrong = PredictionMatrix(np.tile(np.eye(C)[(labels + 1) % C], (n, 1, 1)))
-        if weight_mode == "accuracy":
-            with pytest.raises(DataError, match="all learner accuracies are zero"):
-                harness._learner_weights(config, plan, wrong, labels)
-        else:
-            np.testing.assert_allclose(harness._learner_weights(config, plan, wrong, labels),
-                                       1 / n, rtol=1e-15)
-
     def test_majority_rejections_count_as_errors(self):
         # Two learners reject every sample they disagree on; a rejection is wrong.
         config = replace(DESK_CONFIG, epochs=1, n_learners=2,
@@ -996,7 +953,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_size_reports_what_a_run_of_that_size_reports(self, workers):
-        config = replace(DESK_CONFIG, epochs=2, strategies=("plurality", "weighted_average"),
+        config = replace(DESK_CONFIG, epochs=2, strategies=("plurality", "average"),
                          workers=workers)
         swept = sweep(config, max_size=3, dataset=DESK_DATA)
         for k, report in enumerate(swept, 1):

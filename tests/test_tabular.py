@@ -111,12 +111,21 @@ class TestLoadCsv:
         pytest.param(1.5, ",", None, "label_column", id="label_column-float"),
         pytest.param("", ",", None, "label_column", id="label_column-empty"),
         pytest.param(-1, None, None, "delimiter", id="delimiter-None"),
+        pytest.param(-1, "ab", None, "delimiter", id="delimiter-two-characters"),
     ])
     def test_wrong_typed_setting_is_config_error_before_the_file_is_read(
             self, tmp_path, label_column, delimiter, has_header, name):
         # The config type rule, checked before the path: a missing file is not reported.
         with pytest.raises(ConfigError, match=f"^{name} must "):
             load_csv(tmp_path / "absent.csv", label_column, delimiter, has_header)
+
+    # A string is no list of names, and every name is a string.
+    @pytest.mark.parametrize("class_names", [5, "xy", ["x", 3]],
+                             ids=["int", "str", "list-with-int"])
+    def test_wrong_typed_class_names_is_config_error_before_the_file_is_read(
+            self, tmp_path, class_names):
+        with pytest.raises(ConfigError, match="^class_names must be a list of strings or None"):
+            load_csv(tmp_path / "absent.csv", -1, ",", None, class_names=class_names)
 
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
