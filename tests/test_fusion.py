@@ -123,6 +123,22 @@ class TestModelAverage:
                 fused += pm.probs[j, i] / 5
             assert outcome.decisions[i] == np.argmax(fused)
 
+    def test_single_learner_decides_its_vote(self, rng):
+        # A lone learner's mean is its own probabilities.
+        pm = random_pm(rng, 1, 50, 4)
+        assert model_average(pm).decisions.tolist() == pm.votes()[0].tolist()
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.integers(min_value=1, max_value=9),
+           c=st.integers(min_value=2, max_value=6))
+    @settings(max_examples=50, deadline=None)
+    def test_decision_has_the_highest_mean_probability(self, seed, n, c):
+        # Up to rounding: a near-tie may go to either class.
+        pm = random_pm(np.random.default_rng(seed), n, 20, c)
+        mean = pm.probs.mean(axis=0)
+        picked = mean[np.arange(20), model_average(pm).decisions]
+        assert np.all(picked >= mean.max(axis=1) - 1e-12)
+
 
 class TestVoting:
     def test_plurality_picks_most_frequent(self):

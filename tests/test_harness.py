@@ -332,12 +332,17 @@ class TestExperimentConfig:
         )
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
-    @pytest.mark.parametrize("section", ["ensemble", "boost"])
-    def test_from_dict_rejects_unknown_key_naming_section(self, section):
-        # A [boost] seed is what manifests written before its removal carry.
+    # A [boost] seed or an [ensemble] weight_mode is what manifests written
+    # before its removal carry.
+    @pytest.mark.parametrize("section, key", [
+        pytest.param("ensemble", "seed", id="ensemble"),
+        pytest.param("boost", "seed", id="boost"),
+        pytest.param("ensemble", "weight_mode", id="ensemble-weight_mode"),
+    ])
+    def test_from_dict_rejects_unknown_key_naming_section(self, section, key):
         d = ExperimentConfig().to_dict()
-        d[section]["seed"] = 1
-        with pytest.raises(ConfigError, match=rf"unknown key 'seed' in section \[{section}\]"):
+        d[section][key] = 1
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
             ExperimentConfig.from_dict(d)
 
     def test_from_dict_rejects_unknown_section(self):
@@ -818,6 +823,13 @@ class TestRunExperiment:
         assert report.strategy_accuracies["plurality"] == report.per_learner_accuracies[0]
         assert report.strategy_accuracies["filtered"] == report.strategy_accuracies["plurality"]
 
+    def test_single_learner_average_equals_plurality(self):
+        # One learner trains on every row, with no plan; its mean is its own vote.
+        config = replace(DESK_CONFIG, n_learners=1, strategies=("average", "plurality"))
+        report = run_experiment(config, dataset=DESK_DATA)
+        assert report.decisions["average"] == report.decisions["plurality"]
+        assert report.strategy_accuracies["average"] == report.per_learner_accuracies[0]
+
     def test_majority_rejections_count_as_errors(self):
         # Two learners reject every sample they disagree on; a rejection is wrong.
         config = replace(DESK_CONFIG, epochs=1, n_learners=2,
@@ -1050,6 +1062,15 @@ class TestStageTimings:
                 if size > 1:
                     expected -= {"loading data", "normalizing"}
                 assert set(run.timings) == expected
+
+    def test_fusing_error_names_its_stage(self, monkeypatch):
+        def broken(pm):
+            raise DataError("no votes")
+
+        monkeypatch.setattr(fusion, "plurality_vote", broken)
+        config = replace(DESK_CONFIG, n_learners=2, epochs=1, strategies=("plurality",))
+        with pytest.raises(DataError, match="^fusing: no votes$"):
+            run_experiment(config, dataset=DESK_DATA)
 
     def test_stacking_error_names_its_stage(self, monkeypatch):
         # In a sweep size 1 fails while two workers train size 2; the sizes
